@@ -19,7 +19,7 @@ from .conformance import (
     check_signature_monotonicity,
     merge_reports,
 )
-from .encoding import Program, as_program, beta, beta_rule, drop_program, drop_rule, raise_rule
+from .encoding import Program, as_program, beta_rule, drop_program, drop_rule, raise_rule
 from .errors import (
     DiffError,
     EncodingError,

@@ -31,14 +31,12 @@ from .conformance import (
     rule_has_partial_assign,
 )
 from .conformance import check_initial_agreement
-from .encoding import as_program
 from .errors import DiffError, EncodingError, MachineError, ParseError, RasmError
 from .parser import parse_rule, parse_state, parse_tree
 from .printer import format_trace, print_rule, print_state, print_tree
-from .state import PGM_LOCATION, State
+from .state import State
 from .treediff import eval_algebra, serialize_algebra, tree_diff_theta
 from .trees import trees_equal
-from .values import TreeVal
 
 ISO_TRIALS = 20  # bijections tried per `check` invocation; tests go higher
 
@@ -52,19 +50,10 @@ def _steps_arg(text: str) -> int | None:
     return n
 
 
-def _drive(s: State, steps: int | None, max_steps: int, strict: bool):
-    """machine.run with an early stop on inconsistency for strict mode."""
-    reports = []
-    limit = max_steps if steps is None else steps
-    while len(reports) < limit:
-        rep = machine.step(s)
-        reports.append(rep)
-        if strict and not rep.consistent:
-            break
-        if steps is None and rep.next == s:
-            break
-        s = rep.next
-    return reports
+def _warn_if_guard_hit(args, reports) -> None:
+    """A fixpoint run that stopped at --max-steps without converging says so."""
+    if args.steps is None and (not reports or reports[-1].next != reports[-1].state):
+        print(f"rasm: no fixpoint within {args.max_steps} steps (--max-steps guard)", file=sys.stderr)
 
 
 def _postulate_reports(initial: State, reports, trials: int, seed: int) -> list[CheckReport]:
@@ -77,11 +66,7 @@ def _postulate_reports(initial: State, reports, trials: int, seed: int) -> list[
     for rep in reports:
         if rule_has_partial_assign(rep.raised_rule):
             continue  # outside the naive oracle's contract
-        pgm = rep.state.value_of(PGM_LOCATION)
-        assert isinstance(pgm, TreeVal)
-        prog = as_program(pgm.tree)
-        pre = rep.state.with_signature(rep.state.signature.extended(prog.signature))
-        naive.append(check_naive_equivalence(pre, rep.raised_rule))
+        naive.append(check_naive_equivalence(rep.state, rep.raised_rule))
     if naive:
         out.append(combine_reports(naive))
     bounded = [
@@ -97,7 +82,7 @@ def _postulate_reports(initial: State, reports, trials: int, seed: int) -> list[
 def _cmd_run(args) -> int:
     s = parse_state(Path(args.state).read_text(encoding="utf-8"), seed=args.seed)
     machine.validate_initial(s)
-    reports = _drive(s, args.steps, args.max_steps, args.strict)
+    reports = machine.run(s, args.steps, args.max_steps, args.strict)
     final = reports[-1].next if reports else s
     if args.trace:
         Path(args.trace).write_text(format_trace(reports), encoding="utf-8")
@@ -105,6 +90,7 @@ def _cmd_run(args) -> int:
     inconsistent = [i for i, rep in enumerate(reports, 1) if not rep.consistent]
     for i in inconsistent:
         print(f"step {i}: inconsistent update set, state unchanged", file=sys.stderr)
+    _warn_if_guard_hit(args, reports)
     if args.check_postulates:
         checks = _postulate_reports(s, reports, ISO_TRIALS, args.seed)
         sys.stderr.write(merge_reports(checks))
@@ -135,7 +121,8 @@ def _cmd_check(args) -> int:
     ]
     for s in states:
         machine.validate_initial(s)
-    reports = _drive(states[0], args.steps, args.max_steps, strict=False)
+    reports = machine.run(states[0], args.steps, args.max_steps)
+    _warn_if_guard_hit(args, reports)
     checks = _postulate_reports(states[0], reports, args.trials, args.seed)
     if len(states) > 1:
         checks.append(check_initial_agreement(states))

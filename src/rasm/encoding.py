@@ -40,15 +40,6 @@ _TRUE = T.Literal(TRUE)
 
 # --------------------------------------------------------------------- drop
 
-def drop_term(t: Term) -> DroppedTerm:
-    return DroppedTerm(t)
-
-
-def drop_symbol(f: FunctionSymbol) -> Atom:
-    """A symbol occurrence in an encoding is just its name atom."""
-    return Atom(f.name)
-
-
 def _terms_value(ts: tuple[Term, ...]) -> TupleVal:
     return TupleVal(tuple(DroppedTerm(t) for t in ts))
 
@@ -316,10 +307,6 @@ def as_program(t: Tree) -> Program:
     return Program(sig, rule, t)
 
 
-def validate_program_tree(t: Tree) -> None:
-    as_program(t)
-
-
 # ------------------------------------------------------------------- beta
 
 def _neg(t: Term) -> Term:
@@ -420,7 +407,3 @@ def beta_rule(r: Rule) -> tuple[Comprehension, ...]:
             e = Comprehension(e.head, residual + e.binders, e.guard)
         out.append(e)
     return tuple(out)
-
-
-def beta(t: Tree) -> tuple[Comprehension, ...]:
-    return beta_rule(raise_rule(t))

@@ -1,10 +1,11 @@
 """The reflective step: raise the stored program, run it, apply, repeat.
 
 Every step re-reads pgm, so a program that rewrites its own tree behaves
-differently on the very next step.  Phase order is strict: raise, evaluate
-against the pre-state, collapse against pre-state values, apply.  The
-signature used for evaluation is raised from pgm and may only grow along a
-run; shrinking it is an error, not a stutter.
+differently on the very next step; the tree is raised again only when it
+changed.  Phase order is strict: raise, evaluate against the pre-state,
+collapse against pre-state values, apply.  The signature used for
+evaluation is raised from pgm and may only grow along a run; shrinking it
+is an error, not a stutter.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from .errors import EncodingError, MachineError
 from .evaluator import eval_rule_with_cursor
 from .state import PGM_LOCATION, Signature, State
 from .terms import Rule
+from .trees import Tree
 from .updates import UpdateMultiset, UpdateSet, apply_update_set, collapse
-from .values import TreeVal
+from .values import TreeVal, Value
 
 DEFAULT_MAX_STEPS = 1000
 
@@ -32,45 +34,57 @@ class StepReport:
     consistent: bool
 
 
+# Trees are immutable, so the same object always raises to the same Program.
+_last_raise: tuple[Tree, Program] | None = None
+
+
+def _raise(t: Tree) -> Program:
+    global _last_raise
+    if _last_raise is None or _last_raise[0] is not t:
+        _last_raise = (t, as_program(t))
+    return _last_raise[1]
+
+
 def _stored_program(s: State) -> Program:
     v = s.value_of(PGM_LOCATION)
     if not isinstance(v, TreeVal):
         raise EncodingError("malformed-program-tree", f"pgm holds {v!r}, not a tree value")
-    return as_program(v.tree)
+    return _raise(v.tree)
+
+
+def _check_kept(current: Signature, encoded: Signature, what: str) -> None:
+    if not encoded.contains_all(current):
+        missing = sorted(current.pairs() - encoded.pairs())
+        raise MachineError("signature-shrunk", f"{what} dropped {missing}")
 
 
 def step(s: State) -> StepReport:
     prog = _stored_program(s)
-    if not prog.signature.contains_all(s.signature):
-        missing = sorted(s.signature.pairs() - prog.signature.pairs())
-        raise MachineError("signature-shrunk", f"encoded signature dropped {missing}")
-    eval_sig = s.signature.extended(prog.signature)
-    pre = s.with_signature(eval_sig)
+    _check_kept(s.signature, prog.signature, "encoded signature")
+    pre = s if prog.signature == s.signature else s.with_signature(s.signature.extended(prog.signature))
 
     um, cursor = eval_rule_with_cursor(pre, {}, prog.rule)
     us = collapse(pre, um)
-    nxt = apply_update_set(pre, us).with_cursor(cursor)
-    nxt = nxt.with_signature(_grown_signature(eval_sig, nxt))
+    applied = apply_update_set(pre, us)
+    sig = _grown_signature(pre.signature, applied.value_of(PGM_LOCATION))
+    nxt = State(sig, applied.interp, applied.universe, cursor, applied.reserve_seed)
     return StepReport(s, nxt, prog.rule, um, us, us.consistent)
 
 
-def _grown_signature(current: Signature, nxt: State) -> Signature:
+def _grown_signature(current: Signature, pgm: Value) -> Signature:
     """Symbols the step introduced into pgm's signature subtree, folded in.
 
     A malformed rewritten pgm is not this step's error: the signature stays
     put and the next step's raise reports it.  A well-formed rewrite that
     dropped symbols is an error now.
     """
-    v = nxt.value_of(PGM_LOCATION)
-    if not isinstance(v, TreeVal):
+    if not isinstance(pgm, TreeVal):
         return current
     try:
-        prog = as_program(v.tree)
+        prog = _raise(pgm.tree)
     except EncodingError:
         return current
-    if not prog.signature.contains_all(current):
-        missing = sorted(current.pairs() - prog.signature.pairs())
-        raise MachineError("signature-shrunk", f"rewritten pgm dropped {missing}")
+    _check_kept(current, prog.signature, "rewritten pgm")
     return current.extended(prog.signature)
 
 
@@ -84,21 +98,17 @@ def validate_initial(s: State) -> None:
         )
 
 
-def run(s: State, steps: int | None = None, max_steps: int = DEFAULT_MAX_STEPS) -> list[StepReport]:
+def run(
+    s: State, steps: int | None = None, max_steps: int = DEFAULT_MAX_STEPS, strict: bool = False
+) -> list[StepReport]:
     """Iterate `step`.  `steps=None` runs to a fixpoint (next state equal to
     the current one), guarded by `max_steps`; a step count runs exactly that
-    many steps."""
+    many steps.  `strict` stops after the first inconsistent step."""
     reports: list[StepReport] = []
-    if steps is None:
-        for _ in range(max_steps):
-            rep = step(s)
-            reports.append(rep)
-            if rep.next == s:
-                break
-            s = rep.next
-    else:
-        for _ in range(steps):
-            rep = step(s)
-            reports.append(rep)
-            s = rep.next
+    for _ in range(max_steps if steps is None else steps):
+        rep = step(s)
+        reports.append(rep)
+        if (strict and not rep.consistent) or (steps is None and rep.next == s):
+            break
+        s = rep.next
     return reports

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 from dataclasses import dataclass
 
 from .errors import RasmError
-from .trees import Node, Path, Tree, _TreeBase, subtree
+from .trees import Node, Path, subtree
 from . import terms as T
 from .values import (
     UNDEF,
@@ -303,34 +303,6 @@ def _rule_literals(r: T.Rule) -> Iterator[Value]:
         yield from _rule_literals(r.body)
     elif isinstance(r, T.Import):
         yield from _rule_literals(r.body)
-
-
-# ----------------------------------------------------------- the subtree order
-
-def subsumes(l1: Location, l2: Location, s: State) -> bool:
-    """Does the value at `l1` determine the value at `l2`?
-
-    Only the decidable fragment is answered positively: a location subsumes
-    itself, and a tree-valued root location subsumes every node sublocation
-    of its tree (shallower paths subsume deeper ones on the same base).
-    Everything else answers False.
-    """
-    if l1 == l2:
-        return True
-    if l1.base != l2.base:
-        return False
-    p1 = l1.path if l1.path is not None else ()
-    p2 = l2.path if l2.path is not None else ()
-    return len(p1) <= len(p2) and p2[: len(p1)] == p1
-
-
-def depends_on(l1: Location, l2: Location, s: State) -> bool:
-    """True when val(l2) = undef forces val(l1) = undef.
-
-    A node sublocation depends on its root location: no tree, no node.
-    Same decidable fragment as `subsumes`, False elsewhere.
-    """
-    return subsumes(l2, l1, s)
 
 
 # ------------------------------------------------------------- atom renaming

@@ -81,19 +81,51 @@ def test_run_default_runs_to_fixpoint(tmp_path, capsys):
     trace = tmp_path / "halt.trace"
     rc = main(["run", put(tmp_path, "halt.rst", HALTING), "--trace", str(trace)])
     assert rc == 0
-    assert "init f = 1" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "init f = 1" in captured.out
+    assert "--max-steps guard" not in captured.err
     text = trace.read_text(encoding="utf-8")
     # the fixpoint step itself is recorded: an empty second block
     assert text.count("step ") == 2
     assert text.count("update ") == 1
 
 
-def test_run_max_steps_guards_fixpoint_mode(tmp_path):
+def test_run_max_steps_guards_fixpoint_mode(tmp_path, capsys):
     trace = tmp_path / "inc.trace"
     rc = main(["run", put(tmp_path, "inc.rst", (DEMOS / "increment.rst").read_text()),
                "--max-steps", "5", "--trace", str(trace)])
     assert rc == 0
     assert trace.read_text(encoding="utf-8").count("step ") == 5
+    err = capsys.readouterr().err
+    assert err.count("rasm: no fixpoint within 5 steps (--max-steps guard)\n") == 1
+
+
+def test_check_warns_when_fixpoint_guard_is_hit(tmp_path, capsys):
+    doc = put(tmp_path, "inc.rst", (DEMOS / "increment.rst").read_text())
+    assert main(["check", doc, "--max-steps", "3"]) == 0
+    assert "rasm: no fixpoint within 3 steps (--max-steps guard)" in capsys.readouterr().err
+    assert main(["check", doc, "--steps", "3"]) == 0
+    assert "--max-steps guard" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,steps,raises", [
+    ("increment", 50, 1),      # pgm never changes: the initial raise serves every step
+    ("self_rewrite", 2, 2),    # one rewrite of pgm, one more raise
+    ("grow_signature", 2, 2),
+])
+def test_run_raises_pgm_once_per_change(monkeypatch, name, steps, raises):
+    from rasm import machine
+
+    calls = []
+    real = machine.as_program
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(machine, "as_program", counting)
+    assert main(["run", str(DEMOS / f"{name}.rst"), "--steps", str(steps)]) == 0
+    assert len(calls) == raises
 
 
 def test_run_seed_names_the_reserve_draws(tmp_path):

@@ -9,11 +9,12 @@ import random
 import pytest
 
 from rasm.encoding import as_program, beta_rule, drop_program, drop_rule
-from rasm.errors import EncodingError, MachineError
+from rasm.errors import EncodingError, MachineError, RasmError
 from rasm.evaluator import eval_rule
 from rasm.machine import DEFAULT_MAX_STEPS, StepReport, run, step, validate_initial
 from rasm.parser import parse_rule, parse_state
 from rasm.state import FunctionSymbol, Location, PGM_LOCATION, Signature, State
+from rasm.terms import Assign, Literal, Par
 from rasm.trees import Tree, leaf, node, subst_tt, trees_equal
 from rasm.updates import collapse
 from rasm.values import Natural, TreeVal, TupleVal
@@ -179,3 +180,93 @@ def test_static_program_runs_agree_with_plain_evaluation():
         assert rep.consistent == us.consistent
         checked += 1
     assert checked > 20, f"only {checked} comparable runs"
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except RasmError as e:
+        return ("error", type(e).__name__, e.code)
+
+
+def _fresh_pgm(s):
+    """The same state with pgm held in a new but equal Tree object."""
+    t = s.value_of(PGM_LOCATION).tree
+    return State(s.signature, {**s.interp, PGM_LOCATION: TreeVal(Tree(t.root_node))},
+                 s.universe, s.reserve_cursor, s.reserve_seed)
+
+
+def test_raise_memo_agrees_with_a_fresh_raise_every_step():
+    """`run` raises pgm only when its tree object changed; forcing a new
+    raise before every step must not change a single report."""
+    rng = random.Random(61)
+    compared = 0
+    for _ in range(80):
+        base = random_state(rng, with_pgm=True)
+        rule = random_rule(rng, depth=3)
+        if rng.random() < 0.5:
+            # rewrite pgm to another program over the same signature
+            other = drop_program(base.signature, random_rule(rng, depth=2))
+            rule = Par((rule, Assign("pgm", (), Literal(TreeVal(other)))))
+        tree = drop_program(base.signature, rule)
+        s = State(base.signature, {**base.interp, PGM_LOCATION: TreeVal(tree)}, base.universe)
+        k = rng.randrange(1, 5)
+        memo = _outcome(lambda: run(s, steps=k))
+
+        def fresh_loop():
+            reports, cur = [], s
+            for _ in range(k):
+                rep = step(_fresh_pgm(cur))
+                reports.append(rep)
+                cur = rep.next
+            return reports
+
+        fresh = _outcome(fresh_loop)
+        assert memo == fresh
+        if isinstance(memo, list):
+            assert [r.next.reserve_cursor for r in memo] == [r.next.reserve_cursor for r in fresh]
+            compared += 1
+    assert compared > 30, f"only {compared} comparable runs"
+
+
+def test_run_and_cli_call_the_module_step_hook(monkeypatch, tmp_path):
+    """Per-step timing replaces `rasm.machine.step` with a one-argument
+    wrapper; every run loop must go through that global."""
+    from rasm import cli, machine
+
+    calls = []
+    real = machine.step
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(machine, "step", counting)
+    s = make_state("f := f + 1", inits=(("f", (), Natural(0)),))
+    assert len(run(s, steps=6)) == 6
+    assert len(calls) == 6
+
+    calls.clear()
+    doc = tmp_path / "inc.rst"
+    doc.write_text("function f/0\ninit f = 0\nprogram\nf := f + 1\n", encoding="utf-8")
+    assert cli.main(["run", str(doc), "--steps", "4"]) == 0
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("rule,built", [
+    ("f := f + 1", 2),            # the applied state, then the successor
+    ("PAR f := 1 f := 2 ENDPAR", 1),  # a stutter applies nothing
+])
+def test_step_builds_at_most_two_states(monkeypatch, rule, built):
+    s = make_state(rule, inits=(("f", (), Natural(0)),))
+    validate_initial(s)
+    count = []
+    real = State.__init__
+
+    def counting(self, *args, **kwargs):
+        count.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(State, "__init__", counting)
+    step(s)
+    assert len(count) == built

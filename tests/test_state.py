@@ -11,9 +11,7 @@ from rasm.state import (
     Signature,
     State,
     atoms_of_state,
-    depends_on,
     rename_state,
-    subsumes,
 )
 from rasm.trees import Tree, leaf, node
 from rasm.values import UNDEF, Atom, Multiset, Natural, TreeVal, TupleVal, value_key
@@ -98,21 +96,6 @@ def test_state_equality_ignores_run_metadata():
     b = State(sig(("f", 0)), {Location("f"): Natural(1)}, reserve_cursor=4, reserve_seed=2)
     assert a == b
     assert hash(a) == hash(b)
-
-
-def test_subsumes_and_depends_on():
-    s = State(sig(("f", 0)))
-    root = Location("f")
-    shallow = Location("f", (), (0,))
-    deep = Location("f", (), (0, 1))
-    other = Location("g")
-    assert subsumes(root, deep, s)
-    assert subsumes(shallow, deep, s)
-    assert not subsumes(deep, shallow, s)
-    assert not subsumes(root, other, s)
-    assert depends_on(deep, root, s)
-    assert not depends_on(root, deep, s)
-    assert subsumes(root, root, s)
 
 
 def test_rename_is_pointwise_and_total():
