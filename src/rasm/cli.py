@@ -81,7 +81,6 @@ def _postulate_reports(initial: State, reports, trials: int, seed: int) -> list[
 
 def _cmd_run(args) -> int:
     s = parse_state(Path(args.state).read_text(encoding="utf-8"), seed=args.seed)
-    machine.validate_initial(s)
     reports = machine.run(s, args.steps, args.max_steps, args.strict)
     final = reports[-1].next if reports else s
     if args.trace:
@@ -119,8 +118,6 @@ def _cmd_check(args) -> int:
     states = [
         parse_state(Path(p).read_text(encoding="utf-8"), seed=args.seed) for p in args.state
     ]
-    for s in states:
-        machine.validate_initial(s)
     reports = machine.run(states[0], args.steps, args.max_steps)
     _warn_if_guard_hit(args, reports)
     checks = _postulate_reports(states[0], reports, args.trials, args.seed)

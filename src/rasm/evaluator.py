@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import EvalError
-from .state import Location, State
+from .state import Location, State, subtree_value
 from .terms import (
     Apply,
     Assign,
@@ -38,8 +38,8 @@ from .terms import (
     Var,
     subst_rule,
 )
-from .trees import Tree, TreeAlgebraError, subtree
-from .updates import COLLAPSE_OPS, SharedUpdate, Update, UpdateMultiset, is_collapse_op
+from .trees import Tree
+from .updates import COLLAPSE_OPS, SharedUpdate, Update, UpdateMultiset, _as_path, is_collapse_op
 from .values import (
     FALSE,
     TRUE,
@@ -111,17 +111,10 @@ def _op_subtree_at(args: list[Value]) -> Value:
     if len(args) != 2:
         return UNDEF
     t, path = args
-    if not isinstance(t, TreeVal) or not isinstance(t.tree, Tree):
+    p = _as_path(path)  # same path decoding as the collapse side
+    if not isinstance(t, TreeVal) or not isinstance(t.tree, Tree) or p is None:
         return UNDEF
-    from .updates import _as_path  # same path decoding as the collapse side
-
-    p = _as_path(path)
-    if p is None:
-        return UNDEF
-    try:
-        return TreeVal(subtree(t.tree, t.tree.node_at_path(p)))
-    except TreeAlgebraError:
-        return UNDEF
+    return subtree_value(t, p)
 
 
 def _collapse_as_term_op(name: str) -> Callable[[list[Value]], Value]:

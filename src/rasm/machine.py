@@ -47,7 +47,7 @@ def _raise(t: Tree) -> Program:
 
 def _stored_program(s: State) -> Program:
     v = s.value_of(PGM_LOCATION)
-    if not isinstance(v, TreeVal):
+    if not isinstance(v, TreeVal) or not isinstance(v.tree, Tree):
         raise EncodingError("malformed-program-tree", f"pgm holds {v!r}, not a tree value")
     return _raise(v.tree)
 

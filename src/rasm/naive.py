@@ -105,7 +105,7 @@ class _Fresh:
         return Atom(name)
 
 
-def _walk(
+def _collect_updates(
     s: State, env: dict, r: Rule, out: list[Update], fresh: _Fresh, barred: frozenset[str]
 ) -> None:
     if isinstance(r, T.Assign):
@@ -121,21 +121,21 @@ def _walk(
     elif isinstance(r, T.If):
         g = naive_eval_term(s, env, r.cond)
         if g == TRUE:
-            _walk(s, env, r.then_branch, out, fresh, barred)
+            _collect_updates(s, env, r.then_branch, out, fresh, barred)
         elif g == FALSE:
-            _walk(s, env, r.else_branch, out, fresh, barred)
+            _collect_updates(s, env, r.else_branch, out, fresh, barred)
         elif g == UNDEF:
             raise EvalError("condition-undef", "if-guard evaluated to undef")
         else:
             raise EvalError("non-boolean-guard", f"if-guard evaluated to {g!r}")
     elif isinstance(r, T.Par):
         for sub in r.rules:
-            _walk(s, env, sub, out, fresh, barred)
+            _collect_updates(s, env, sub, out, fresh, barred)
     elif isinstance(r, T.Forall):
         for a in s.active_domain():
             g = naive_eval_term(s, {**env, r.var: a}, r.guard)
             if g == TRUE:
-                _walk(s, {**env, r.var: a}, r.body, out, fresh, barred | {r.var})
+                _collect_updates(s, {**env, r.var: a}, r.body, out, fresh, barred | {r.var})
             elif g == FALSE or g == UNDEF:
                 continue
             else:
@@ -144,9 +144,9 @@ def _walk(
         # barred is untouched: substitution leaves the enclosing binding
         # visible to head checks even when the let shadows its name.
         inner = {**env, r.var: _Thunk(r.binding, dict(env))}
-        _walk(s, inner, r.body, out, fresh, barred)
+        _collect_updates(s, inner, r.body, out, fresh, barred)
     elif isinstance(r, T.Import):
-        _walk(s, {**env, r.var: fresh.draw()}, r.body, out, fresh, barred | {r.var})
+        _collect_updates(s, {**env, r.var: fresh.draw()}, r.body, out, fresh, barred | {r.var})
     elif isinstance(r, T.PartialAssign):
         raise EvalError("unknown-operator", "the naive evaluator has no partial assignments")
     else:
@@ -157,7 +157,7 @@ def naive_eval_rule(s: State, env: Mapping[str, Value], r: Rule) -> tuple[frozen
     """Update set and consistency per the plain semantics: one pass collects
     updates, a pairwise scan looks for two values at one location."""
     out: list[Update] = []
-    _walk(s, dict(env), r, out, _Fresh(s), frozenset(env))
+    _collect_updates(s, dict(env), r, out, _Fresh(s), frozenset(env))
     consistent = True
     for i, u in enumerate(out):
         for w in out[i + 1 :]:

@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NoReturn
 
-from .encoding import as_program, drop_program
-from .errors import EncodingError, ParseError
+from . import machine
+from .encoding import drop_program
+from .errors import ParseError
 from .state import PGM, FunctionSymbol, Location, Signature, State
 from . import terms as T
 from .terms import Rule, Term
-from .trees import XI, Context, Node, Tree, _TreeBase, _count_holes
+from .trees import XI, Context, Node, Tree, _TreeBase
 from .values import (
     FALSE,
     TRUE,
@@ -351,10 +352,9 @@ class _Parser:
 
     def _tree(self) -> _TreeBase:
         n = self._tree_node()
-        holes = _count_holes(n)
-        if holes == 0:
+        if n.holes == 0:
             return Tree(n)
-        if holes == 1:
+        if n.holes == 1:
             return Context(n)
         self.fail("a tree literal may contain at most one hole")
 
@@ -660,14 +660,5 @@ def parse_state(text: str, seed: int = 0) -> State:
         interp[Location(PGM)] = TreeVal(drop_program(sig, program_rule))
 
     s = State(sig, interp, universe, reserve_seed=seed)
-
-    pgm_val = s.value_of(Location(PGM))
-    if not isinstance(pgm_val, TreeVal) or not isinstance(pgm_val.tree, Tree):
-        raise EncodingError("malformed-program-tree", f"pgm holds {pgm_val!r}, not a tree")
-    prog = as_program(pgm_val.tree)
-    if prog.signature != sig:
-        raise EncodingError(
-            "initial-signature-mismatch",
-            f"declared signature {sorted(sig.pairs())} vs encoded {sorted(prog.signature.pairs())}",
-        )
+    machine.validate_initial(s)
     return s

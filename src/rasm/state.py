@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from dataclasses import dataclass
 
-from .errors import RasmError
+from .errors import RasmError, TreeAlgebraError
 from .trees import Node, Path, subtree
 from . import terms as T
 from .values import (
@@ -185,16 +185,7 @@ class State:
     def value_of(self, loc: Location) -> Value:
         """Value at a location; node sublocations read into the tree value."""
         base_val = self.interp.get(loc.base, UNDEF)
-        if loc.path is None:
-            return base_val
-        if not isinstance(base_val, TreeVal):
-            return UNDEF
-        t = base_val.tree
-        try:
-            o = t.node_at_path(loc.path)
-        except RasmError:
-            return UNDEF
-        return TreeVal(subtree(t, o))
+        return base_val if loc.path is None else subtree_value(base_val, loc.path)
 
     def locations(self) -> tuple[Location, ...]:
         return tuple(sorted(self.interp, key=Location.key))
@@ -227,9 +218,6 @@ class State:
     def with_signature(self, signature: Signature) -> "State":
         return State(signature, self.interp, self.universe, self.reserve_cursor, self.reserve_seed)
 
-    def with_cursor(self, cursor: int) -> "State":
-        return State(self.signature, self.interp, self.universe, cursor, self.reserve_seed)
-
     # -- comparison -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -250,6 +238,17 @@ class State:
         return f"State({self.signature!r}, {{{entries}{more}}})"
 
 
+def subtree_value(v: Value, path: Path) -> Value:
+    """The subtree at `path` inside a tree value; undef when `v` is not a
+    tree value or the path leaves it."""
+    if not isinstance(v, TreeVal):
+        return UNDEF
+    try:
+        return TreeVal(subtree(v.tree, v.tree.node_at_path(path)))
+    except TreeAlgebraError:
+        return UNDEF
+
+
 def _collect_values(v: Value, out: set) -> None:
     out.add(v)
     if isinstance(v, TupleVal):
@@ -259,9 +258,12 @@ def _collect_values(v: Value, out: set) -> None:
         for x in v.items:
             _collect_values(x, out)
     elif isinstance(v, TreeVal):
-        for _o, n, _p in v.tree.iter_nodes():
+        todo = [v.tree.root_node]
+        while todo:
+            n = todo.pop()
             if n.value is not None:
                 _collect_values(n.value, out)
+            todo.extend(n.children)
     elif isinstance(v, DroppedTerm):
         for lit in _term_literals(v.term):
             _collect_values(lit, out)

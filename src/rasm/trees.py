@@ -9,12 +9,15 @@ of trees (possibly empty).
 Node identifiers are canonical: the nodes of a tree are numbered 0..n-1 in
 preorder, so every operation returns a freshly renumbered result and identity
 of nodes across operations is tracked by child-index paths, not by ids.
+There is no id index: every `Node` caches its subtree size and hole count
+when it is built, and an id is found by walking down from the root, skipping
+whole sibling subtrees by their cached sizes.
 Leaf values are opaque here; the runtime stores `values.Value` instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .errors import TreeAlgebraError
@@ -29,11 +32,16 @@ class Node:
     """One tree node: a label, an ordered child tuple, an optional leaf value.
 
     Internal nodes never carry values; this is enforced on construction.
+    ``size`` (nodes in this subtree) and ``holes`` (hole leaves in it) are
+    computed once from the already-built children and take no part in
+    equality, hashing or repr.
     """
 
     label: str
     children: tuple["Node", ...] = ()
     value: object = None
+    size: int = field(init=False, repr=False, compare=False)
+    holes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
@@ -42,6 +50,12 @@ class Node:
             object.__setattr__(self, "children", tuple(self.children))
         if self.children and self.value is not None:
             raise TreeAlgebraError("value-on-internal-node", f"node {self.label!r} has children and a value")
+        size, holes = 1, 1 if self.label == XI else 0
+        for c in self.children:
+            size += c.size
+            holes += c.holes
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "holes", holes)
 
     @property
     def is_leaf(self) -> bool:
@@ -56,29 +70,13 @@ def leaf(label: str, value: object = None) -> Node:
     return Node(label, (), value)
 
 
-def _count_holes(n: Node) -> int:
-    total = 1 if n.label == XI else 0
-    for c in n.children:
-        total += _count_holes(c)
-    return total
-
-
-def _walk(n: Node, parent: int, path: Path, out: list) -> None:
-    # Preorder: a node's id is its position in this list.
-    mine = len(out)
-    out.append((n, parent, path))
-    for i, c in enumerate(n.children):
-        _walk(c, mine, path + (i,), out)
-
-
 class _TreeBase:
     """Shared accessors over a root Node; ids are preorder positions."""
 
-    __slots__ = ("_root", "_index", "_hash")
+    __slots__ = ("_root", "_hash")
 
     def __init__(self, root: Node):
         self._root = root
-        self._index: Optional[list] = None
         self._hash: Optional[int] = None
 
     @property
@@ -89,26 +87,32 @@ class _TreeBase:
     def root(self) -> int:
         return 0
 
-    def _ensure_index(self) -> list:
-        if self._index is None:
-            out: list = []
-            _walk(self._root, -1, (), out)
-            self._index = out
-        return self._index
-
     @property
     def size(self) -> int:
-        return len(self._ensure_index())
+        return self._root.size
 
     @property
     def domain(self) -> range:
         return range(self.size)
 
+    def _locate(self, o: int) -> tuple[Node, Path]:
+        """The node with preorder id `o` and its path, found top-down."""
+        n = self._root
+        if not 0 <= o < n.size:
+            raise TreeAlgebraError("unknown-node", f"node {o} not in domain of size {n.size}")
+        path = []
+        while o:
+            o -= 1  # step past `n` itself into its first child's subtree
+            for i, c in enumerate(n.children):
+                if o < c.size:
+                    break
+                o -= c.size
+            path.append(i)
+            n = c
+        return n, tuple(path)
+
     def node(self, o: int) -> Node:
-        idx = self._ensure_index()
-        if not 0 <= o < len(idx):
-            raise TreeAlgebraError("unknown-node", f"node {o} not in domain of size {len(idx)}")
-        return idx[o][0]
+        return self._locate(o)[0]
 
     def label_of(self, o: int) -> str:
         return self.node(o).label
@@ -116,36 +120,35 @@ class _TreeBase:
     def value_of(self, o: int) -> object:
         return self.node(o).value
 
-    def parent_of(self, o: int) -> Optional[int]:
-        self.node(o)
-        p = self._index[o][1]
-        return None if p < 0 else p
-
     def path_of(self, o: int) -> Path:
-        self.node(o)
-        return self._index[o][2]
+        return self._locate(o)[1]
 
     def children_of(self, o: int) -> tuple[int, ...]:
-        n = self.node(o)
         ids = []
         nxt = o + 1
-        for c in n.children:
+        for c in self.node(o).children:
             ids.append(nxt)
-            nxt += _node_size(c)
+            nxt += c.size
         return tuple(ids)
 
     def node_at_path(self, path: Sequence[int]) -> int:
-        o = 0
+        o, n = 0, self._root
         for i in path:
-            kids = self.children_of(o)
-            if not 0 <= i < len(kids):
+            if not 0 <= i < len(n.children):
                 raise TreeAlgebraError("unknown-node", f"path {tuple(path)} leaves the tree at {o}")
-            o = kids[i]
+            o += 1 + sum(c.size for c in n.children[:i])
+            n = n.children[i]
         return o
 
     def iter_nodes(self) -> Iterator[tuple[int, Node, Path]]:
-        for o, (n, _p, path) in enumerate(self._ensure_index()):
+        """(id, node, path) for every node, in preorder."""
+        todo: list[tuple[Node, Path]] = [(self._root, ())]
+        o = 0
+        while todo:
+            n, path = todo.pop()
             yield o, n, path
+            o += 1
+            todo.extend((n.children[i], path + (i,)) for i in reversed(range(len(n.children))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _TreeBase):
@@ -161,17 +164,13 @@ class _TreeBase:
         return f"{type(self).__name__}({self._root!r})"
 
 
-def _node_size(n: Node) -> int:
-    return 1 + sum(_node_size(c) for c in n.children)
-
-
 class Tree(_TreeBase):
     """A hole-free tree."""
 
     __slots__ = ()
 
     def __init__(self, root: Node):
-        if _count_holes(root) != 0:
+        if root.holes != 0:
             raise TreeAlgebraError("unexpected-hole", "a Tree must contain no hole leaf")
         super().__init__(root)
 
@@ -182,19 +181,24 @@ class Context(_TreeBase):
     __slots__ = ()
 
     def __init__(self, root: Node):
-        if _count_holes(root) != 1:
-            raise TreeAlgebraError("not-a-context", f"a Context needs exactly one hole, found {_count_holes(root)}")
+        if root.holes != 1:
+            raise TreeAlgebraError("not-a-context", f"a Context needs exactly one hole, found {root.holes}")
         super().__init__(root)
 
     @property
     def hole(self) -> int:
         """NodeId of the hole leaf."""
-        for o, n, _path in self.iter_nodes():
-            if n.label == XI:
-                if not n.is_leaf or n.value is not None:
-                    raise TreeAlgebraError("not-a-context", "hole must be a bare leaf")
-                return o
-        raise TreeAlgebraError("not-a-context", "no hole found")  # unreachable
+        o, n = 0, self._root
+        while n.label != XI:
+            o += 1
+            for c in n.children:
+                if c.holes:
+                    break
+                o += c.size
+            n = c
+        if not n.is_leaf or n.value is not None:
+            raise TreeAlgebraError("not-a-context", "hole must be a bare leaf")
+        return o
 
 
 HOLE = Context(Node(XI))  # the trivial context
@@ -233,10 +237,9 @@ def _splice(n: Node, path: Path, depth: int, items: tuple[Node, ...]) -> Node:
 def subtree(t: _TreeBase, o: int) -> Tree | Context:
     """Largest subtree rooted at node `o`, canonically renumbered."""
     n = t.node(o)
-    holes = _count_holes(n)
-    if holes == 0:
+    if n.holes == 0:
         return Tree(n)
-    if holes == 1:
+    if n.holes == 1:
         return Context(n)
     raise TreeAlgebraError("not-a-context", "subtree contains several holes")  # only via malformed input
 

@@ -4,15 +4,17 @@ An ordinary update fixes a location to a value.  A shared update (produced by
 partial assignment) names an operator and argument values; at collapse time
 all shared updates on one location are folded over the location's current
 value.  The fold must be order-independent: operators are registered with a
-commutativity class, and for groups of at most `BRUTE_FORCE_LIMIT` shared
-updates order-independence is verified by trying every permutation.  Larger
-groups are accepted only when every operator involved is registered
-commutative; otherwise the group is declared inconsistent.
+commutativity class.  A group whose operators are all registered commutative
+is accepted at any size without trying orders.  Any other group of at most
+`BRUTE_FORCE_LIMIT` shared updates is verified by trying every permutation;
+a larger one is declared inconsistent.
 
-Shared updates may target node sublocations of a tree-valued location (the
-tree differ emits these); they fold by rewriting the base location's tree at
-the sublocation path, and the whole group collapses to one update on the base
-location.
+Every tree operator goes through one rewrite of the node at a path: the
+root for `right_extend`, an argument path for `extend_at` and `subst_at`.
+Shared updates may also target node sublocations of a tree-valued location
+(the tree differ emits these); `subst_tt` and `right_extend` there rewrite
+the base location's tree at the sublocation path, and the whole group
+collapses to one update on the base location.
 """
 
 from __future__ import annotations
@@ -91,9 +93,6 @@ class UpdateMultiset:
         return f"UpdateMultiset({list(self.entries)!r})"
 
 
-EMPTY_MULTISET = UpdateMultiset()
-
-
 @dataclass(frozen=True, slots=True)
 class UpdateSet:
     """Collapsed updates plus the consistency verdict."""
@@ -137,47 +136,48 @@ def _tree_arg(v: Value) -> Tree | None:
     return None
 
 
-def _append_children(t: Tree, path: tuple[int, ...], items: tuple[Value, ...]) -> Value:
+def _rewrite_at(current: Value, path: tuple[int, ...] | None, edit: Callable[[Node], Tree]) -> Value:
+    """The tree in `current` with the node at `path` replaced by `edit(node)`.
+
+    Undef when `current` is not a tree, `path` is missing or leaves the tree,
+    or the rewrite breaks a tree invariant.
+    """
+    t = _tree_arg(current)
+    if t is None or path is None:
+        return UNDEF
+    try:
+        o = t.node_at_path(path)
+        return TreeVal(subst_tt(t, o, edit(t.node(o))))
+    except TreeAlgebraError:
+        return UNDEF
+
+
+def _extend_at(current: Value, path: tuple[int, ...] | None, items: tuple[Value, ...]) -> Value:
     trees = [_tree_arg(v) for v in items]
     if any(x is None for x in trees):
         return UNDEF
-    try:
-        o = t.node_at_path(path)
-        n = t.node(o)
-        # Appending to a value-carrying leaf is rejected by Node validation.
-        grown = Node(n.label, n.children + tuple(x.root_node for x in trees), n.value)
-        return TreeVal(subst_tt(t, o, Tree(grown)))
-    except TreeAlgebraError:
+    # Appending to a value-carrying leaf is rejected by Node validation.
+    added = tuple(x.root_node for x in trees)
+    return _rewrite_at(current, path, lambda n: Tree(Node(n.label, n.children + added, n.value)))
+
+
+def _subst_at(current: Value, path: tuple[int, ...] | None, args: tuple[Value, ...]) -> Value:
+    new = _tree_arg(args[0]) if len(args) == 1 else None
+    if new is None:
         return UNDEF
+    return _rewrite_at(current, path, lambda _n: new)
 
 
 def _fold_right_extend(current: Value, *args: Value) -> Value:
-    t = _tree_arg(current)
-    if t is None:
-        return UNDEF
-    return _append_children(t, (), args)
+    return _extend_at(current, (), args)
 
 
 def _fold_extend_at(current: Value, *args: Value) -> Value:
-    t = _tree_arg(current)
-    path = _as_path(args[0]) if args else None
-    if t is None or path is None:
-        return UNDEF
-    return _append_children(t, path, args[1:])
+    return _extend_at(current, _as_path(args[0]) if args else None, args[1:])
 
 
 def _fold_subst_at(current: Value, *args: Value) -> Value:
-    t = _tree_arg(current)
-    if t is None or len(args) != 2:
-        return UNDEF
-    path, new = _as_path(args[0]), _tree_arg(args[1])
-    if path is None or new is None:
-        return UNDEF
-    try:
-        o = t.node_at_path(path)
-    except TreeAlgebraError:
-        return UNDEF
-    return TreeVal(subst_tt(t, o, new))
+    return _subst_at(current, _as_path(args[0]) if args else None, args[1:])
 
 
 def _fold_subst_tt(current: Value, *args: Value) -> Value:
@@ -211,21 +211,12 @@ def _apply_shared(current: Value, u: SharedUpdate) -> Value:
         raise EvalError("unknown-operator", f"no collapse operator {u.op!r}")
     if u.location.path is None:
         return op.fold(current, *u.args)
-    # Sublocation: rewrite the base tree at the path.
-    t = _tree_arg(current)
-    if t is None:
-        return UNDEF
     if u.op == "subst_tt":
-        new = _tree_arg(u.args[0]) if len(u.args) == 1 else None
-        if new is None:
-            return UNDEF
-        try:
-            o = t.node_at_path(u.location.path)
-        except TreeAlgebraError:
-            return UNDEF
-        return TreeVal(subst_tt(t, o, new))
+        return _subst_at(current, u.location.path, u.args)
     if u.op == "right_extend":
-        return _append_children(t, u.location.path, u.args)
+        return _extend_at(current, u.location.path, u.args)
+    if _tree_arg(current) is None:  # a non-tree base folds to undef whatever the operator
+        return UNDEF
     raise EvalError("unknown-operator", f"operator {u.op!r} cannot target a sublocation")
 
 
@@ -268,16 +259,17 @@ def _collapse_shared(current: Value, shared: list[SharedUpdate]) -> tuple[Value,
     result = current
     for u in canonical:
         result = _apply_shared(result, u)
-    if len(canonical) <= BRUTE_FORCE_LIMIT:
-        for perm in set(itertools.permutations(canonical)):
-            acc = current
-            for u in perm:
-                acc = _apply_shared(acc, u)
-            if acc != result:
-                return result, False
+    if all(COLLAPSE_OPS[u.op].comm_class == COMMUTATIVE for u in canonical):
         return result, True
-    all_commutative = all(COLLAPSE_OPS[u.op].comm_class == COMMUTATIVE for u in canonical)
-    return result, all_commutative
+    if len(canonical) > BRUTE_FORCE_LIMIT:
+        return result, False
+    for perm in set(itertools.permutations(canonical)):
+        acc = current
+        for u in perm:
+            acc = _apply_shared(acc, u)
+        if acc != result:
+            return result, False
+    return result, True
 
 
 def apply_update_set(s: State, us: UpdateSet) -> State:

@@ -128,6 +128,21 @@ def test_run_raises_pgm_once_per_change(monkeypatch, name, steps, raises):
     assert len(calls) == raises
 
 
+def test_run_checks_the_initial_state_once(monkeypatch):
+    from rasm import encoding
+
+    calls = []
+    real = encoding.raise_rule
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(encoding, "raise_rule", counting)
+    assert main(["run", str(DEMOS / "increment.rst"), "--steps", "50"]) == 0
+    assert len(calls) == 1
+
+
 def test_run_seed_names_the_reserve_draws(tmp_path):
     doc = put(tmp_path, "imp.rst", IMPORTING)
     t0, t7 = tmp_path / "t0.trace", tmp_path / "t7.trace"

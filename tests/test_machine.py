@@ -15,7 +15,7 @@ from rasm.machine import DEFAULT_MAX_STEPS, StepReport, run, step, validate_init
 from rasm.parser import parse_rule, parse_state
 from rasm.state import FunctionSymbol, Location, PGM_LOCATION, Signature, State
 from rasm.terms import Assign, Literal, Par
-from rasm.trees import Tree, leaf, node, subst_tt, trees_equal
+from rasm.trees import Tree, leaf, node, subst_tc, subst_tt, trees_equal
 from rasm.updates import collapse
 from rasm.values import Natural, TreeVal, TupleVal
 from conftest import random_rule, random_state
@@ -74,6 +74,15 @@ def test_missing_pgm_is_an_encoding_error():
     s = State(sig, {Location("f"): Natural(0)})
     with pytest.raises(EncodingError, match="malformed-program-tree"):
         step(s)
+
+
+def test_context_valued_pgm_is_a_malformed_program_tree():
+    s = make_state("f := 1")
+    t = s.value_of(PGM_LOCATION).tree
+    for o in t.domain:  # a hole anywhere, the signature and rule included
+        punched = State(s.signature, {**s.interp, PGM_LOCATION: TreeVal(subst_tc(t, o))})
+        with pytest.raises(EncodingError, match="malformed-program-tree"):
+            step(punched)
 
 
 def test_self_rewrite_changes_next_step():

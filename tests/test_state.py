@@ -86,7 +86,7 @@ def test_reserve_atom_names():
     s = State(sig(("f", 0)))
     assert s.reserve_atom() == Atom("$r0")
     assert s.reserve_atom(2) == Atom("$r2")
-    assert s.with_cursor(5).reserve_atom() == Atom("$r5")
+    assert State(sig(("f", 0)), reserve_cursor=5).reserve_atom() == Atom("$r5")
     seeded = State(sig(("f", 0)), reserve_seed=9)
     assert seeded.reserve_atom(1) == Atom("$r9_1")
 

@@ -287,3 +287,57 @@ def test_operations_do_not_mutate_inputs(t):
     subst_tt(t, t.root, Tree(leaf("z")))
     label_hedge("w", (t, t))
     assert hash(t) == before and shape(t.root_node) == shape_before
+
+
+# ---------------------------------------- cached sizes, top-down lookups
+
+
+def preorder(n: Node, path=()):
+    """(node, path) for every node below `n`, in preorder, by recursion."""
+    out = [(n, path)]
+    for i, c in enumerate(n.children):
+        out.extend(preorder(c, path + (i,)))
+    return out
+
+
+def test_cached_counts_and_lookups_match_a_recursive_preorder():
+    rng = random.Random(21)
+    for k in range(150):
+        t = random_context(rng, depth=5) if k % 2 else random_tree(rng, depth=5)
+        ref = preorder(t.root_node)
+        assert t.size == len(ref)
+        walked = list(t.iter_nodes())
+        assert [(o, p) for o, _n, p in walked] == [(o, p) for o, (_n, p) in enumerate(ref)]
+        assert all(n is m for (_o, n, _p), (m, _q) in zip(walked, ref))
+        for o, (n, path) in enumerate(ref):
+            below = preorder(n)
+            assert n.size == len(below)
+            assert n.holes == sum(1 for m, _q in below if m.label == XI)
+            assert t.node(o) is n
+            assert t.path_of(o) == path
+            assert t.node_at_path(t.path_of(o)) == o
+            kids = [o2 for o2, (_m, p2) in enumerate(ref) if len(p2) == len(path) + 1 and p2[:-1] == path]
+            assert t.children_of(o) == tuple(kids)
+        if isinstance(t, Context):
+            assert t.hole == next(o for o, (n, _p) in enumerate(ref) if n.label == XI)
+
+
+def test_depth_5000_chain_needs_no_recursion():
+    depth = 5000
+    bottom = (0,) * depth
+    n = leaf("x", 1)
+    for _ in range(depth):
+        n = Node("a", (n,))
+    t = Tree(n)
+    assert t.size == depth + 1
+    assert t.node_at_path(bottom) == depth
+    assert t.path_of(depth) == bottom
+    assert sum(1 for _ in t.iter_nodes()) == depth + 1
+    assert subtree(t, depth).size == 1
+    assert subtree(t, 1).size == depth
+    h = Node(XI)
+    for _ in range(depth):
+        h = Node("a", (h,))
+    c = Context(h)
+    assert c.hole == depth
+    assert c.path_of(c.hole) == bottom

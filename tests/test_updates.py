@@ -170,6 +170,24 @@ def test_commutative_class_exempt_from_cap():
     assert us.updates == frozenset({Update(F, mset(*range(BRUTE_FORCE_LIMIT + 3)))})
 
 
+def test_commutative_group_skips_the_permutations(monkeypatch):
+    from rasm import updates
+
+    calls = []
+    real = updates._apply_shared
+
+    def counting(current, u):
+        calls.append(u)
+        return real(current, u)
+
+    monkeypatch.setattr(updates, "_apply_shared", counting)
+    entries = tuple(SharedUpdate(F, "munion", (mset(i),)) for i in range(6))
+    us = collapse(base_state(f=mset()), UpdateMultiset(entries))
+    assert us.consistent
+    assert us.updates == frozenset({Update(F, mset(*range(6)))})
+    assert len(calls) == 6  # one canonical fold, no orders tried
+
+
 def test_sublocation_subst_tt_rewrites_node():
     s = base_state(f=TreeVal(two_leaf_tree()))
     um = UpdateMultiset((
