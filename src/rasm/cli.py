@@ -8,9 +8,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime failure (or an inconsistent step under
 --strict, or a diff whose reconciliation term fails verification), 2 syntax
-error, 3 malformed program tree, 4 postulate violation, 5 attempted
-signature shrinkage.  `diff` reports unreadable input as 3: its contract is
-"both files hold program trees" and it does not distinguish why one does not.
+error (non-UTF-8 input included), 3 malformed program tree, 4 postulate
+violation, 5 attempted signature shrinkage.  `diff` reports unreadable input
+as 3: its contract is "both files hold program trees" and it does not
+distinguish why one does not.
 """
 
 from __future__ import annotations
@@ -50,6 +51,17 @@ def _steps_arg(text: str) -> int | None:
     return n
 
 
+def _read(path: str) -> str:
+    """The file's text; a byte that is not UTF-8 is a syntax error at its position."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[: e.start].decode("utf-8").split("\n")
+        raise ParseError("input is not UTF-8 text", len(head), len(head[-1]) + 1) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines, as text mode reads
+
+
 def _warn_if_guard_hit(args, reports) -> None:
     """A fixpoint run that stopped at --max-steps without converging says so."""
     if args.steps is None and (not reports or reports[-1].next != reports[-1].state):
@@ -80,7 +92,7 @@ def _postulate_reports(initial: State, reports, trials: int, seed: int) -> list[
 
 
 def _cmd_run(args) -> int:
-    s = parse_state(Path(args.state).read_text(encoding="utf-8"), seed=args.seed)
+    s = parse_state(_read(args.state), seed=args.seed)
     reports = machine.run(s, args.steps, args.max_steps, args.strict)
     final = reports[-1].next if reports else s
     if args.trace:
@@ -102,8 +114,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_diff(args) -> int:
     try:
-        a = parse_tree(Path(args.a).read_text(encoding="utf-8"))
-        b = parse_tree(Path(args.b).read_text(encoding="utf-8"))
+        a = parse_tree(_read(args.a))
+        b = parse_tree(_read(args.b))
     except ParseError as e:
         print(f"diff: {e}", file=sys.stderr)
         return 3
@@ -115,9 +127,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    states = [
-        parse_state(Path(p).read_text(encoding="utf-8"), seed=args.seed) for p in args.state
-    ]
+    states = [parse_state(_read(p), seed=args.seed) for p in args.state]
     reports = machine.run(states[0], args.steps, args.max_steps)
     _warn_if_guard_hit(args, reports)
     checks = _postulate_reports(states[0], reports, args.trials, args.seed)
@@ -132,7 +142,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_fmt(args) -> int:
     path = Path(args.file)
-    text = path.read_text(encoding="utf-8")
+    text = _read(args.file)
     if path.suffix == ".rst":
         sys.stdout.write(print_state(parse_state(text, seed=args.seed)))
     elif path.suffix == ".rasm":

@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import EvalError
-from .state import Location, State, subtree_value
+from .errors import EvalError, TreeAlgebraError
+from .state import Location, State
 from .terms import (
     Apply,
     Assign,
@@ -38,8 +38,8 @@ from .terms import (
     Var,
     subst_rule,
 )
-from .trees import Tree
-from .updates import COLLAPSE_OPS, SharedUpdate, Update, UpdateMultiset, _as_path, is_collapse_op
+from .trees import subtree
+from .updates import COLLAPSE_OPS, SharedUpdate, Update, UpdateMultiset, _as_path, _tree_arg, is_collapse_op
 from .values import (
     FALSE,
     TRUE,
@@ -108,13 +108,14 @@ def _op_proj(args: list[Value]) -> Value:
 
 
 def _op_subtree_at(args: list[Value]) -> Value:
-    if len(args) != 2:
+    # Same tree and path decoding as the collapse side.
+    t, p = _tree_arg(args[0]), _as_path(args[1])
+    if t is None or p is None:
         return UNDEF
-    t, path = args
-    p = _as_path(path)  # same path decoding as the collapse side
-    if not isinstance(t, TreeVal) or not isinstance(t.tree, Tree) or p is None:
+    try:
+        return TreeVal(subtree(t, t.node_at_path(p)))
+    except TreeAlgebraError:
         return UNDEF
-    return subtree_value(t, p)
 
 
 def _collapse_as_term_op(name: str) -> Callable[[list[Value]], Value]:
@@ -268,6 +269,9 @@ def _eval(s: State, env: dict, r: Rule, ctx: _EvalCtx) -> list:
             raise EvalError("unknown-operator", f"{r.op!r} is not a registered collapse operator")
         args = tuple(eval_term(s, env, a) for a in r.args)
         operands = tuple(eval_term(s, env, a) for a in r.operands)
+        need = COLLAPSE_OPS[r.op].min_args
+        if len(operands) < need:
+            raise EvalError("arity-mismatch", f"operator {r.op!r} needs {need}+ operands")
         return [SharedUpdate(Location(r.func, args), r.op, operands)]
     if isinstance(r, If):
         g = eval_term(s, env, r.cond)

@@ -5,8 +5,9 @@ WITH g DO r ENDDO, LET x = t IN r, IMPORT x DO r), assignments are
 `f(args) := t` and `f(args) <<= op(...)`.  A bare identifier is a variable
 when an enclosing binder introduced it, else a nullary application; `?x` is
 always a variable; `'a` is an atom literal in term position, where bare
-atoms would collide with symbols.  `⟦...⟧` quotes a term (or `⟦rule: ...⟧`
-a rule) into a value; `#` starts a tree literal; `^` is the context hole.
+atoms would collide with symbols.  `⟦...⟧` quotes a term into a value (a
+rule becomes a value only as a program tree); `#` starts a tree literal; `^`
+is the context hole.
 
 All-literal tuple and multiset syntax folds to a literal value at parse
 time, mirroring how the printers render literal values, so parse and print
@@ -34,7 +35,6 @@ from .values import (
     TRUE,
     UNDEF,
     Atom,
-    DroppedRule,
     DroppedTerm,
     Multiset,
     Natural,
@@ -137,8 +137,8 @@ class _Parser:
         self.pos = 0
         self.bound: list[str] = []
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]  # `advance` never moves past eof
 
     def advance(self) -> Token:
         t = self.toks[self.pos]
@@ -330,16 +330,6 @@ class _Parser:
 
     def _dropped(self) -> Term:
         self.expect("⟦")
-        if self.peek().kind == "ident" and self.peek().text == "rule" and self.peek(1).text == ":":
-            self.advance()
-            self.advance()
-            saved, self.bound = self.bound, []
-            try:
-                r = self.rule()
-            finally:
-                self.bound = saved
-            self.expect("⟧")
-            return T.Literal(DroppedRule(r))
         saved, self.bound = self.bound, []
         try:
             t = self.term()

@@ -41,7 +41,6 @@ from .values import (
     UNDEF,
     Atom,
     Boolean,
-    DroppedRule,
     DroppedTerm,
     Multiset,
     Natural,
@@ -79,8 +78,6 @@ def _value_text(v: Value, quote: bool) -> str:
         return "#" + print_tree(v.tree)
     if isinstance(v, DroppedTerm):
         return "⟦" + print_term(v.term) + "⟧"
-    if isinstance(v, DroppedRule):
-        return "⟦rule: " + print_rule(v.rule) + "⟧"
     raise TypeError(f"not a value: {v!r}")
 
 

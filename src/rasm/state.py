@@ -5,8 +5,8 @@ A state is a finite interpretation of a signature: a mapping from locations
 distinguished nullary symbol ``pgm`` holds the machine's self-representation.
 
 `rename_state` applies a bijection on atoms pointwise to every location and
-value, including values quoted inside dropped terms and rules; it is the
-workhorse behind the isomorphism-commutation check.
+value, including values quoted inside dropped terms; it is the workhorse
+behind the isomorphism-commutation check.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from dataclasses import dataclass
 
-from .errors import RasmError, TreeAlgebraError
-from .trees import Node, Path, subtree
+from .errors import RasmError
+from .trees import Node
 from . import terms as T
 from .values import (
     UNDEF,
     Atom,
-    DroppedRule,
     DroppedTerm,
     Multiset,
     TreeVal,
@@ -117,28 +116,18 @@ class Signature:
 
 @dataclass(frozen=True, slots=True)
 class Location:
-    """A function symbol name with an argument tuple.
-
-    ``path`` names a node sublocation of a tree-valued root location: the
-    value at the node reached by that child-index path.  Sublocations are
-    write-targets only for shared updates produced by the tree differ.
-    """
+    """A function symbol name with an argument tuple."""
 
     symbol: str
     args: tuple[Value, ...] = ()
-    path: Optional[Path] = None
 
     @property
     def base(self) -> "Location":
-        return self if self.path is None else Location(self.symbol, self.args)
+        # A location is its own base; bench/tracing.py still groups by it.
+        return self
 
     def key(self) -> tuple:
-        return (
-            self.symbol,
-            len(self.args),
-            tuple(value_key(a) for a in self.args),
-            self.path if self.path is not None else (-1,),
-        )
+        return (self.symbol, len(self.args), tuple(value_key(a) for a in self.args))
 
 
 PGM_LOCATION = Location(PGM)
@@ -166,8 +155,6 @@ class State:
         items = interp.items() if isinstance(interp, Mapping) else interp
         clean: dict[Location, Value] = {}
         for loc, val in items:
-            if loc.path is not None:
-                raise RasmError("sublocation-write", "interpretations store root locations only")
             if val != UNDEF:
                 clean[loc] = val
         object.__setattr__(self, "signature", signature)
@@ -183,9 +170,7 @@ class State:
     # -- reads ------------------------------------------------------------
 
     def value_of(self, loc: Location) -> Value:
-        """Value at a location; node sublocations read into the tree value."""
-        base_val = self.interp.get(loc.base, UNDEF)
-        return base_val if loc.path is None else subtree_value(base_val, loc.path)
+        return self.interp.get(loc, UNDEF)
 
     def locations(self) -> tuple[Location, ...]:
         return tuple(sorted(self.interp, key=Location.key))
@@ -238,17 +223,6 @@ class State:
         return f"State({self.signature!r}, {{{entries}{more}}})"
 
 
-def subtree_value(v: Value, path: Path) -> Value:
-    """The subtree at `path` inside a tree value; undef when `v` is not a
-    tree value or the path leaves it."""
-    if not isinstance(v, TreeVal):
-        return UNDEF
-    try:
-        return TreeVal(subtree(v.tree, v.tree.node_at_path(path)))
-    except TreeAlgebraError:
-        return UNDEF
-
-
 def _collect_values(v: Value, out: set) -> None:
     out.add(v)
     if isinstance(v, TupleVal):
@@ -267,9 +241,6 @@ def _collect_values(v: Value, out: set) -> None:
     elif isinstance(v, DroppedTerm):
         for lit in _term_literals(v.term):
             _collect_values(lit, out)
-    elif isinstance(v, DroppedRule):
-        for lit in _rule_literals(v.rule):
-            _collect_values(lit, out)
 
 
 def _term_literals(t: T.Term) -> Iterator[Value]:
@@ -281,30 +252,6 @@ def _term_literals(t: T.Term) -> Iterator[Value]:
     elif isinstance(t, T.Comprehension):
         yield from _term_literals(t.head)
         yield from _term_literals(t.guard)
-
-
-def _rule_literals(r: T.Rule) -> Iterator[Value]:
-    if isinstance(r, T.Assign):
-        for a in r.args + (r.rhs,):
-            yield from _term_literals(a)
-    elif isinstance(r, T.PartialAssign):
-        for a in r.args + r.operands:
-            yield from _term_literals(a)
-    elif isinstance(r, T.If):
-        yield from _term_literals(r.cond)
-        yield from _rule_literals(r.then_branch)
-        yield from _rule_literals(r.else_branch)
-    elif isinstance(r, T.Par):
-        for x in r.rules:
-            yield from _rule_literals(x)
-    elif isinstance(r, T.Forall):
-        yield from _term_literals(r.guard)
-        yield from _rule_literals(r.body)
-    elif isinstance(r, T.Let):
-        yield from _term_literals(r.binding)
-        yield from _rule_literals(r.body)
-    elif isinstance(r, T.Import):
-        yield from _rule_literals(r.body)
 
 
 # ------------------------------------------------------------- atom renaming
@@ -337,8 +284,6 @@ def rename_value(v: Value, pi: Mapping[str, str]) -> Value:
         return TreeVal(type(v.tree)(_rename_node(v.tree.root_node, pi)))
     if isinstance(v, DroppedTerm):
         return DroppedTerm(rename_term(v.term, pi))
-    if isinstance(v, DroppedRule):
-        return DroppedRule(rename_rule(v.rule, pi))
     return v
 
 
@@ -360,29 +305,6 @@ def rename_term(t: T.Term, pi: Mapping[str, str]) -> T.Term:
     if isinstance(t, T.Comprehension):
         return T.Comprehension(rename_term(t.head, pi), t.binders, rename_term(t.guard, pi))
     return t
-
-
-def rename_rule(r: T.Rule, pi: Mapping[str, str]) -> T.Rule:
-    if isinstance(r, T.Assign):
-        return T.Assign(r.func, tuple(rename_term(a, pi) for a in r.args), rename_term(r.rhs, pi))
-    if isinstance(r, T.PartialAssign):
-        return T.PartialAssign(
-            r.func,
-            tuple(rename_term(a, pi) for a in r.args),
-            r.op,
-            tuple(rename_term(a, pi) for a in r.operands),
-        )
-    if isinstance(r, T.If):
-        return T.If(rename_term(r.cond, pi), rename_rule(r.then_branch, pi), rename_rule(r.else_branch, pi))
-    if isinstance(r, T.Par):
-        return T.Par(tuple(rename_rule(x, pi) for x in r.rules))
-    if isinstance(r, T.Forall):
-        return T.Forall(r.var, rename_term(r.guard, pi), rename_rule(r.body, pi))
-    if isinstance(r, T.Let):
-        return T.Let(r.var, rename_term(r.binding, pi), rename_rule(r.body, pi))
-    if isinstance(r, T.Import):
-        return T.Import(r.var, rename_rule(r.body, pi))
-    raise TypeError(f"not a rule: {r!r}")
 
 
 def rename_state(s: State, pi: Mapping[str, str]) -> State:

@@ -1,8 +1,8 @@
 """Term and rule syntax trees.
 
 Terms evaluate to values; rules evaluate to update multisets.  Both are frozen
-dataclasses, so quoted syntax (``values.DroppedTerm`` / ``DroppedRule``) is
-hashable and comparable for free.
+dataclasses, so quoted terms (``values.DroppedTerm``) are hashable and
+comparable for free.
 
 Variables are explicit (`Var`), distinct from nullary function application:
 a bare identifier in surface syntax becomes a `Var` only where an enclosing

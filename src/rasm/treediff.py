@@ -6,10 +6,12 @@ unchanged subtrees are referenced, not copied, with ties broken leftmost;
 changed interior nodes are rebuilt; new leaves are emitted literally; pure
 signature growth becomes one right-extension of the old signature subtree.
 
-`tree_diff_updates` expresses the same difference as shared updates on node
-sublocations of pgm, one per minimal changed subtree.  Folding them against
-the old tree collapses to the single ordinary update (pgm, new tree), which
-is what makes self-rewriting programs expressible with local edits.
+`tree_diff_updates` expresses the same difference as shared updates on pgm,
+one `subst_at` per minimal changed subtree and one `extend_at` for pure
+signature growth, each naming its node by a path argument exactly as a rule
+`pgm <<= subst_at(path, t)` would.  Folding them against the old tree
+collapses to the single ordinary update (pgm, new tree), which is what makes
+self-rewriting programs expressible with local edits.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import Union
 from .encoding import as_program
 from .errors import DiffError
 from .printer import print_tree
-from .state import PGM, Location
+from .state import PGM_LOCATION
 from .trees import Node, Path, Tree, label_hedge, subtree
 from .updates import SharedUpdate, UpdateMultiset
-from .values import TreeVal
+from .values import Natural, TreeVal, TupleVal
 
 AlgebraTerm = Union["SubtreeRef", "TreeLiteral", "Rebuild", "ExtendRight"]
 
@@ -141,11 +143,11 @@ def tree_diff_theta(t1: Tree, t2: Tree) -> AlgebraTerm:
 
 def tree_diff_updates(t1: Tree, t2: Tree) -> UpdateMultiset:
     _check_pair(t1, t2)
-    sig_path = _sig_child_path(t1)
     entries: list[SharedUpdate] = []
 
-    def emit(path: Path, n: Node) -> None:
-        entries.append(SharedUpdate(Location(PGM, (), path), "subst_tt", (TreeVal(Tree(n)),)))
+    def emit(op: str, path: Path, nodes: tuple[Node, ...]) -> None:
+        at = TupleVal(tuple(Natural(i) for i in path))
+        entries.append(SharedUpdate(PGM_LOCATION, op, (at,) + tuple(TreeVal(Tree(n)) for n in nodes)))
 
     def walk(path: Path, old: Node, new: Node) -> None:
         if old == new:
@@ -153,16 +155,10 @@ def tree_diff_updates(t1: Tree, t2: Tree) -> UpdateMultiset:
         if old.label == "signature" and new.label == "signature":
             suffix = _sig_suffix(old, new)
             if suffix is not None:
-                entries.append(
-                    SharedUpdate(
-                        Location(PGM, (), path),
-                        "right_extend",
-                        tuple(TreeVal(Tree(x)) for x in suffix),
-                    )
-                )
+                emit("extend_at", path, suffix)
                 return
         if old.label != new.label or old.value != new.value or len(old.children) != len(new.children):
-            emit(path, new)
+            emit("subst_at", path, (new,))
             return
         for i, (c1, c2) in enumerate(zip(old.children, new.children)):
             walk(path + (i,), c1, c2)

@@ -10,11 +10,10 @@ is accepted at any size without trying orders.  Any other group of at most
 a larger one is declared inconsistent.
 
 Every tree operator goes through one rewrite of the node at a path: the
-root for `right_extend`, an argument path for `extend_at` and `subst_at`.
-Shared updates may also target node sublocations of a tree-valued location
-(the tree differ emits these); `subst_tt` and `right_extend` there rewrite
-the base location's tree at the sublocation path, and the whole group
-collapses to one update on the base location.
+root for `right_extend`, the path given as first argument (a tuple of
+naturals) for `extend_at` and `subst_at`.  A shared update always names a
+whole location; an edit inside a tree value names its node only by that
+path argument.
 """
 
 from __future__ import annotations
@@ -37,10 +36,6 @@ class Update:
 
     location: Location
     value: Value
-
-    def __post_init__(self):
-        if self.location.path is not None:
-            raise RasmError("sublocation-write", "ordinary updates target root locations")
 
     def key(self) -> tuple:
         return (0, self.location.key(), value_key(self.value))
@@ -161,13 +156,6 @@ def _extend_at(current: Value, path: tuple[int, ...] | None, items: tuple[Value,
     return _rewrite_at(current, path, lambda n: Tree(Node(n.label, n.children + added, n.value)))
 
 
-def _subst_at(current: Value, path: tuple[int, ...] | None, args: tuple[Value, ...]) -> Value:
-    new = _tree_arg(args[0]) if len(args) == 1 else None
-    if new is None:
-        return UNDEF
-    return _rewrite_at(current, path, lambda _n: new)
-
-
 def _fold_right_extend(current: Value, *args: Value) -> Value:
     return _extend_at(current, (), args)
 
@@ -177,11 +165,14 @@ def _fold_extend_at(current: Value, *args: Value) -> Value:
 
 
 def _fold_subst_at(current: Value, *args: Value) -> Value:
-    return _subst_at(current, _as_path(args[0]) if args else None, args[1:])
+    new = _tree_arg(args[1]) if len(args) == 2 else None
+    if new is None:
+        return UNDEF
+    return _rewrite_at(current, _as_path(args[0]), lambda _n: new)
 
 
 def _fold_subst_tt(current: Value, *args: Value) -> Value:
-    # Whole-value replacement; mostly used through sublocations.
+    # Whole-value replacement.
     return args[0] if len(args) == 1 else UNDEF
 
 
@@ -209,15 +200,7 @@ def _apply_shared(current: Value, u: SharedUpdate) -> Value:
     op = COLLAPSE_OPS.get(u.op)
     if op is None:
         raise EvalError("unknown-operator", f"no collapse operator {u.op!r}")
-    if u.location.path is None:
-        return op.fold(current, *u.args)
-    if u.op == "subst_tt":
-        return _subst_at(current, u.location.path, u.args)
-    if u.op == "right_extend":
-        return _extend_at(current, u.location.path, u.args)
-    if _tree_arg(current) is None:  # a non-tree base folds to undef whatever the operator
-        return UNDEF
-    raise EvalError("unknown-operator", f"operator {u.op!r} cannot target a sublocation")
+    return op.fold(current, *u.args)
 
 
 # ---------------------------------------------------------------- collapse
@@ -225,19 +208,19 @@ def _apply_shared(current: Value, u: SharedUpdate) -> Value:
 def collapse(s: State, um: UpdateMultiset) -> UpdateSet:
     """Fold an update multiset into an update set against the current state.
 
-    Per base location: equal ordinary duplicates merge; differing ordinary
+    Per location: equal ordinary duplicates merge; differing ordinary
     values clash; shared updates fold over the current value, with
     order-independence verified as described in the module docstring; a mix
     of ordinary and shared updates on one location clashes.
     """
     groups: dict[Location, list[Entry]] = {}
     for e in um:
-        groups.setdefault(e.location.base, []).append(e)
+        groups.setdefault(e.location, []).append(e)
 
     updates: set[Update] = set()
     consistent = True
-    for base in sorted(groups, key=Location.key):
-        entries = groups[base]
+    for loc in sorted(groups, key=Location.key):
+        entries = groups[loc]
         ordinary = [e for e in entries if isinstance(e, Update)]
         shared = [e for e in entries if isinstance(e, SharedUpdate)]
         if ordinary:
@@ -247,8 +230,8 @@ def collapse(s: State, um: UpdateMultiset) -> UpdateSet:
             if shared:
                 continue
         if shared:
-            folded, ok = _collapse_shared(s.value_of(base), shared)
-            updates.add(Update(base, folded))
+            folded, ok = _collapse_shared(s.value_of(loc), shared)
+            updates.add(Update(loc, folded))
             if not ok:
                 consistent = False
     return UpdateSet(frozenset(updates), consistent)

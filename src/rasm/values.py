@@ -1,8 +1,9 @@
 """Runtime values: the base set every machine state draws from.
 
 Variants: atoms, truth values, naturals, undef, tuples, multisets, trees,
-and quoted syntax (dropped terms / dropped rules).  All variants are frozen
-and hashable so they can serve as location arguments and multiset members.
+and quoted terms (dropped terms).  A rule becomes a value only as its program
+tree, the value of ``pgm``.  All variants are frozen and hashable so they can
+serve as location arguments and multiset members.
 
 Truth values and naturals are distinct variants: ``Boolean(True) != Natural(1)``
 even though Python's own ``True == 1``.  ``UNDEF`` is a singleton distinct from
@@ -112,13 +113,6 @@ class DroppedTerm(Value):
     term: object  # terms.Term; untyped here to keep the layering acyclic
 
 
-@dataclass(frozen=True, slots=True)
-class DroppedRule(Value):
-    """A rule quoted into the value world."""
-
-    rule: object  # terms.Rule
-
-
 UNDEF = Undef()
 TRUE = Boolean(True)
 FALSE = Boolean(False)
@@ -155,6 +149,4 @@ def value_key(v: Value) -> tuple:
         return (6, _tree_key(v.tree.root_node))
     if isinstance(v, DroppedTerm):
         return (7, repr(v.term))
-    if isinstance(v, DroppedRule):
-        return (8, repr(v.rule))
     raise TypeError(f"not a value: {v!r}")

@@ -202,6 +202,24 @@ def test_run_missing_file_exits_1(tmp_path, capsys):
     assert "rasm:" in capsys.readouterr().err
 
 
+def test_run_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.rst"
+    bad.write_bytes(b"function f/0\ninit f = 0\nprogram\nf := f + 1 \xff\n")
+    rc = main(["run", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "rasm: syntax-error: line 4, column 12: input is not UTF-8 text\n"
+
+
+def test_run_reads_crlf_like_lf(tmp_path, capsys):
+    crlf = tmp_path / "crlf.rst"
+    crlf.write_bytes(HALTING.replace("\n", "\r\n").encode("utf-8"))
+    assert main(["run", str(crlf)]) == 0
+    got = capsys.readouterr().out
+    assert main(["run", put(tmp_path, "lf.rst", HALTING)]) == 0
+    assert capsys.readouterr().out == got
+
+
 def test_run_rejects_negative_step_count(tmp_path):
     with pytest.raises(SystemExit):
         main(["run", put(tmp_path, "inc.rst", HALTING), "--steps", "-1"])
@@ -230,6 +248,14 @@ def test_diff_unreadable_input_exits_3(tmp_path, capsys):
                put(tmp_path, "b.tree", TREE_A)])
     assert rc == 3
     assert capsys.readouterr().err.startswith("diff:")
+
+
+def test_diff_non_utf8_input_exits_3(tmp_path, capsys):
+    bad = tmp_path / "a.tree"
+    bad.write_bytes(b"a\xe9b\n")
+    rc = main(["diff", str(bad), put(tmp_path, "b.tree", TREE_A)])
+    assert rc == 3
+    assert capsys.readouterr().err == "diff: syntax-error: line 1, column 2: input is not UTF-8 text\n"
 
 
 def test_diff_non_program_tree_exits_3(tmp_path):

@@ -143,6 +143,17 @@ def test_partial_assign_unknown_operator():
         eval_rule(small_state(), {}, parse_rule("f <<= bogus(1)"))
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["f <<= munion()", "f <<= subst_tt()", "f <<= right_extend()",
+     "pgm <<= subst_at((1, 0))", "pgm <<= extend_at((1,))"],
+)
+def test_short_partial_assign_is_an_arity_mismatch(text):
+    # The term form `munion()` already raises; the partial assignment agrees.
+    with pytest.raises(EvalError, match="arity-mismatch"):
+        eval_rule(small_state(), {}, parse_rule(text))
+
+
 def test_if_branches_and_condition_undef():
     s = small_state(f=Natural(0))
     um = eval_rule(s, {}, parse_rule("IF f = 0 THEN f := 1 ELSE f := 2 ENDIF"))

@@ -20,7 +20,6 @@ from rasm.values import (
     TRUE,
     UNDEF,
     Atom,
-    DroppedRule,
     DroppedTerm,
     Multiset,
     Natural,
@@ -48,9 +47,8 @@ def test_parse_values():
     assert parse_value("⟦f + 1⟧") == DroppedTerm(
         T.BackgroundOp("add", (T.Apply("f", ()), T.Literal(Natural(1))))
     )
-    assert parse_value("⟦rule: f := 1⟧") == DroppedRule(
-        T.Assign("f", (), T.Literal(Natural(1)))
-    )
+    with pytest.raises(ParseError):  # a rule becomes a value only as a program tree
+        parse_value("⟦rule: f := 1⟧")
 
 
 def test_parse_trees():

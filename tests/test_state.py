@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from rasm import terms as T
 from rasm.errors import RasmError
+from rasm.evaluator import eval_term
 from rasm.state import (
     FunctionSymbol,
     Location,
@@ -47,20 +49,22 @@ def test_signature_extension():
         a.extended([FunctionSymbol("f", 3)])
 
 
-def test_interp_drops_undef_and_rejects_sublocations():
+def test_interp_drops_undef():
     s = State(sig(("f", 0)), {Location("f"): UNDEF})
     assert s.interp == {}
-    with pytest.raises(RasmError, match="sublocation-write"):
-        State(sig(("f", 0)), {Location("f", (), (0,)): Natural(1)})
 
 
 def test_value_of_reads_into_trees():
     t = Tree(node("r", leaf("a"), node("x", leaf("b"))))
     s = State(sig(("f", 0)), {Location("f"): TreeVal(t)})
-    assert s.value_of(Location("f", (), ())) == TreeVal(t)
-    got = s.value_of(Location("f", (), (1, 0)))
-    assert got == TreeVal(Tree(leaf("b")))
-    assert s.value_of(Location("f", (), (9,))) == UNDEF
+
+    def at(*path):
+        return T.BackgroundOp("subtree_at", (T.Apply("f", ()), T.Literal(TupleVal(tuple(map(Natural, path))))))
+
+    assert s.value_of(Location("f")) == TreeVal(t)
+    assert eval_term(s, {}, at()) == TreeVal(t)
+    assert eval_term(s, {}, at(1, 0)) == TreeVal(Tree(leaf("b")))
+    assert eval_term(s, {}, at(9)) == UNDEF
     assert s.value_of(Location("g")) == UNDEF
 
 

@@ -6,8 +6,10 @@ import pytest
 
 from rasm.encoding import drop_program
 from rasm.errors import DiffError
+from rasm.evaluator import eval_rule
 from rasm.parser import parse_rule
 from rasm.state import FunctionSymbol, Location, PGM, Signature, State
+from rasm.terms import Literal, Par, PartialAssign
 from rasm.treediff import (
     ExtendRight,
     Rebuild,
@@ -20,7 +22,7 @@ from rasm.treediff import (
 )
 from rasm.trees import trees_equal
 from rasm.updates import Update, collapse
-from rasm.values import TreeVal
+from rasm.values import Natural, TreeVal
 from conftest import random_program_pair
 
 
@@ -113,8 +115,8 @@ def test_updates_collapse_to_single_root_update():
     um = tree_diff_updates(t1, t2)
     assert len(um) >= 1
     for e in um:
-        assert e.location.symbol == PGM
-        assert e.location.path is not None
+        assert e.location == Location(PGM)
+        assert e.op in ("subst_at", "extend_at")
 
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
     s = State(sig, {Location(PGM): TreeVal(t1)})
@@ -128,9 +130,10 @@ def test_updates_are_minimal_for_local_edit():
     t2 = prog("PAR f := 1 f := 3 ENDPAR")
     um = tree_diff_updates(t1, t2)
     (u,) = tuple(um)
-    assert u.op == "subst_tt"
+    assert u.location == Location(PGM)
+    assert u.op == "subst_at"
     # the edit site is inside the second subrule, below the rule wrapper
-    assert u.location.path[:2] == (1, 0)
+    assert u.args[0].items[:2] == (Natural(1), Natural(0))
 
 
 def test_signature_growth_update_uses_right_extend():
@@ -138,7 +141,8 @@ def test_signature_growth_update_uses_right_extend():
     t2 = prog("f := 1", ("g", 1))
     um = tree_diff_updates(t1, t2)
     ops = sorted(e.op for e in um)
-    assert "right_extend" in ops
+    assert "extend_at" in ops
+    assert all(e.location == Location(PGM) for e in um)
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
     s = State(sig, {Location(PGM): TreeVal(t1)})
     us = collapse(s, um)
@@ -156,6 +160,18 @@ def test_updates_reach_target_on_random_pairs():
         us = collapse(s, um)
         assert us.consistent
         assert us.updates == frozenset({Update(Location(PGM), TreeVal(t2))})
+
+
+def test_differ_updates_are_rule_updates():
+    """Every differ update is one a rule `pgm <<= op(literal args)` yields."""
+    rng = random.Random(72)
+    sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0), FunctionSymbol("g", 1)))
+    for _ in range(100):
+        t1, t2 = random_program_pair(rng)
+        um = tree_diff_updates(t1, t2)
+        s = State(sig, {Location(PGM): TreeVal(t1)})
+        rule = Par(tuple(PartialAssign(PGM, (), u.op, tuple(map(Literal, u.args))) for u in um))
+        assert eval_rule(s, {}, rule) == um
 
 
 def test_serialize_forms():

@@ -188,22 +188,22 @@ def test_commutative_group_skips_the_permutations(monkeypatch):
     assert len(calls) == 6  # one canonical fold, no orders tried
 
 
-def test_sublocation_subst_tt_rewrites_node():
+def test_subst_at_path_rewrites_node():
     s = base_state(f=TreeVal(two_leaf_tree()))
     um = UpdateMultiset((
-        SharedUpdate(Location("f", (), (1,)), "subst_tt", (TreeVal(Tree(leaf("z"))),)),
+        SharedUpdate(F, "subst_at", (path_val(1), TreeVal(Tree(leaf("z"))))),
     ))
     us = collapse(s, um)
     assert us.consistent
     (u,) = us.updates
-    assert u.location == F  # folded back onto the root location
+    assert u.location == F
     assert trees_equal(u.value.tree, Tree(node("r", leaf("a"), leaf("z"))))
 
 
-def test_sublocation_right_extend_appends_below():
+def test_extend_at_path_appends_below():
     s = base_state(f=TreeVal(Tree(node("r", node("x", leaf("a"))))))
     um = UpdateMultiset((
-        SharedUpdate(Location("f", (), (0,)), "right_extend", (TreeVal(Tree(leaf("b"))),)),
+        SharedUpdate(F, "extend_at", (path_val(0), TreeVal(Tree(leaf("b"))))),
     ))
     us = collapse(s, um)
     assert us.consistent
@@ -211,10 +211,10 @@ def test_sublocation_right_extend_appends_below():
     assert trees_equal(u.value.tree, Tree(node("r", node("x", leaf("a"), leaf("b")))))
 
 
-def test_sublocation_on_non_tree_degrades_to_undef():
+def test_path_edit_on_non_tree_degrades_to_undef():
     s = base_state(f=Natural(3))
     um = UpdateMultiset((
-        SharedUpdate(Location("f", (), (0,)), "subst_tt", (TreeVal(Tree(leaf("z"))),)),
+        SharedUpdate(F, "subst_at", (path_val(0), TreeVal(Tree(leaf("z"))))),
     ))
     us = collapse(s, um)
     assert us.consistent
