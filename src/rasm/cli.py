@@ -8,10 +8,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime failure (or an inconsistent step under
 --strict, or a diff whose reconciliation term fails verification), 2 syntax
-error (non-UTF-8 input included), 3 malformed program tree, 4 postulate
-violation, 5 attempted signature shrinkage.  `diff` reports unreadable input
-as 3: its contract is "both files hold program trees" and it does not
-distinguish why one does not.
+error (non-UTF-8 input included) or a usage error such as a negative count,
+3 malformed program tree, 4 postulate violation, 5 attempted signature
+shrinkage.  `diff` reports unreadable input, a missing file included, as 3:
+its contract is "both files hold program trees" and it does not distinguish
+why one does not.
 """
 
 from __future__ import annotations
@@ -42,13 +43,15 @@ from .trees import trees_equal
 ISO_TRIALS = 20  # bijections tried per `check` invocation; tests go higher
 
 
-def _steps_arg(text: str) -> int | None:
-    if text == "fixpoint":
-        return None
+def _count_arg(text: str) -> int:
     n = int(text)
     if n < 0:
-        raise argparse.ArgumentTypeError("step count must be >= 0")
+        raise argparse.ArgumentTypeError("must be >= 0")
     return n
+
+
+def _steps_arg(text: str) -> int | None:
+    return None if text == "fixpoint" else _count_arg(text)
 
 
 def _read(path: str) -> str:
@@ -116,7 +119,7 @@ def _cmd_diff(args) -> int:
     try:
         a = parse_tree(_read(args.a))
         b = parse_tree(_read(args.b))
-    except ParseError as e:
+    except (ParseError, OSError) as e:
         print(f"diff: {e}", file=sys.stderr)
         return 3
     theta = tree_diff_theta(a, b)
@@ -160,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("state")
     run.add_argument("--steps", type=_steps_arg, default=None,
                      help="step count, or 'fixpoint' (default)")
-    run.add_argument("--max-steps", type=int, default=machine.DEFAULT_MAX_STEPS,
+    run.add_argument("--max-steps", type=_count_arg, default=machine.DEFAULT_MAX_STEPS,
                      help="fixpoint guard")
     run.add_argument("--seed", type=int, default=0, help="reserve namespace seed")
     run.add_argument("--trace", help="write the step trace to this path")
@@ -178,9 +181,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("state", nargs="+",
                        help="state documents; extras join the initial-agreement check")
     check.add_argument("--steps", type=_steps_arg, default=None)
-    check.add_argument("--max-steps", type=int, default=machine.DEFAULT_MAX_STEPS)
+    check.add_argument("--max-steps", type=_count_arg, default=machine.DEFAULT_MAX_STEPS)
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--trials", type=int, default=ISO_TRIALS,
+    check.add_argument("--trials", type=_count_arg, default=ISO_TRIALS,
                        help="bijections per isomorphism-closure check")
     check.add_argument("--report", help="canonical report path (default: first input, .report)")
     check.set_defaults(fn=_cmd_check)

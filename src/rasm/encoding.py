@@ -29,7 +29,7 @@ from .errors import EncodingError, RasmError
 from .state import PGM, FunctionSymbol, Signature
 from . import terms as T
 from .terms import Comprehension, Rule, Term, _fresh, free_vars, subst_rule, subst_term
-from .trees import Node, Path, Tree, leaf, node, subtree
+from .trees import Node, Path, Tree, leaf, node
 from .values import TRUE, Atom, DroppedTerm, Natural, TupleVal, Value
 
 RULE_LABELS = frozenset({"update", "partial", "if", "par", "forall", "let", "import"})
@@ -271,8 +271,8 @@ class Program:
     tree: Tree
 
 
-def _unique_child(p: Tree, label: str) -> int:
-    hits = [o for o in p.children_of(p.root) if p.label_of(o) == label]
+def _unique_child(p: Tree, label: str) -> Node:
+    hits = [c for c in p.root_node.children if c.label == label]
     if len(hits) != 1:
         raise EncodingError(
             "malformed-program-tree", f"need exactly one {label} child of the root, found {len(hits)}", ()
@@ -281,12 +281,12 @@ def _unique_child(p: Tree, label: str) -> int:
 
 
 def extract_signature_subtree(p: Tree) -> Tree:
-    return subtree(p, _unique_child(p, "signature"))
+    return Tree(_unique_child(p, "signature"))
 
 
 def extract_rule_subtree(p: Tree) -> Tree:
     """The rule⟨...⟩ child subtree, wrapper included."""
-    return subtree(p, _unique_child(p, "rule"))
+    return Tree(_unique_child(p, "rule"))
 
 
 def as_program(t: Tree) -> Program:
@@ -303,7 +303,7 @@ def as_program(t: Tree) -> Program:
     wrap = rule_wrap.root_node
     if len(wrap.children) != 1 or wrap.value is not None:
         raise EncodingError("malformed-program-tree", "rule wrapper needs exactly one child", ())
-    rule = raise_rule(subtree(rule_wrap, rule_wrap.children_of(rule_wrap.root)[0]))
+    rule = raise_rule(Tree(wrap.children[0]))
     return Program(sig, rule, t)
 
 

@@ -113,7 +113,7 @@ def _op_subtree_at(args: list[Value]) -> Value:
     if t is None or p is None:
         return UNDEF
     try:
-        return TreeVal(subtree(t, t.node_at_path(p)))
+        return TreeVal(subtree(t, p))
     except TreeAlgebraError:
         return UNDEF
 

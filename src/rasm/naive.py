@@ -30,7 +30,7 @@ from .state import Location, State
 from . import terms as T
 from .terms import Rule, Term
 from .updates import Update
-from .values import FALSE, TRUE, UNDEF, Atom, Boolean, Multiset, Value
+from .values import FALSE, TRUE, UNDEF, Atom, Multiset, Value
 
 
 class _Thunk:

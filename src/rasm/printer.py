@@ -36,8 +36,6 @@ from .terms import (
 )
 from .trees import XI, Node, _TreeBase
 from .values import (
-    FALSE,
-    TRUE,
     UNDEF,
     Atom,
     Boolean,
@@ -87,14 +85,28 @@ def print_value(v: Value) -> str:
 
 # -------------------------------------------------------------------- trees
 
-def _node_text(n: Node) -> str:
-    if n.label == XI:
-        return "^"
-    if n.value is not None:
-        return n.label + "=⟨" + _value_text(n.value, quote=False) + "⟩"
-    if not n.children:
-        return n.label
-    return n.label + "⟨" + " ".join(_node_text(c) for c in n.children) + "⟩"
+def _node_text(root: Node) -> str:
+    # An explicit stack of nodes still to print and text pieces still to emit,
+    # so that nesting depth costs no recursion.
+    out: list[str] = []
+    todo: list[Node | str] = [root]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, str):
+            out.append(n)
+        elif n.label == XI:
+            out.append("^")
+        elif n.value is not None:
+            out.append(n.label + "=⟨" + _value_text(n.value, quote=False) + "⟩")
+        elif not n.children:
+            out.append(n.label)
+        else:
+            out.append(n.label + "⟨")
+            todo.append("⟩")
+            for c in reversed(n.children[1:]):
+                todo += (c, " ")
+            todo.append(n.children[0])
+    return "".join(out)
 
 
 def print_tree(t: _TreeBase) -> str:

@@ -32,7 +32,7 @@ AlgebraTerm = Union["SubtreeRef", "TreeLiteral", "Rebuild", "ExtendRight"]
 
 @dataclass(frozen=True, slots=True)
 class SubtreeRef:
-    """subtree(t, o) for the node of the old tree at this path."""
+    """subtree(t, path): the old tree's subtree at this path."""
 
     path: Path
 
@@ -60,7 +60,7 @@ class ExtendRight:
 
 def eval_algebra(expr: AlgebraTerm, t: Tree) -> Tree:
     if isinstance(expr, SubtreeRef):
-        return subtree(t, t.node_at_path(expr.path))
+        return subtree(t, expr.path)
     if isinstance(expr, TreeLiteral):
         return expr.tree
     if isinstance(expr, Rebuild):
@@ -99,16 +99,16 @@ def _check_pair(t1: Tree, t2: Tree) -> None:
 def _reuse_index(t: Tree) -> dict[Node, Path]:
     # Preorder gives the topmost-leftmost occurrence first; never overwrite.
     index: dict[Node, Path] = {}
-    for _o, n, p in t.iter_nodes():
+    for p, n in t.iter_nodes():
         if n not in index:
             index[n] = p
     return index
 
 
 def _sig_child_path(t: Tree) -> Path:
-    for o in t.children_of(t.root):
-        if t.label_of(o) == "signature":
-            return t.path_of(o)
+    for i, c in enumerate(t.root_node.children):
+        if c.label == "signature":
+            return (i,)
     raise DiffError("malformed-program-tree", "no signature child")
 
 
@@ -124,7 +124,7 @@ def tree_diff_theta(t1: Tree, t2: Tree) -> AlgebraTerm:
     _check_pair(t1, t2)
     index = _reuse_index(t1)
     sig_path = _sig_child_path(t1)
-    old_sig = t1.node(t1.node_at_path(sig_path))
+    old_sig = t1.at(sig_path)
 
     def build(n: Node) -> AlgebraTerm:
         hit = index.get(n)

@@ -6,12 +6,13 @@ with the hole marker ``^`` (rendered that way in canonical text); substituting
 a tree for the hole turns it back into a tree.  A hedge is a finite sequence
 of trees (possibly empty).
 
-Node identifiers are canonical: the nodes of a tree are numbered 0..n-1 in
-preorder, so every operation returns a freshly renumbered result and identity
-of nodes across operations is tracked by child-index paths, not by ids.
-There is no id index: every `Node` caches its subtree size and hole count
-when it is built, and an id is found by walking down from the root, skipping
-whole sibling subtrees by their cached sizes.
+A node is named by its path: the tuple of child indexes leading to it from
+the root, which is ``()``.  Paths are the only node address; there are no
+node ids.  Every operation returns a new tree and leaves its inputs alone,
+so a path names the same position before and after an edit elsewhere.
+Each `Node` caches one number when it is built, the count of hole leaves
+below it; lookups and edits walk down the path and rebuild the spine above
+it in loops, without recursion.
 Leaf values are opaque here; the runtime stores `values.Value` instances.
 """
 
@@ -32,15 +33,13 @@ class Node:
     """One tree node: a label, an ordered child tuple, an optional leaf value.
 
     Internal nodes never carry values; this is enforced on construction.
-    ``size`` (nodes in this subtree) and ``holes`` (hole leaves in it) are
-    computed once from the already-built children and take no part in
-    equality, hashing or repr.
+    ``holes`` (hole leaves in this subtree) is computed once from the
+    already-built children and takes no part in equality, hashing or repr.
     """
 
     label: str
     children: tuple["Node", ...] = ()
     value: object = None
-    size: int = field(init=False, repr=False, compare=False)
     holes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -50,12 +49,7 @@ class Node:
             object.__setattr__(self, "children", tuple(self.children))
         if self.children and self.value is not None:
             raise TreeAlgebraError("value-on-internal-node", f"node {self.label!r} has children and a value")
-        size, holes = 1, 1 if self.label == XI else 0
-        for c in self.children:
-            size += c.size
-            holes += c.holes
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "holes", holes)
+        object.__setattr__(self, "holes", (self.label == XI) + sum(c.holes for c in self.children))
 
     @property
     def is_leaf(self) -> bool:
@@ -70,8 +64,19 @@ def leaf(label: str, value: object = None) -> Node:
     return Node(label, (), value)
 
 
+def _spine(root: Node, path: Path) -> list[Node]:
+    """The nodes from `root` down to the node at `path`, both included."""
+    spine = [root]
+    for depth, i in enumerate(path):
+        kids = spine[-1].children
+        if not 0 <= i < len(kids):
+            raise TreeAlgebraError("unknown-node", f"path {path} leaves the tree at depth {depth}")
+        spine.append(kids[i])
+    return spine
+
+
 class _TreeBase:
-    """Shared accessors over a root Node; ids are preorder positions."""
+    """Shared accessors over a root Node; a node is named by its path."""
 
     __slots__ = ("_root", "_hash")
 
@@ -83,72 +88,17 @@ class _TreeBase:
     def root_node(self) -> Node:
         return self._root
 
-    @property
-    def root(self) -> int:
-        return 0
+    def at(self, path: Path) -> Node:
+        """The node at `path`, found by one walk down from the root."""
+        return _spine(self._root, path)[-1]
 
-    @property
-    def size(self) -> int:
-        return self._root.size
-
-    @property
-    def domain(self) -> range:
-        return range(self.size)
-
-    def _locate(self, o: int) -> tuple[Node, Path]:
-        """The node with preorder id `o` and its path, found top-down."""
-        n = self._root
-        if not 0 <= o < n.size:
-            raise TreeAlgebraError("unknown-node", f"node {o} not in domain of size {n.size}")
-        path = []
-        while o:
-            o -= 1  # step past `n` itself into its first child's subtree
-            for i, c in enumerate(n.children):
-                if o < c.size:
-                    break
-                o -= c.size
-            path.append(i)
-            n = c
-        return n, tuple(path)
-
-    def node(self, o: int) -> Node:
-        return self._locate(o)[0]
-
-    def label_of(self, o: int) -> str:
-        return self.node(o).label
-
-    def value_of(self, o: int) -> object:
-        return self.node(o).value
-
-    def path_of(self, o: int) -> Path:
-        return self._locate(o)[1]
-
-    def children_of(self, o: int) -> tuple[int, ...]:
-        ids = []
-        nxt = o + 1
-        for c in self.node(o).children:
-            ids.append(nxt)
-            nxt += c.size
-        return tuple(ids)
-
-    def node_at_path(self, path: Sequence[int]) -> int:
-        o, n = 0, self._root
-        for i in path:
-            if not 0 <= i < len(n.children):
-                raise TreeAlgebraError("unknown-node", f"path {tuple(path)} leaves the tree at {o}")
-            o += 1 + sum(c.size for c in n.children[:i])
-            n = n.children[i]
-        return o
-
-    def iter_nodes(self) -> Iterator[tuple[int, Node, Path]]:
-        """(id, node, path) for every node, in preorder."""
-        todo: list[tuple[Node, Path]] = [(self._root, ())]
-        o = 0
+    def iter_nodes(self) -> Iterator[tuple[Path, Node]]:
+        """(path, node) for every node, in preorder."""
+        todo: list[tuple[Path, Node]] = [((), self._root)]
         while todo:
-            n, path = todo.pop()
-            yield o, n, path
-            o += 1
-            todo.extend((n.children[i], path + (i,)) for i in reversed(range(len(n.children))))
+            path, n = todo.pop()
+            yield path, n
+            todo.extend((path + (i,), n.children[i]) for i in reversed(range(len(n.children))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _TreeBase):
@@ -186,19 +136,16 @@ class Context(_TreeBase):
         super().__init__(root)
 
     @property
-    def hole(self) -> int:
-        """NodeId of the hole leaf."""
-        o, n = 0, self._root
+    def hole(self) -> Path:
+        """Path of the hole leaf, following the one child that holds it."""
+        path, n = [], self._root
         while n.label != XI:
-            o += 1
-            for c in n.children:
-                if c.holes:
-                    break
-                o += c.size
-            n = c
+            i = next(i for i, c in enumerate(n.children) if c.holes)
+            path.append(i)
+            n = n.children[i]
         if not n.is_leaf or n.value is not None:
             raise TreeAlgebraError("not-a-context", "hole must be a bare leaf")
-        return o
+        return tuple(path)
 
 
 HOLE = Context(Node(XI))  # the trivial context
@@ -210,33 +157,28 @@ def hedge(*trees: Tree) -> Hedge:
     return tuple(trees)
 
 
-def _rebuild(n: Node, path: Path, depth: int, replacement) -> Node:
-    """Replace the subtree at `path` below `n`; `replacement` is a Node or a
-    hedge-splice marker (list of Nodes) handled by the caller for hedges."""
-    if depth == len(path):
-        return replacement
-    i = path[depth]
-    kids = list(n.children)
-    kids[i] = _rebuild(kids[i], path, depth + 1, replacement)
-    return Node(n.label, tuple(kids), n.value)
+def _splice(root: Node, path: Path, items: tuple[Node, ...]) -> Node:
+    """`root` with the node at `path` replaced by `items`, spliced in place.
 
-
-def _splice(n: Node, path: Path, depth: int, items: tuple[Node, ...]) -> Node:
-    """Replace the node at `path` by zero or more siblings spliced in place."""
-    i = path[depth]
-    kids = list(n.children)
-    if depth == len(path) - 1:
-        kids[i:i + 1] = list(items)
-    else:
-        kids[i] = _splice(kids[i], path, depth + 1, items)
-    return Node(n.label, tuple(kids), n.value)
+    The path is checked on the way down and the spine above it is rebuilt
+    bottom-up in a loop, so depth costs no recursion.  Only one item can
+    replace the root.
+    """
+    spine = _spine(root, path)
+    if not path and len(items) != 1:
+        code = "empty-hedge-at-root" if not items else "hedge-at-root"
+        raise TreeAlgebraError(code, f"cannot splice {len(items)} trees at the root")
+    for parent, i in zip(reversed(spine[:-1]), reversed(path)):
+        kids = parent.children
+        items = (Node(parent.label, kids[:i] + items + kids[i + 1:], parent.value),)
+    return items[0]
 
 
 # ---------------------------------------------------------------- selectors
 
-def subtree(t: _TreeBase, o: int) -> Tree | Context:
-    """Largest subtree rooted at node `o`, canonically renumbered."""
-    n = t.node(o)
+def subtree(t: _TreeBase, path: Path) -> Tree | Context:
+    """Largest subtree rooted at the node at `path`."""
+    n = t.at(path)
     if n.holes == 0:
         return Tree(n)
     if n.holes == 1:
@@ -244,35 +186,30 @@ def subtree(t: _TreeBase, o: int) -> Tree | Context:
     raise TreeAlgebraError("not-a-context", "subtree contains several holes")  # only via malformed input
 
 
-def context_at(t: _TreeBase, o1: int, o2: int) -> Context:
-    """The subtree at `o1` with the subtree at `o2` punched out as the hole.
+def context_at(t: _TreeBase, p1: Path, p2: Path) -> Context:
+    """The subtree at `p1` with the subtree at `p2` punched out as the hole.
 
-    `o2` must lie strictly below `o1`.
+    `p2` must lie strictly below `p1`, that is `p1` is a proper prefix of it.
     """
-    p1, p2 = t.path_of(o1), t.path_of(o2)
     if len(p2) <= len(p1) or p2[: len(p1)] != p1:
-        raise TreeAlgebraError("not-an-ancestor", f"node {o1} is not a strict ancestor of {o2}")
-    sub = t.node(o1)
-    rel = p2[len(p1):]
-    return Context(_rebuild(sub, rel, 0, Node(XI)))
+        raise TreeAlgebraError("not-an-ancestor", f"node {p1} is not a strict ancestor of {p2}")
+    return Context(_splice(t.at(p1), p2[len(p1):], (Node(XI),)))
 
 
 # ------------------------------------------------------------ substitutions
 
-def subst_tt(t1: Tree, o: int, t2: Tree) -> Tree:
-    """t1 with the largest subtree at `o` replaced by t2."""
-    path = t1.path_of(o)
-    return Tree(_rebuild(t1.root_node, path, 0, t2.root_node))
+def subst_tt(t1: Tree, path: Path, t2: Tree) -> Tree:
+    """t1 with the largest subtree at `path` replaced by t2."""
+    return Tree(_splice(t1.root_node, path, (t2.root_node,)))
 
 
-def subst_tc(t1: Tree, o: int, c: Context = HOLE) -> Context:
-    """t1 with the subtree at `o` replaced by the context c.
+def subst_tc(t1: Tree, path: Path, c: Context = HOLE) -> Context:
+    """t1 with the subtree at `path` replaced by the context c.
 
-    With the trivial context this punches a hole at `o`; the general form is
-    the shortcut composition through the trivial-hole intermediate.
+    With the trivial context this punches a hole at `path`; the general form
+    is the shortcut composition through the trivial-hole intermediate.
     """
-    path = t1.path_of(o)
-    punched = Context(_rebuild(t1.root_node, path, 0, Node(XI)))
+    punched = Context(_splice(t1.root_node, path, (Node(XI),)))
     if c is HOLE or c == HOLE:
         return punched
     return subst_cc(punched, c)
@@ -280,14 +217,12 @@ def subst_tc(t1: Tree, o: int, c: Context = HOLE) -> Context:
 
 def subst_cc(c1: Context, c2: Context) -> Context:
     """c1 with its hole replaced by c2 (context composition)."""
-    path = c1.path_of(c1.hole)
-    return Context(_rebuild(c1.root_node, path, 0, c2.root_node))
+    return Context(_splice(c1.root_node, c1.hole, (c2.root_node,)))
 
 
 def subst_ct(c: Context, t: Tree) -> Tree:
     """c with its hole replaced by t; no hole remains."""
-    path = c.path_of(c.hole)
-    return Tree(_rebuild(c.root_node, path, 0, t.root_node))
+    return Tree(_splice(c.root_node, c.hole, (t.root_node,)))
 
 
 # ---------------------------------------------------------------- operators
@@ -332,14 +267,7 @@ def inject_hedge(c: Context, h: Sequence[Tree]) -> Tree:
     An empty (or multi-tree) hedge needs the hole to sit below the root: the
     result must still be a single non-empty tree.
     """
-    items = tuple(t.root_node for t in h)
-    path = c.path_of(c.hole)
-    if not path:  # hole at root
-        if len(items) == 1:
-            return Tree(items[0])
-        code = "empty-hedge-at-root" if not items else "hedge-at-root"
-        raise TreeAlgebraError(code, f"cannot splice {len(items)} trees at a root hole")
-    return Tree(_splice(c.root_node, path, 0, items))
+    return Tree(_splice(c.root_node, c.hole, tuple(t.root_node for t in h)))
 
 
 def inject_context(c1: Context, c2: Context) -> Context:
@@ -348,5 +276,5 @@ def inject_context(c1: Context, c2: Context) -> Context:
 
 
 def trees_equal(t1: _TreeBase, t2: _TreeBase) -> bool:
-    """Structural equality: labels, sibling order and leaf values, ids ignored."""
+    """Structural equality: labels, sibling order and leaf values."""
     return t1.root_node == t2.root_node

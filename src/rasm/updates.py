@@ -141,8 +141,7 @@ def _rewrite_at(current: Value, path: tuple[int, ...] | None, edit: Callable[[No
     if t is None or path is None:
         return UNDEF
     try:
-        o = t.node_at_path(path)
-        return TreeVal(subst_tt(t, o, edit(t.node(o))))
+        return TreeVal(subst_tt(t, path, edit(t.at(path))))
     except TreeAlgebraError:
         return UNDEF
 

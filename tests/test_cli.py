@@ -225,6 +225,36 @@ def test_run_rejects_negative_step_count(tmp_path):
         main(["run", put(tmp_path, "inc.rst", HALTING), "--steps", "-1"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--max-steps", "-3"],
+    ["check", "--max-steps", "-3"],
+    ["check", "--trials", "-2"],
+])
+def test_negative_counts_are_usage_errors(tmp_path, capsys, argv):
+    doc = put(tmp_path, "inc.rst", HALTING)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], doc] + argv[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: must be >= 0" in err
+    assert not (tmp_path / "inc.report").exists()
+
+
+def test_deeply_nested_rule_runs_and_prints(tmp_path, capsys):
+    depth = 300
+    rule = "IF f = 0 THEN " * depth + "f := 1" + " ENDIF" * depth
+    doc = put(tmp_path, "deep.rst", "function f/0\ninit f = 0\nprogram\n" + rule + "\n")
+    trace = tmp_path / "deep.trace"
+    assert main(["run", doc, "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out.startswith("function f/0\nfunction pgm/0\ninit f = 1\ninit pgm = #pgm⟨")
+    assert trace.read_text(encoding="utf-8").count("step ") == 2
+    assert main(["fmt", doc]) == 0
+    text = capsys.readouterr().out
+    assert text.count("if⟨") == depth
+    assert main(["fmt", put(tmp_path, "canon.rst", text)]) == 0
+    assert capsys.readouterr().out == text
+
+
 # --------------------------------------------------------------------- diff
 
 def test_diff_identical_trees(tmp_path, capsys):
@@ -248,6 +278,13 @@ def test_diff_unreadable_input_exits_3(tmp_path, capsys):
                put(tmp_path, "b.tree", TREE_A)])
     assert rc == 3
     assert capsys.readouterr().err.startswith("diff:")
+
+
+def test_diff_missing_input_exits_3(tmp_path, capsys):
+    rc = main(["diff", str(tmp_path / "absent.tree"), put(tmp_path, "b.tree", TREE_A)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("diff: ") and "absent.tree" in err and err.count("\n") == 1
 
 
 def test_diff_non_utf8_input_exits_3(tmp_path, capsys):

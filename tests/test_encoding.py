@@ -96,10 +96,11 @@ def test_program_subtree_paths():
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
     t = drop_program(sig, parse_rule("f := 1"))
     # fixed layout: signature at child 0, rule wrapper at child 1
-    assert trees_equal(extract_signature_subtree(t), subtree(t, t.children_of(t.root)[0]))
+    assert trees_equal(extract_signature_subtree(t), subtree(t, (0,)))
     rw = extract_rule_subtree(t)
+    assert trees_equal(rw, subtree(t, (1,)))
     assert rw.root_node.label == "rule"
-    assert raise_rule(subtree(rw, rw.children_of(rw.root)[0])) == parse_rule("f := 1")
+    assert raise_rule(subtree(rw, (0,))) == parse_rule("f := 1")
 
 
 def test_raise_term_rejects_non_terms():

@@ -1,0 +1,54 @@
+"""Source hygiene: every name a module imports is used in that module.
+
+Each `src/rasm/*.py` except the package `__init__` is parsed with `ast`; a
+name bound by an import counts as used when it is loaded anywhere in the
+module, annotations included (string annotations are parsed too).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rasm"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import, mapped to the import's line."""
+    out = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            for a in n.names:
+                out[a.asname or a.name.split(".")[0]] = n.lineno
+        elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+            for a in n.names:
+                out[a.asname or a.name] = n.lineno
+    return out
+
+
+def _annotations(tree: ast.AST):
+    for n in ast.walk(tree):
+        if isinstance(n, ast.arg) and n.annotation is not None:
+            yield n.annotation
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.returns is not None:
+            yield n.returns
+        elif isinstance(n, ast.AnnAssign):
+            yield n.annotation
+
+
+def _loaded(tree: ast.AST) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):  # a forward reference
+                used |= _loaded(ast.parse(n.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _loaded(tree)
+    unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"

@@ -79,8 +79,8 @@ def test_missing_pgm_is_an_encoding_error():
 def test_context_valued_pgm_is_a_malformed_program_tree():
     s = make_state("f := 1")
     t = s.value_of(PGM_LOCATION).tree
-    for o in t.domain:  # a hole anywhere, the signature and rule included
-        punched = State(s.signature, {**s.interp, PGM_LOCATION: TreeVal(subst_tc(t, o))})
+    for p, _n in t.iter_nodes():  # a hole anywhere, the signature and rule included
+        punched = State(s.signature, {**s.interp, PGM_LOCATION: TreeVal(subst_tc(t, p))})
         with pytest.raises(EncodingError, match="malformed-program-tree"):
             step(punched)
 

@@ -132,7 +132,7 @@ def test_rename_reaches_quoted_trees():
     s = State(sig(("f", 0)), {Location("f"): TreeVal(t)})
     s2 = rename_state(s, {"red": "rose"})
     got = s2.value_of(Location("f"))
-    assert got.tree.node(1).value == Atom("rose")
+    assert got.tree.at((0,)).value == Atom("rose")
 
 
 def test_rename_roundtrip_is_identity():

@@ -69,72 +69,83 @@ def shape_hole_path(s, path=()):
     return None
 
 
-def _all_ids(t):
-    return list(t.domain)
+def _all_paths(t):
+    """Every node's path, in preorder."""
+    return [p for p, _n in t.iter_nodes()]
 
 
 def test_subtree_matches_naive_copier():
     rng = random.Random(11)
     for _ in range(100):
         t = random_tree(rng, depth=4)
-        for o in _all_ids(t):
-            assert shape(subtree(t, o).root_node) == shape_subtree(shape(t.root_node), t.path_of(o))
+        for p in _all_paths(t):
+            assert shape(subtree(t, p).root_node) == shape_subtree(shape(t.root_node), p)
 
 
 def test_subtree_of_root_is_identity():
     rng = random.Random(12)
     for _ in range(20):
         t = random_tree(rng)
-        assert trees_equal(subtree(t, t.root), t)
+        assert trees_equal(subtree(t, ()), t)
 
 
 def test_subtree_unknown_node():
     t = Tree(node("a", leaf("b")))
-    with pytest.raises(TreeAlgebraError, match="unknown-node"):
-        subtree(t, 99)
+    for p in [(99,), (1,), (-1,), (0, 0)]:
+        with pytest.raises(TreeAlgebraError, match="unknown-node"):
+            subtree(t, p)
 
 
 def test_subst_tt_matches_naive_rebuild():
     rng = random.Random(13)
     for _ in range(100):
         t1, t2 = random_tree(rng, depth=4), random_tree(rng, depth=3)
-        o = rng.choice(_all_ids(t1))
-        got = subst_tt(t1, o, t2)
-        want = shape_replace(shape(t1.root_node), t1.path_of(o), shape(t2.root_node))
+        p = rng.choice(_all_paths(t1))
+        got = subst_tt(t1, p, t2)
+        want = shape_replace(shape(t1.root_node), p, shape(t2.root_node))
         assert shape(got.root_node) == want
 
 
 def test_subst_tt_at_root_is_replacement():
     t = Tree(node("a", leaf("b"), leaf("c")))
     t2 = Tree(leaf("d", 7))
-    assert trees_equal(subst_tt(t, t.root, t2), t2)
+    assert trees_equal(subst_tt(t, (), t2), t2)
 
 
 def test_subst_tt_self_nesting():
     t = Tree(node("a", leaf("b")))
-    got = subst_tt(t, 1, t)
+    got = subst_tt(t, (0,), t)
     assert shape(got.root_node) == ("a", None, (("a", None, (("b", None, ()),)),))
+
+
+def test_subst_tt_unknown_node():
+    t = Tree(node("a", leaf("b")))
+    with pytest.raises(TreeAlgebraError, match="unknown-node"):
+        subst_tt(t, (0, 0), Tree(leaf("z")))
 
 
 def test_context_at_punches_hole_and_reinjection_restores():
     rng = random.Random(14)
     for _ in range(100):
         t = random_tree(rng, depth=4)
-        below = [o for o in _all_ids(t) if o != t.root]
+        below = [p for p in _all_paths(t) if p]
         if not below:
             continue
-        o = rng.choice(below)
-        c = context_at(t, t.root, o)
-        assert shape_hole_path(shape(c.root_node)) == t.path_of(o)
-        assert trees_equal(subst_ct(c, subtree(t, o)), t)
+        p = rng.choice(below)
+        c = context_at(t, (), p)
+        assert shape_hole_path(shape(c.root_node)) == p == c.hole
+        assert trees_equal(subst_ct(c, subtree(t, p)), t)
 
 
 def test_context_at_requires_strict_ancestor():
     t = Tree(node("a", node("b", leaf("x")), leaf("c")))
     with pytest.raises(TreeAlgebraError, match="not-an-ancestor"):
-        context_at(t, t.root, t.root)
+        context_at(t, (), ())
     with pytest.raises(TreeAlgebraError, match="not-an-ancestor"):
-        context_at(t, 3, 1)  # c is not above x
+        context_at(t, (1,), (0,))  # c is not above b
+    with pytest.raises(TreeAlgebraError, match="not-an-ancestor"):
+        context_at(t, (0, 0), (0,))  # x is below b, not above it
+    assert shape(context_at(t, (0,), (0, 0)).root_node) == ("b", None, ((XI, None, ()),))
 
 
 def test_subst_tc_trivial_and_general_agree():
@@ -142,9 +153,9 @@ def test_subst_tc_trivial_and_general_agree():
     rng = random.Random(15)
     for _ in range(100):
         t = random_tree(rng, depth=4)
-        o = rng.choice(_all_ids(t))
+        p = rng.choice(_all_paths(t))
         c = random_context(rng, depth=3)
-        assert subst_tc(t, o, c) == subst_cc(subst_tc(t, o, HOLE), c)
+        assert subst_tc(t, p, c) == subst_cc(subst_tc(t, p, HOLE), c)
 
 
 def test_subst_cc_identities_and_associativity():
@@ -206,6 +217,8 @@ def test_inject_hedge():
     assert trees_equal(inject_hedge(HOLE, (t1,)), t1)
     with pytest.raises(TreeAlgebraError, match="empty-hedge-at-root"):
         inject_hedge(HOLE, ())
+    with pytest.raises(TreeAlgebraError, match="hedge-at-root"):
+        inject_hedge(HOLE, (t1, t2))
 
 
 def test_inject_context_is_composition():
@@ -254,12 +267,12 @@ def contexts_st(draw, max_depth=4):
 @given(trees_st(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_decomposition_identity(t, data):
-    """subst_ct(context_at(t, root, o), subtree(t, o)) == t, all o below root."""
-    below = [o for o in t.domain if o != t.root]
+    """subst_ct(context_at(t, (), p), subtree(t, p)) == t, all p below the root."""
+    below = [p for p in _all_paths(t) if p]
     if not below:
         return
-    o = data.draw(st.sampled_from(below))
-    assert trees_equal(subst_ct(context_at(t, t.root, o), subtree(t, o)), t)
+    p = data.draw(st.sampled_from(below))
+    assert trees_equal(subst_ct(context_at(t, (), p), subtree(t, p)), t)
 
 
 @given(contexts_st(), contexts_st(), contexts_st())
@@ -271,11 +284,10 @@ def test_composition_associativity(c1, c2, c3):
 @given(trees_st(), trees_st(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_substitution_then_selection(t1, t2, data):
-    """After subst_tt at o, selecting at o's path yields t2 again."""
-    o = data.draw(st.sampled_from(list(t1.domain)))
-    path = t1.path_of(o)
-    out = subst_tt(t1, o, t2)
-    assert trees_equal(subtree(out, out.node_at_path(path)), t2)
+    """After subst_tt at a path, selecting at that path yields t2 again."""
+    path = data.draw(st.sampled_from(_all_paths(t1)))
+    out = subst_tt(t1, path, t2)
+    assert trees_equal(subtree(out, path), t2)
 
 
 @given(trees_st())
@@ -283,13 +295,13 @@ def test_substitution_then_selection(t1, t2, data):
 def test_operations_do_not_mutate_inputs(t):
     before = hash(t)
     shape_before = shape(t.root_node)
-    subtree(t, t.size - 1)
-    subst_tt(t, t.root, Tree(leaf("z")))
+    subtree(t, _all_paths(t)[-1])
+    subst_tt(t, (), Tree(leaf("z")))
     label_hedge("w", (t, t))
     assert hash(t) == before and shape(t.root_node) == shape_before
 
 
-# ---------------------------------------- cached sizes, top-down lookups
+# -------------------------------------- cached hole counts, path lookups
 
 
 def preorder(n: Node, path=()):
@@ -305,39 +317,48 @@ def test_cached_counts_and_lookups_match_a_recursive_preorder():
     for k in range(150):
         t = random_context(rng, depth=5) if k % 2 else random_tree(rng, depth=5)
         ref = preorder(t.root_node)
-        assert t.size == len(ref)
         walked = list(t.iter_nodes())
-        assert [(o, p) for o, _n, p in walked] == [(o, p) for o, (_n, p) in enumerate(ref)]
-        assert all(n is m for (_o, n, _p), (m, _q) in zip(walked, ref))
-        for o, (n, path) in enumerate(ref):
-            below = preorder(n)
-            assert n.size == len(below)
-            assert n.holes == sum(1 for m, _q in below if m.label == XI)
-            assert t.node(o) is n
-            assert t.path_of(o) == path
-            assert t.node_at_path(t.path_of(o)) == o
-            kids = [o2 for o2, (_m, p2) in enumerate(ref) if len(p2) == len(path) + 1 and p2[:-1] == path]
-            assert t.children_of(o) == tuple(kids)
+        assert [p for p, _n in walked] == [p for _n, p in ref]
+        assert all(n is m for (_p, n), (m, _q) in zip(walked, ref))
+        for n, path in ref:
+            assert n.holes == sum(1 for m, _q in preorder(n) if m.label == XI)
+            assert t.at(path) is n
+            assert subtree(t, path).root_node is n
+            with pytest.raises(TreeAlgebraError, match="unknown-node"):
+                t.at(path + (len(n.children),))
         if isinstance(t, Context):
-            assert t.hole == next(o for o, (n, _p) in enumerate(ref) if n.label == XI)
+            assert t.hole == next(p for n, p in ref if n.label == XI)
+
+
+def _chain(depth: int, bottom: Node) -> Node:
+    n = bottom
+    for _ in range(depth):
+        n = Node("a", (n,))
+    return n
 
 
 def test_depth_5000_chain_needs_no_recursion():
     depth = 5000
     bottom = (0,) * depth
-    n = leaf("x", 1)
-    for _ in range(depth):
-        n = Node("a", (n,))
-    t = Tree(n)
-    assert t.size == depth + 1
-    assert t.node_at_path(bottom) == depth
-    assert t.path_of(depth) == bottom
+    t = Tree(_chain(depth, leaf("x", 1)))
+    assert t.at(bottom).value == 1
     assert sum(1 for _ in t.iter_nodes()) == depth + 1
-    assert subtree(t, depth).size == 1
-    assert subtree(t, 1).size == depth
-    h = Node(XI)
-    for _ in range(depth):
-        h = Node("a", (h,))
-    c = Context(h)
-    assert c.hole == depth
-    assert c.path_of(c.hole) == bottom
+    assert subtree(t, bottom).root_node is t.at(bottom)
+    assert subtree(t, (0,)).root_node is t.root_node.children[0]
+    c = Context(_chain(depth, Node(XI)))
+    assert c.hole == bottom
+
+
+def test_depth_5000_chain_is_edited_without_recursion():
+    depth = 5000
+    bottom = (0,) * depth
+    t = Tree(_chain(depth, leaf("x", 1)))
+    out = subst_tt(t, bottom, Tree(leaf("y", 2)))
+    assert out.at(bottom).value == 2 and out.at(bottom[1:]).label == "a"
+    assert t.at(bottom).value == 1  # the input is untouched
+    c = context_at(t, (), bottom)
+    assert c.hole == bottom
+    assert context_at(t, (0,) * 10, bottom).hole == bottom[10:]
+    assert subst_ct(c, Tree(leaf("z"))).at(bottom).label == "z"
+    assert subst_tc(t, bottom).hole == bottom
+    assert inject_hedge(c, ()).at(bottom[1:]).is_leaf

@@ -266,11 +266,11 @@ def test_collapse_verdict_matches_exhaustive_permutation(data):
 
     rng = _random.Random(data.draw(st.integers(0, 10**6)))
     t = random_tree(rng, depth=3, branch=3)
-    nodes = list(t.domain)
+    paths = [p for p, _n in t.iter_nodes()]
     ops = []
     for _ in range(rng.randrange(1, 5)):
         kind = rng.choice(("subst_at", "right_extend", "extend_at"))
-        p = t.path_of(rng.choice(nodes))
+        p = rng.choice(paths)
         arg_tree = TreeVal(Tree(leaf(rng.choice("pqrs"))))
         if kind == "subst_at":
             ops.append(SharedUpdate(F, "subst_at", (path_val(*p), arg_tree)))
