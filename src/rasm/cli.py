@@ -101,7 +101,7 @@ def _cmd_run(args) -> int:
     if args.trace:
         Path(args.trace).write_text(format_trace(reports), encoding="utf-8")
     sys.stdout.write(print_state(final))
-    inconsistent = [i for i, rep in enumerate(reports, 1) if not rep.consistent]
+    inconsistent = [i for i, rep in enumerate(reports, 1) if not rep.update_set.consistent]
     for i in inconsistent:
         print(f"step {i}: inconsistent update set, state unchanged", file=sys.stderr)
     _warn_if_guard_hit(args, reports)
@@ -147,7 +147,7 @@ def _cmd_fmt(args) -> int:
     path = Path(args.file)
     text = _read(args.file)
     if path.suffix == ".rst":
-        sys.stdout.write(print_state(parse_state(text, seed=args.seed)))
+        sys.stdout.write(print_state(parse_state(text)))
     elif path.suffix == ".rasm":
         print(print_rule(parse_rule(text)))
     else:
@@ -190,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fmt = sub.add_parser("fmt", help="reprint in canonical form")
     fmt.add_argument("file")
-    fmt.add_argument("--seed", type=int, default=0)
     fmt.set_defaults(fn=_cmd_fmt)
     return top
 

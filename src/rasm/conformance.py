@@ -12,6 +12,7 @@ deliberately broken implementations can prove the checks have teeth.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -25,7 +26,7 @@ from .printer import print_rule, print_state
 from .state import PGM_LOCATION, State, atoms_of_state, atoms_of_value, rename_state
 from .terms import Forall, If, Import, Let, Par, PartialAssign, Rule
 from .updates import UpdateMultiset, collapse
-from .values import TreeVal, Value
+from .values import TreeVal
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,13 +116,13 @@ def _extend_identity(pi: dict, s: State) -> dict:
     return out
 
 
-def _commutes(s: State, pi: dict, step_fn: StepFn) -> tuple[bool, str]:
+def _commutes(s: State, pi: dict, step_fn: StepFn, plain: Callable[[], State]) -> tuple[bool, str]:
+    # `plain()` is the un-renamed successor, stepped once per check.
     try:
         lhs = step_fn(rename_state(s, _extend_identity(pi, s))).next
     except RasmError as e:
         return False, f"step failed on the renamed state: {e}"
-    plain = step_fn(s).next
-    rhs = rename_state(plain, _extend_identity(pi, plain))
+    rhs = rename_state(plain(), _extend_identity(pi, plain()))
     if lhs == rhs:
         return True, ""
     return False, "step and renaming do not commute"
@@ -137,6 +138,7 @@ def check_isomorphism_closure(
     check's reach; the bundled machines draw nothing.
     """
     fn = step_fn if step_fn is not None else machine.step
+    plain = functools.cache(lambda: fn(s).next)
     rng = random.Random(seed)
     movable = _movable_atoms(s)
     violations: list[Violation] = []
@@ -153,22 +155,22 @@ def check_isomorphism_closure(
             image = movable[:]
             rng.shuffle(image)
             pi = dict(zip(movable, image))
-        ok, why = _commutes(s, pi, fn)
+        ok, why = _commutes(s, pi, fn, plain)
         if ok:
             continue
-        violations.append(_minimize_iso(s, pi, fn, why))
+        violations.append(_minimize_iso(s, pi, fn, plain, why))
         break
     return CheckReport("isomorphism-closure", trials, tuple(violations), tuple(notes))
 
 
-def _minimize_iso(s: State, pi: dict, fn: StepFn, why: str) -> Violation:
+def _minimize_iso(s: State, pi: dict, fn: StepFn, plain: Callable[[], State], why: str) -> Violation:
     # A single transposition that already breaks commutation is a far more
     # readable witness than a full shuffle.
     moved = sorted(a for a, b in pi.items() if a != b)
     for i, a in enumerate(moved):
         for b in moved[i + 1 :]:
             tau = {a: b, b: a}
-            ok, tau_why = _commutes(s, tau, fn)
+            ok, tau_why = _commutes(s, tau, fn, plain)
             if not ok:
                 return Violation(
                     f"{tau_why}; witness swaps {a!r} and {b!r}",
@@ -206,11 +208,9 @@ def check_bounded_exploration(
     prog = as_program(p1.tree)
     e1 = s1.with_signature(s1.signature.extended(prog.signature))
     e2 = s2.with_signature(s2.signature.extended(prog.signature))
-    reads: list[tuple[Value, Value]] = []
     for b in beta_rule(prog.rule):
-        reads.append((eval_term(e1, {}, b), eval_term(e2, {}, b)))
-    if any(v1 != v2 for v1, v2 in reads):
-        return CheckReport(name, 1, (), ("read-term values differ; coincidence precondition failed",))
+        if eval_term(e1, {}, b) != eval_term(e2, {}, b):
+            return CheckReport(name, 1, (), ("read-term values differ; coincidence precondition failed",))
     um1 = fn(e1, prog.rule)
     um2 = fn(e2, prog.rule)
     if um1 == um2:
@@ -254,7 +254,7 @@ def check_naive_equivalence(s: State, r: Rule) -> CheckReport:
     pair; errors count as outcomes and must match too."""
     try:
         us = collapse(s, eval_rule(s, {}, r))
-        main = ("ok", us.updates, us.consistent)
+        main = ("ok", frozenset(us.updates), us.consistent)
     except RasmError as e:
         main = ("error", e.code)
     try:

@@ -19,7 +19,7 @@ from .state import PGM_LOCATION, Signature, State
 from .terms import Rule
 from .trees import Tree
 from .updates import UpdateMultiset, UpdateSet, apply_update_set, collapse
-from .values import TreeVal, Value
+from .values import UNDEF, TreeVal, Value
 
 DEFAULT_MAX_STEPS = 1000
 
@@ -31,7 +31,6 @@ class StepReport:
     raised_rule: Rule
     update_multiset: UpdateMultiset
     update_set: UpdateSet
-    consistent: bool
 
 
 # Trees are immutable, so the same object always raises to the same Program.
@@ -65,10 +64,10 @@ def step(s: State) -> StepReport:
 
     um, cursor = eval_rule_with_cursor(pre, {}, prog.rule)
     us = collapse(pre, um)
-    applied = apply_update_set(pre, us)
-    sig = _grown_signature(pre.signature, applied.value_of(PGM_LOCATION))
-    nxt = State(sig, applied.interp, applied.universe, cursor, applied.reserve_seed)
-    return StepReport(s, nxt, prog.rule, um, us, us.consistent)
+    interp = apply_update_set(pre, us)
+    sig = _grown_signature(pre.signature, interp.get(PGM_LOCATION, UNDEF))
+    nxt = State(sig, interp, pre.universe, cursor, pre.reserve_seed)
+    return StepReport(s, nxt, prog.rule, um, us)
 
 
 def _grown_signature(current: Signature, pgm: Value) -> Signature:
@@ -108,7 +107,7 @@ def run(
     for _ in range(max_steps if steps is None else steps):
         rep = step(s)
         reports.append(rep)
-        if (strict and not rep.consistent) or (steps is None and rep.next == s):
+        if (strict and not rep.update_set.consistent) or (steps is None and rep.next == s):
             break
         s = rep.next
     return reports

@@ -276,14 +276,14 @@ def rule_hash(r: Rule) -> str:
 
 
 def format_trace(reports) -> str:
-    """One block per step: index, raised-rule hash, sorted update listing,
-    consistency flag.  Blocks are blank-line separated; output ends in a
-    newline."""
+    """One block per step: index, raised-rule hash, the update set in its
+    canonical order, consistency flag.  Blocks are blank-line separated;
+    output ends in a newline."""
     blocks = []
     for i, rep in enumerate(reports, 1):
         lines = [f"step {i}", "rule " + rule_hash(rep.raised_rule)]
-        for u in rep.update_set.sorted():
+        for u in rep.update_set.updates:
             lines.append("update " + print_location(u.location) + " = " + print_value(u.value))
-        lines.append("consistent " + ("true" if rep.consistent else "false"))
+        lines.append("consistent " + ("true" if rep.update_set.consistent else "false"))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -197,9 +197,6 @@ class State:
 
     # -- functional updates ----------------------------------------------
 
-    def with_interp(self, interp: Mapping[Location, Value]) -> "State":
-        return State(self.signature, interp, self.universe, self.reserve_cursor, self.reserve_seed)
-
     def with_signature(self, signature: Signature) -> "State":
         return State(signature, self.interp, self.universe, self.reserve_cursor, self.reserve_seed)
 

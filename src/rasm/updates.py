@@ -14,6 +14,11 @@ root for `right_extend`, the path given as first argument (a tuple of
 naturals) for `extend_at` and `subst_at`.  A shared update always names a
 whole location; an edit inside a tree value names its node only by that
 path argument.
+
+Entries are keyed location first, ordinary before shared, so the sorted
+multiset holds each location's entries in one run, and a shared group in
+its canonical fold order.  `collapse` walks those runs once and emits the
+update set already in the order the trace prints.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ class Update:
     value: Value
 
     def key(self) -> tuple:
-        return (0, self.location.key(), value_key(self.value))
+        return (self.location.key(), 0, value_key(self.value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +55,7 @@ class SharedUpdate:
     args: tuple[Value, ...]
 
     def key(self) -> tuple:
-        return (1, self.location.key(), self.op, tuple(value_key(a) for a in self.args))
+        return (self.location.key(), 1, self.op, tuple(value_key(a) for a in self.args))
 
 
 Entry = Update | SharedUpdate
@@ -90,13 +95,11 @@ class UpdateMultiset:
 
 @dataclass(frozen=True, slots=True)
 class UpdateSet:
-    """Collapsed updates plus the consistency verdict."""
+    """Collapsed updates, distinct and in `Update.key` order, plus the
+    consistency verdict."""
 
-    updates: frozenset[Update]
+    updates: tuple[Update, ...]
     consistent: bool
-
-    def sorted(self) -> tuple[Update, ...]:
-        return tuple(sorted(self.updates, key=Update.key))
 
 
 # ------------------------------------------------------- operator registry
@@ -212,40 +215,32 @@ def collapse(s: State, um: UpdateMultiset) -> UpdateSet:
     order-independence verified as described in the module docstring; a mix
     of ordinary and shared updates on one location clashes.
     """
-    groups: dict[Location, list[Entry]] = {}
-    for e in um:
-        groups.setdefault(e.location, []).append(e)
-
-    updates: set[Update] = set()
+    updates: list[Update] = []
     consistent = True
-    for loc in sorted(groups, key=Location.key):
-        entries = groups[loc]
+    for loc, run in itertools.groupby(um, key=lambda e: e.location):
+        entries = tuple(run)
         ordinary = [e for e in entries if isinstance(e, Update)]
-        shared = [e for e in entries if isinstance(e, SharedUpdate)]
         if ordinary:
-            updates.update(set(ordinary))
-            if len({u.value for u in ordinary}) > 1 or shared:
+            distinct = list(dict.fromkeys(ordinary))
+            updates += distinct
+            if len(distinct) > 1 or len(ordinary) < len(entries):
                 consistent = False
-            if shared:
-                continue
-        if shared:
-            folded, ok = _collapse_shared(s.value_of(loc), shared)
-            updates.add(Update(loc, folded))
-            if not ok:
-                consistent = False
-    return UpdateSet(frozenset(updates), consistent)
+        else:
+            folded, ok = _collapse_shared(s.value_of(loc), entries)
+            updates.append(Update(loc, folded))
+            consistent = consistent and ok
+    return UpdateSet(tuple(updates), consistent)
 
 
-def _collapse_shared(current: Value, shared: list[SharedUpdate]) -> tuple[Value, bool]:
-    canonical = sorted(shared, key=SharedUpdate.key)
+def _collapse_shared(current: Value, shared: tuple[SharedUpdate, ...]) -> tuple[Value, bool]:
     result = current
-    for u in canonical:
+    for u in shared:
         result = _apply_shared(result, u)
-    if all(COLLAPSE_OPS[u.op].comm_class == COMMUTATIVE for u in canonical):
+    if all(COLLAPSE_OPS[u.op].comm_class == COMMUTATIVE for u in shared):
         return result, True
-    if len(canonical) > BRUTE_FORCE_LIMIT:
+    if len(shared) > BRUTE_FORCE_LIMIT:
         return result, False
-    for perm in set(itertools.permutations(canonical)):
+    for perm in set(itertools.permutations(shared)):
         acc = current
         for u in perm:
             acc = _apply_shared(acc, u)
@@ -254,23 +249,23 @@ def _collapse_shared(current: Value, shared: list[SharedUpdate]) -> tuple[Value,
     return result, True
 
 
-def apply_update_set(s: State, us: UpdateSet) -> State:
-    """Successor state: apply a consistent update set, stutter otherwise.
+def apply_update_set(s: State, us: UpdateSet) -> dict[Location, Value]:
+    """The successor's interpretation: `s` with a consistent update set
+    written over it, or `s.interp` itself when the set is inconsistent (a
+    stutter).
 
     Writing undef deletes the interpretation entry.  Raises when the set
     claims consistency but two updates disagree on one location.
     """
     if not us.consistent:
-        return s
-    by_loc: dict[Location, Value] = {}
-    for u in us.updates:
-        if u.location in by_loc and by_loc[u.location] != u.value:
-            raise RasmError("inconsistent-update-set", f"clash at {u.location}")
-        by_loc[u.location] = u.value
+        return s.interp
     interp = dict(s.interp)
-    for loc, val in by_loc.items():
-        if val == UNDEF:
-            interp.pop(loc, None)
+    written: dict[Location, Value] = {}
+    for u in us.updates:
+        if written.setdefault(u.location, u.value) != u.value:
+            raise RasmError("inconsistent-update-set", f"clash at {u.location}")
+        if u.value == UNDEF:
+            interp.pop(u.location, None)
         else:
-            interp[loc] = val
-    return s.with_interp(interp)
+            interp[u.location] = u.value
+    return interp

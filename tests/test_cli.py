@@ -419,3 +419,21 @@ def test_fmt_tree_file(tmp_path, capsys):
     assert rc == 0
     assert out == "pgm⟨rule⟩\n"
     assert print_tree(parse_tree(out.strip())) == out.strip()
+
+
+def test_fmt_has_no_seed_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["fmt", "--seed", "1", put(tmp_path, "x.rst", HALTING)])
+    assert exc.value.code == 2
+
+
+def test_check_stops_at_the_first_differing_read_term(tmp_path, capsys):
+    """Once a read term differs the coincidence precondition has failed, so
+    the else branch's `g`, which names no symbol, is never evaluated."""
+    doc = put(tmp_path, "guarded.rst",
+              "function f/0\ninit f = 0\nprogram\nIF f < 2 THEN f := f + 1 ELSE f := g ENDIF\n")
+    assert main(["run", doc, "--steps", "2"]) == 0
+    capsys.readouterr()
+    assert main(["check", doc, "--steps", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("note read-term values differ; coincidence precondition failed") == 2

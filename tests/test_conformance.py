@@ -99,8 +99,9 @@ def test_isomorphism_closure_negative_control():
         rep = step(st)
         if any(Atom("green") in loc.args for loc in st.interp):
             extra = {**rep.next.interp, Location("mark", (Atom("green"),)): Natural(7)}
-            return type(rep)(rep.state, rep.next.with_interp(extra), rep.raised_rule,
-                             rep.update_multiset, rep.update_set, rep.consistent)
+            nxt = State(rep.next.signature, extra, rep.next.universe,
+                        rep.next.reserve_cursor, rep.next.reserve_seed)
+            return type(rep)(rep.state, nxt, rep.raised_rule, rep.update_multiset, rep.update_set)
         return rep
 
     rep = check_isomorphism_closure(s, trials=25, seed=5, step_fn=crooked_step)
@@ -123,6 +124,22 @@ def test_isomorphism_closure_reports_step_failure_on_renamed_state():
     rep = check_isomorphism_closure(s, trials=25, seed=5, step_fn=brittle_step)
     assert not rep.passed
     assert "step failed on the renamed state" in rep.violations[0].description
+
+
+def test_isomorphism_closure_steps_the_plain_state_once():
+    s = parse_state(ATOMIC)
+    calls = []
+
+    def counting(st):
+        calls.append(st)
+        return step(st)
+
+    rep = check_isomorphism_closure(s, trials=25, seed=5, step_fn=counting)
+    assert rep.passed, rep.text()
+    assert len(calls) == 26  # one per renamed state, one for the state itself
+    calls.clear()
+    check_isomorphism_closure(s, trials=0, seed=5, step_fn=counting)
+    assert calls == []
 
 
 # ------------------------------------------- bounded exploration

@@ -70,7 +70,7 @@ def test_kleene_connectives():
 
 def test_state_function_strictness():
     s = small_state(f=Natural(1))
-    s = s.with_interp({**s.interp, Location("g", (Natural(1),)): Natural(5)})
+    s = State(s.signature, {**s.interp, Location("g", (Natural(1),)): Natural(5)}, s.universe)
     assert eval_term(s, {}, parse_term("g(f)")) == Natural(5)
     assert eval_term(s, {}, parse_term("g(undef)")) == UNDEF  # strict, no lookup
 

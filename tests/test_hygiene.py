@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+every layer the benchmark's tracer wraps still exists.
 
 Each `src/rasm/*.py` except the package `__init__` is parsed with `ast`; a
 name bound by an import counts as used when it is loaded anywhere in the
@@ -6,11 +7,13 @@ module, annotations included (string annotations are parsed too).
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rasm"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rasm"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -52,3 +55,21 @@ def test_every_import_is_used(path):
     used = _loaded(tree)
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_every_bench_layer_has_a_site():
+    """`bench/tracing.py` reports a layer whose wrapped names are all gone as
+    missing instead of failing; a refactor that drops one fails here."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def resolves(module, attr):
+        try:
+            owner, name = tracing._resolve(module, attr)
+        except (ImportError, AttributeError):
+            return False
+        return hasattr(owner, name)
+
+    missing = [layer for layer, sites in tracing.LAYERS.items() if not any(resolves(*site) for site in sites)]
+    assert not missing, f"bench/tracing.py layers with no resolvable site: {missing}"

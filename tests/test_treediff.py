@@ -122,7 +122,7 @@ def test_updates_collapse_to_single_root_update():
     s = State(sig, {Location(PGM): TreeVal(t1)})
     us = collapse(s, um)
     assert us.consistent
-    assert us.updates == frozenset({Update(Location(PGM), TreeVal(t2))})
+    assert us.updates == (Update(Location(PGM), TreeVal(t2)),)
 
 
 def test_updates_are_minimal_for_local_edit():
@@ -147,7 +147,7 @@ def test_signature_growth_update_uses_right_extend():
     s = State(sig, {Location(PGM): TreeVal(t1)})
     us = collapse(s, um)
     assert us.consistent
-    assert us.updates == frozenset({Update(Location(PGM), TreeVal(t2))})
+    assert us.updates == (Update(Location(PGM), TreeVal(t2)),)
 
 
 def test_updates_reach_target_on_random_pairs():
@@ -159,7 +159,7 @@ def test_updates_reach_target_on_random_pairs():
         s = State(sig, {Location(PGM): TreeVal(t1)})
         us = collapse(s, um)
         assert us.consistent
-        assert us.updates == frozenset({Update(Location(PGM), TreeVal(t2))})
+        assert us.updates == (Update(Location(PGM), TreeVal(t2)),)
 
 
 def test_differ_updates_are_rule_updates():

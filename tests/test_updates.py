@@ -49,14 +49,14 @@ def test_duplicate_ordinary_updates_merge():
     um = UpdateMultiset((Update(F, Natural(1)), Update(F, Natural(1))))
     us = collapse(base_state(), um)
     assert us.consistent
-    assert us.updates == frozenset({Update(F, Natural(1))})
+    assert us.updates == (Update(F, Natural(1)),)
 
 
 def test_clashing_ordinary_updates_kept_but_inconsistent():
     um = UpdateMultiset((Update(F, Natural(1)), Update(F, Natural(2))))
     us = collapse(base_state(), um)
     assert not us.consistent
-    assert us.updates == frozenset({Update(F, Natural(1)), Update(F, Natural(2))})
+    assert us.updates == (Update(F, Natural(1)), Update(F, Natural(2)))
 
 
 def test_distinct_locations_never_clash():
@@ -74,7 +74,7 @@ def test_munion_folds_over_current_value():
     ))
     us = collapse(s, um)
     assert us.consistent
-    assert us.updates == frozenset({Update(F, mset(0, 1, 2, 2))})
+    assert us.updates == (Update(F, mset(0, 1, 2, 2)),)
 
 
 def test_munion_on_missing_location_starts_from_undef():
@@ -82,7 +82,7 @@ def test_munion_on_missing_location_starts_from_undef():
     us = collapse(base_state(), um)
     # undef is not a multiset: the fold degrades to undef but stays consistent
     assert us.consistent
-    assert us.updates == frozenset({Update(F, UNDEF)})
+    assert us.updates == (Update(F, UNDEF),)
 
 
 def test_mixed_ordinary_and_shared_clash():
@@ -167,7 +167,7 @@ def test_commutative_class_exempt_from_cap():
     entries = tuple(SharedUpdate(F, "munion", (mset(i),)) for i in range(BRUTE_FORCE_LIMIT + 3))
     us = collapse(s, UpdateMultiset(entries))
     assert us.consistent
-    assert us.updates == frozenset({Update(F, mset(*range(BRUTE_FORCE_LIMIT + 3)))})
+    assert us.updates == (Update(F, mset(*range(BRUTE_FORCE_LIMIT + 3))),)
 
 
 def test_commutative_group_skips_the_permutations(monkeypatch):
@@ -184,7 +184,7 @@ def test_commutative_group_skips_the_permutations(monkeypatch):
     entries = tuple(SharedUpdate(F, "munion", (mset(i),)) for i in range(6))
     us = collapse(base_state(f=mset()), UpdateMultiset(entries))
     assert us.consistent
-    assert us.updates == frozenset({Update(F, mset(*range(6)))})
+    assert us.updates == (Update(F, mset(*range(6))),)
     assert len(calls) == 6  # one canonical fold, no orders tried
 
 
@@ -218,7 +218,7 @@ def test_path_edit_on_non_tree_degrades_to_undef():
     ))
     us = collapse(s, um)
     assert us.consistent
-    assert us.updates == frozenset({Update(F, UNDEF)})
+    assert us.updates == (Update(F, UNDEF),)
 
 
 def test_multiset_identity_ignores_order():
@@ -229,13 +229,17 @@ def test_multiset_identity_ignores_order():
     assert a.union(b) == UpdateMultiset(tuple(a) + tuple(b))
 
 
+def applied(s, us):
+    return State(s.signature, apply_update_set(s, us), s.universe)
+
+
 def test_apply_writes_and_deletes():
     s = base_state(f=Natural(1))
     us = collapse(s, UpdateMultiset((Update(F, Natural(2)), Update(G1, Natural(3)))))
-    s2 = apply_update_set(s, us)
+    s2 = applied(s, us)
     assert s2.value_of(F) == Natural(2)
     assert s2.value_of(G1) == Natural(3)
-    s3 = apply_update_set(s2, collapse(s2, UpdateMultiset((Update(F, UNDEF),))))
+    s3 = applied(s2, collapse(s2, UpdateMultiset((Update(F, UNDEF),))))
     assert s3.value_of(F) == UNDEF
     assert F not in s3.interp
 
@@ -243,14 +247,14 @@ def test_apply_writes_and_deletes():
 def test_apply_inconsistent_set_stutters():
     s = base_state(f=Natural(1))
     us = collapse(s, UpdateMultiset((Update(F, Natural(2)), Update(F, Natural(3)))))
-    assert apply_update_set(s, us) == s
+    assert applied(s, us) == s
 
 
 def test_apply_rejects_lying_consistency_flag():
     from rasm.updates import UpdateSet
 
     s = base_state()
-    bad = UpdateSet(frozenset({Update(F, Natural(1)), Update(F, Natural(2))}), True)
+    bad = UpdateSet((Update(F, Natural(1)), Update(F, Natural(2))), True)
     with pytest.raises(RasmError, match="inconsistent-update-set"):
         apply_update_set(s, bad)
 
@@ -293,3 +297,81 @@ def test_collapse_verdict_matches_exhaustive_permutation(data):
     assert us.consistent == (len(results) == 1), (
         f"flag says {us.consistent} but {len(results)} distinct outcomes"
     )
+
+
+def _grouping_collapse(s, um):
+    """Collapse as a dict grouping by location, each shared group re-sorted
+    before its fold: the algorithm the single-walk `collapse` replaced."""
+    from rasm.updates import COLLAPSE_OPS, COMMUTATIVE, _apply_shared
+
+    groups = {}
+    for e in um:
+        groups.setdefault(e.location, []).append(e)
+    updates, consistent = set(), True
+    for loc in sorted(groups, key=Location.key):
+        ordinary = [e for e in groups[loc] if isinstance(e, Update)]
+        shared = [e for e in groups[loc] if isinstance(e, SharedUpdate)]
+        if ordinary:
+            updates.update(ordinary)
+            if len({u.value for u in ordinary}) > 1 or shared:
+                consistent = False
+            continue
+        canonical = sorted(shared, key=SharedUpdate.key)
+        result = s.value_of(loc)
+        for u in canonical:
+            result = _apply_shared(result, u)
+        ok = all(COLLAPSE_OPS[u.op].comm_class == COMMUTATIVE for u in canonical)
+        if not ok and len(canonical) <= BRUTE_FORCE_LIMIT:
+            ok = True
+            for perm in set(itertools.permutations(canonical)):
+                acc = s.value_of(loc)
+                for u in perm:
+                    acc = _apply_shared(acc, u)
+                ok = ok and acc == result
+        updates.add(Update(loc, result))
+        consistent = consistent and ok
+    return frozenset(updates), consistent
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_collapse_agrees_with_dict_grouping(data):
+    """Random multisets over several locations, mixing duplicate ordinary
+    updates, clashes, ordinary/shared mixes, munion and tree operations:
+    the single walk gives the grouping algorithm's set and verdict, and
+    emits the set distinct and in `Update.key` order."""
+    import random as _random
+
+    from conftest import random_tree
+
+    rng = _random.Random(data.draw(st.integers(0, 10**6)))
+    t = random_tree(rng, depth=3, branch=3)
+    paths = [p for p, _n in t.iter_nodes()]
+    locs = [F, G1, Location("g", (Natural(0),)), Location("g", (Atom("red"),))]
+    s = base_state(f=TreeVal(t))
+    s = State(s.signature, {**s.interp, G1: mset(0)}, s.universe)
+
+    def ordinary(loc):
+        return Update(loc, rng.choice((Natural(0), Natural(1), mset(2), UNDEF, TreeVal(t))))
+
+    def shared(loc):
+        arg = TreeVal(Tree(leaf(rng.choice("pq"))))
+        kind = rng.choice(("munion", "munion", "subst_at", "extend_at", "right_extend", "subst_tt"))
+        if kind == "munion":
+            return SharedUpdate(loc, kind, (mset(rng.randrange(3)),))
+        if kind in ("subst_at", "extend_at"):
+            return SharedUpdate(loc, kind, (path_val(*rng.choice(paths)), arg))
+        return SharedUpdate(loc, kind, (arg,))
+
+    entries = []
+    for loc in rng.sample(locs, rng.randrange(1, len(locs) + 1)):
+        make = rng.choice((ordinary, shared, shared, lambda l: rng.choice((ordinary, shared))(l)))
+        entries += [make(loc) for _ in range(rng.randrange(1, 5))]
+        if rng.random() < 0.3:
+            entries.append(entries[-1])  # an exact duplicate
+    rng.shuffle(entries)
+    um = UpdateMultiset(entries)
+
+    us = collapse(s, um)
+    assert (frozenset(us.updates), us.consistent) == _grouping_collapse(s, um)
+    assert us.updates == tuple(sorted(set(us.updates), key=Update.key))
