@@ -18,7 +18,7 @@ from .evaluator import eval_rule_with_cursor
 from .state import PGM_LOCATION, Signature, State
 from .terms import Rule
 from .trees import Tree
-from .updates import UpdateMultiset, UpdateSet, apply_update_set, collapse
+from .updates import UpdateSet, apply_update_set, collapse
 from .values import UNDEF, TreeVal, Value
 
 DEFAULT_MAX_STEPS = 1000
@@ -29,7 +29,6 @@ class StepReport:
     state: State
     next: State
     raised_rule: Rule
-    update_multiset: UpdateMultiset
     update_set: UpdateSet
 
 
@@ -67,7 +66,7 @@ def step(s: State) -> StepReport:
     interp = apply_update_set(pre, us)
     sig = _grown_signature(pre.signature, interp.get(PGM_LOCATION, UNDEF))
     nxt = State(sig, interp, pre.universe, cursor, pre.reserve_seed)
-    return StepReport(s, nxt, prog.rule, um, us)
+    return StepReport(s, nxt, prog.rule, us)
 
 
 def _grown_signature(current: Signature, pgm: Value) -> Signature:

@@ -9,6 +9,11 @@ atoms would collide with symbols.  `⟦...⟧` quotes a term into a value (a
 rule becomes a value only as a program tree); `#` starts a tree literal; `^`
 is the context hole.
 
+The scanner is one regular expression with a named group per token kind;
+naturals are ASCII digit strings of any length.  Infix spellings and their
+precedence levels come from `terms.INFIX`, the table the printer renders
+with, and the functional operator names from `evaluator.BACKGROUND_OPS`.
+
 All-literal tuple and multiset syntax folds to a literal value at parse
 time, mirroring how the printers render literal values, so parse and print
 are inverse on canonical forms.
@@ -20,15 +25,17 @@ or a trailing `program` section holding rule text; exactly one of the two.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Callable, NoReturn, TypeVar
 
 from . import machine
 from .encoding import drop_program
 from .errors import ParseError
+from .evaluator import BACKGROUND_OPS
 from .state import PGM, FunctionSymbol, Location, Signature, State
 from . import terms as T
-from .terms import Rule, Term
+from .terms import INFIX, P_ATOM, P_CMP, P_NOT, P_OR, Rule, Term
 from .trees import XI, Context, Node, Tree, _TreeBase
 from .values import (
     FALSE,
@@ -48,18 +55,30 @@ KEYWORDS = frozenset(
        and or not true false undef""".split()
 )
 
-# Background operations with a functional spelling; and/or/not and the
-# comparison/arithmetic symbols arrive through dedicated syntax instead.
-FUNCTIONAL_OPS = frozenset(
-    """proj munion right_extend extend_at subst_at subst_tt subtree_at
-       eq ne lt le gt ge add mul sub tuple mset""".split()
+# Background operations with a functional spelling `op(...)`: all of them
+# except and/or/not, which are keywords with infix or prefix syntax.
+FUNCTIONAL_OPS = frozenset(BACKGROUND_OPS) - KEYWORDS
+
+_CONSTANTS = {"true": TRUE, "false": FALSE, "undef": UNDEF}
+
+# Infix symbol -> (level, operation), inverted from the shared `INFIX` table.
+_BINARY = {sym: (level, op) for op, (level, sym) in INFIX.items()}
+
+# One named group per token kind.  `<<=` precedes `<=` and `<`; an atom or
+# variable token's text excludes its sigil; naturals are ASCII digits.
+_IDENT = "[A-Za-z_$][A-Za-z0-9_$]*"
+_TOKEN = re.compile(
+    rf"""(?P<newline>\n)
+      | (?P<skip>[ \t\r]+|//[^\n]*)
+      | (?P<punct><<=|:=|<=|>=|!=|\{{\||\|\}}|[(),:|=<>+\-*^\#⟨⟩⟦⟧/])
+      | '(?P<atom>{_IDENT})
+      | \?(?P<var>{_IDENT})
+      | (?P<num>[0-9]+)
+      | (?P<ident>{_IDENT})
+      | (?P<dangling>['?])
+      | (?P<stray>.)""",
+    re.VERBOSE,
 )
-
-_PUNCT2 = ("{|", "|}", "<<=", ":=", "<=", ">=", "!=")
-_PUNCT1 = "(),:|=<>+-*^#⟨⟩⟦⟧/"
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_CONT = _IDENT_START | set("0123456789")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,64 +89,21 @@ class Token:
     col: int
 
 
-def tokenize(text: str, first_line: int = 1) -> list[Token]:
+def tokenize(text: str, first_line: int) -> list[Token]:
     toks: list[Token] = []
-    line, col = first_line, 1
-    i, n = 0, len(text)
-
-    def bump(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            bump(1)
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                bump(1)
-            continue
-        at = (line, col)
-        two = text[i : i + 3] if text.startswith("<<=", i) else text[i : i + 2]
-        if two in _PUNCT2:
-            toks.append(Token("punct", two, *at))
-            bump(len(two))
-            continue
-        if c in "'?":
-            bump(1)
-            j = i
-            if i < n and text[i] in _IDENT_START:
-                while i < n and text[i] in _IDENT_CONT:
-                    bump(1)
-            if j == i:
-                raise ParseError("dangling " + c, at[0], at[1], ("identifier",))
-            toks.append(Token("atom" if c == "'" else "var", text[j:i], *at))
-            continue
-        if c.isdigit():
-            j = i
-            while i < n and text[i].isdigit():
-                bump(1)
-            toks.append(Token("num", text[j:i], *at))
-            continue
-        if c in _IDENT_START:
-            j = i
-            while i < n and text[i] in _IDENT_CONT:
-                bump(1)
-            toks.append(Token("ident", text[j:i], *at))
-            continue
-        if c in _PUNCT1:
-            toks.append(Token("punct", c, *at))
-            bump(1)
-            continue
-        raise ParseError(f"stray character {c!r}", at[0], at[1], ())
-    toks.append(Token("eof", "", line, col))
+    line, line_start = first_line, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind != "skip":
+            col = m.start() - line_start + 1
+            if kind == "dangling":
+                raise ParseError("dangling " + m.group(), line, col, ("identifier",))
+            if kind == "stray":
+                raise ParseError(f"stray character {m.group()!r}", line, col, ())
+            toks.append(Token(kind, m.group(kind), line, col))
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -178,55 +154,27 @@ class _Parser:
     # ---------------------------------------------------------------- terms
 
     def term(self) -> Term:
-        return self._or()
+        return self._climb(P_OR)
 
-    def _or(self) -> Term:
-        t = self._and()
-        while self.at("or"):
+    def _climb(self, floor: int) -> Term:
+        """A term whose infix operators bind at level `floor` or tighter.
+
+        Precedence climbing over `INFIX`: `not` is a prefix at its own level,
+        comparisons take one operator, every other level chains left to right.
+        `top` is the level from which operators can no longer follow: the
+        right operand took them all, or the comparison took its one.
+        """
+        if floor <= P_NOT and self.take("not"):
+            t, top = T.BackgroundOp("not", (self._climb(P_NOT),)), P_NOT
+        else:
+            t, top = self._primary(), P_ATOM
+        while (tok := self.peek()).kind in ("punct", "ident") and tok.text in _BINARY:
+            level, op = _BINARY[tok.text]
+            if not floor <= level < top:
+                break
             self.advance()
-            t = T.BackgroundOp("or", (t, self._and()))
-        return t
-
-    def _and(self) -> Term:
-        t = self._not()
-        while self.at("and"):
-            self.advance()
-            t = T.BackgroundOp("and", (t, self._not()))
-        return t
-
-    def _not(self) -> Term:
-        if self.at("not"):
-            self.advance()
-            return T.BackgroundOp("not", (self._not(),))
-        return self._cmp()
-
-    _CMP = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
-
-    def _cmp(self) -> Term:
-        t = self._add()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in self._CMP:
-            self.advance()
-            return T.BackgroundOp(self._CMP[tok.text], (t, self._add()))
-        return t
-
-    def _add(self) -> Term:
-        t = self._mul()
-        while True:
-            if self.at("+"):
-                self.advance()
-                t = T.BackgroundOp("add", (t, self._mul()))
-            elif self.at("-"):
-                self.advance()
-                t = T.BackgroundOp("sub", (t, self._mul()))
-            else:
-                return t
-
-    def _mul(self) -> Term:
-        t = self._primary()
-        while self.at("*"):
-            self.advance()
-            t = T.BackgroundOp("mul", (t, self._primary()))
+            t = T.BackgroundOp(op, (t, self._climb(level + 1)))
+            top = level if level == P_CMP else level + 1
         return t
 
     def _term_args(self) -> tuple[Term, ...]:
@@ -240,30 +188,16 @@ class _Parser:
         return tuple(args)
 
     def _primary(self) -> Term:
+        v = self._constant()
+        if v is not None:
+            return T.Literal(v)
         t = self.peek()
-        if t.kind == "num":
-            self.advance()
-            return T.Literal(Natural(int(t.text)))
         if t.kind == "atom":
             self.advance()
             return T.Literal(Atom(t.text))
         if t.kind == "var":
             self.advance()
             return T.Var(t.text)
-        if self.at("true"):
-            self.advance()
-            return T.Literal(TRUE)
-        if self.at("false"):
-            self.advance()
-            return T.Literal(FALSE)
-        if self.at("undef"):
-            self.advance()
-            return T.Literal(UNDEF)
-        if self.at("#"):
-            self.advance()
-            return T.Literal(TreeVal(self._tree()))
-        if self.at("⟦"):
-            return self._dropped()
         if self.at("("):
             return self._paren_term()
         if self.at("{|"):
@@ -328,15 +262,27 @@ class _Parser:
         self.expect("|}")
         return _mk_mset(tuple(parts))
 
-    def _dropped(self) -> Term:
-        self.expect("⟦")
+    def _constant(self) -> Value | None:
+        """The natural, boolean, undef, tree or quoted term that comes next,
+        spelled alike in term and value position; None if none does."""
+        t = self.peek()
+        if t.kind == "num":
+            self.advance()
+            return Natural(int(t.text))
+        if t.kind == "ident" and t.text in _CONSTANTS:
+            self.advance()
+            return _CONSTANTS[t.text]
+        if self.take("#"):
+            return TreeVal(self._tree())
+        if not self.take("⟦"):
+            return None
         saved, self.bound = self.bound, []
         try:
-            t = self.term()
+            quoted = self.term()
         finally:
             self.bound = saved
         self.expect("⟧")
-        return T.Literal(DroppedTerm(t))
+        return DroppedTerm(quoted)
 
     # ---------------------------------------------------------------- trees
 
@@ -372,25 +318,10 @@ class _Parser:
     # --------------------------------------------------------------- values
 
     def value(self) -> Value:
+        v = self._constant()
+        if v is not None:
+            return v
         t = self.peek()
-        if t.kind == "num":
-            self.advance()
-            return Natural(int(t.text))
-        if self.at("true"):
-            self.advance()
-            return TRUE
-        if self.at("false"):
-            self.advance()
-            return FALSE
-        if self.at("undef"):
-            self.advance()
-            return UNDEF
-        if self.at("#"):
-            self.advance()
-            return TreeVal(self._tree())
-        if self.at("⟦"):
-            lit = self._dropped()
-            return lit.value
         if self.at("("):
             self.advance()
             if self.take(")"):
@@ -517,16 +448,12 @@ def _rebind(t: Term, binders: frozenset[str]) -> Term:
     return t
 
 
-def _parse_all(text: str, what: str):
-    p = _Parser(tokenize(text))
-    if what == "term":
-        out = p.term()
-    elif what == "rule":
-        out = p.rule()
-    elif what == "value":
-        out = p.value()
-    else:
-        out = p._tree()
+_Out = TypeVar("_Out")
+
+
+def _parse_all(text: str, first_line: int, parse: Callable[[_Parser], _Out]) -> _Out:
+    p = _Parser(tokenize(text, first_line))
+    out = parse(p)
     if not p.done():
         t = p.peek()
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col, ("end of input",))
@@ -534,19 +461,19 @@ def _parse_all(text: str, what: str):
 
 
 def parse_term(text: str) -> Term:
-    return _parse_all(text, "term")
+    return _parse_all(text, 1, _Parser.term)
 
 
 def parse_rule(text: str) -> Rule:
-    return _parse_all(text, "rule")
+    return _parse_all(text, 1, _Parser.rule)
 
 
 def parse_value(text: str) -> Value:
-    return _parse_all(text, "value")
+    return _parse_all(text, 1, _Parser.value)
 
 
 def parse_tree(text: str) -> _TreeBase:
-    return _parse_all(text, "tree")
+    return _parse_all(text, 1, _Parser._tree)
 
 
 # ----------------------------------------------------------- state documents
@@ -561,9 +488,8 @@ def parse_state(text: str, seed: int = 0) -> State:
     i = 0
     while i < len(lines):
         line_no = i + 1
-        toks = tokenize(lines[i], first_line=line_no)
+        p = _Parser(tokenize(lines[i], line_no))
         i += 1
-        p = _Parser(toks)
         if p.done():
             continue
         head = p.peek()
@@ -610,12 +536,7 @@ def parse_state(text: str, seed: int = 0) -> State:
             p.advance()
             if not p.done():
                 p.fail("the program directive takes no arguments")
-            rest = "\n".join(lines[i:])
-            rp = _Parser(tokenize(rest, first_line=line_no + 1))
-            program_rule = rp.rule()
-            if not rp.done():
-                t = rp.peek()
-                raise ParseError(f"trailing input {t.text!r}", t.line, t.col, ("end of input",))
+            program_rule = _parse_all("\n".join(lines[i:]), line_no + 1, _Parser.rule)
             break
         else:
             raise ParseError(

@@ -19,6 +19,10 @@ from typing import Iterable
 
 from .state import Location, State
 from .terms import (
+    INFIX,
+    P_CMP,
+    P_NOT,
+    P_OR,
     Apply,
     Assign,
     BackgroundOp,
@@ -115,30 +119,12 @@ def print_tree(t: _TreeBase) -> str:
 
 # -------------------------------------------------------------------- terms
 
-# Precedence levels, loosest first; comparisons are non-associative.
-_P_OR, _P_AND, _P_NOT, _P_CMP, _P_ADD, _P_MUL, _P_ATOM = range(7)
-
-_INFIX = {
-    "or": (_P_OR, "or"),
-    "and": (_P_AND, "and"),
-    "eq": (_P_CMP, "="),
-    "ne": (_P_CMP, "!="),
-    "lt": (_P_CMP, "<"),
-    "le": (_P_CMP, "<="),
-    "gt": (_P_CMP, ">"),
-    "ge": (_P_CMP, ">="),
-    "add": (_P_ADD, "+"),
-    "sub": (_P_ADD, "-"),
-    "mul": (_P_MUL, "*"),
-}
-
-
 def print_term(t: Term, bound: frozenset[str] = _EMPTY) -> str:
-    return _term_text(t, bound, _P_OR)
+    return _term_text(t, bound, P_OR)
 
 
 def _args_text(args: Iterable[Term], bound: frozenset[str]) -> str:
-    return ", ".join(_term_text(a, bound, _P_OR) for a in args)
+    return ", ".join(_term_text(a, bound, P_OR) for a in args)
 
 
 def _term_text(t: Term, bound: frozenset[str], need: int) -> str:
@@ -152,8 +138,8 @@ def _term_text(t: Term, bound: frozenset[str], need: int) -> str:
         return t.func + "(" + _args_text(t.args, bound) + ")"
     if isinstance(t, Comprehension):
         inner = bound | set(t.binders)
-        head = _term_text(t.head, inner, _P_OR)
-        guard = _term_text(t.guard, inner, _P_OR)
+        head = _term_text(t.head, inner, P_OR)
+        guard = _term_text(t.guard, inner, P_OR)
         binders = ", ".join(t.binders) + " " if t.binders else ""
         return "{| " + head + " | " + binders + ": " + guard + " |}"
     if isinstance(t, BackgroundOp):
@@ -166,21 +152,21 @@ def _op_text(t: BackgroundOp, bound: frozenset[str], need: int) -> str:
         if not t.args:
             return "()"
         if len(t.args) == 1:
-            return "(" + _term_text(t.args[0], bound, _P_OR) + ",)"
+            return "(" + _term_text(t.args[0], bound, P_OR) + ",)"
         return "(" + _args_text(t.args, bound) + ")"
     if t.op == "mset":
         if not t.args:
             return "{||}"
         return "{| " + _args_text(t.args, bound) + " |}"
     if t.op == "not" and len(t.args) == 1:
-        text = "not " + _term_text(t.args[0], bound, _P_CMP)
-        return "(" + text + ")" if need > _P_NOT else text
-    fix = _INFIX.get(t.op)
+        text = "not " + _term_text(t.args[0], bound, P_CMP)
+        return "(" + text + ")" if need > P_NOT else text
+    fix = INFIX.get(t.op)
     if fix is not None and len(t.args) >= 2:
         prec, sym = fix
-        if prec == _P_CMP and len(t.args) == 2:
-            a = _term_text(t.args[0], bound, _P_CMP + 1)
-            b = _term_text(t.args[1], bound, _P_CMP + 1)
+        if prec == P_CMP and len(t.args) == 2:
+            a = _term_text(t.args[0], bound, P_CMP + 1)
+            b = _term_text(t.args[1], bound, P_CMP + 1)
             text = f"{a} {sym} {b}"
         else:
             # Left-associative chain; n-ary and/or flatten here.
@@ -201,7 +187,7 @@ def _head_text(func: str, args: tuple[Term, ...], bound: frozenset[str]) -> str:
 
 def print_rule(r: Rule, bound: frozenset[str] = _EMPTY) -> str:
     if isinstance(r, Assign):
-        return _head_text(r.func, r.args, bound) + " := " + _term_text(r.rhs, bound, _P_OR)
+        return _head_text(r.func, r.args, bound) + " := " + _term_text(r.rhs, bound, P_OR)
     if isinstance(r, PartialAssign):
         return (
             _head_text(r.func, r.args, bound)
@@ -212,7 +198,7 @@ def print_rule(r: Rule, bound: frozenset[str] = _EMPTY) -> str:
             + ")"
         )
     if isinstance(r, If):
-        cond = _term_text(r.cond, bound, _P_OR)
+        cond = _term_text(r.cond, bound, P_OR)
         text = "IF " + cond + " THEN " + print_rule(r.then_branch, bound)
         if r.else_branch != Par(()):
             text += " ELSE " + print_rule(r.else_branch, bound)
@@ -227,7 +213,7 @@ def print_rule(r: Rule, bound: frozenset[str] = _EMPTY) -> str:
             "FORALL "
             + r.var
             + " WITH "
-            + _term_text(r.guard, inner, _P_OR)
+            + _term_text(r.guard, inner, P_OR)
             + " DO "
             + print_rule(r.body, inner)
             + " ENDDO"
@@ -237,7 +223,7 @@ def print_rule(r: Rule, bound: frozenset[str] = _EMPTY) -> str:
             "LET "
             + r.var
             + " = "
-            + _term_text(r.binding, bound, _P_OR)
+            + _term_text(r.binding, bound, P_OR)
             + " IN "
             + print_rule(r.body, bound | {r.var})
         )
@@ -280,8 +266,11 @@ def format_trace(reports) -> str:
     canonical order, consistency flag.  Blocks are blank-line separated;
     output ends in a newline."""
     blocks = []
+    rule, digest = None, ""
     for i, rep in enumerate(reports, 1):
-        lines = [f"step {i}", "rule " + rule_hash(rep.raised_rule)]
+        if rep.raised_rule is not rule:  # a run raises an unchanged pgm to the same Rule
+            rule, digest = rep.raised_rule, rule_hash(rep.raised_rule)
+        lines = [f"step {i}", "rule " + digest]
         for u in rep.update_set.updates:
             lines.append("update " + print_location(u.location) + " = " + print_value(u.value))
         lines.append("consistent " + ("true" if rep.update_set.consistent else "false"))

@@ -44,6 +44,26 @@ class BackgroundOp(Term):
     args: tuple[Term, ...] = ()
 
 
+# Surface spelling of the infix background operations: name -> (level,
+# symbol), levels loosest first.  `not` is a prefix at P_NOT; comparisons do
+# not chain.  The parser and the printer both read this table.
+P_OR, P_AND, P_NOT, P_CMP, P_ADD, P_MUL, P_ATOM = range(7)
+
+INFIX = {
+    "or": (P_OR, "or"),
+    "and": (P_AND, "and"),
+    "eq": (P_CMP, "="),
+    "ne": (P_CMP, "!="),
+    "lt": (P_CMP, "<"),
+    "le": (P_CMP, "<="),
+    "gt": (P_CMP, ">"),
+    "ge": (P_CMP, ">="),
+    "add": (P_ADD, "+"),
+    "sub": (P_ADD, "-"),
+    "mul": (P_MUL, "*"),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class Comprehension(Term):
     """Multiset comprehension: head over all binder assignments from the

@@ -209,10 +209,7 @@ def subst_tc(t1: Tree, path: Path, c: Context = HOLE) -> Context:
     With the trivial context this punches a hole at `path`; the general form
     is the shortcut composition through the trivial-hole intermediate.
     """
-    punched = Context(_splice(t1.root_node, path, (Node(XI),)))
-    if c is HOLE or c == HOLE:
-        return punched
-    return subst_cc(punched, c)
+    return subst_cc(Context(_splice(t1.root_node, path, (Node(XI),))), c)
 
 
 def subst_cc(c1: Context, c2: Context) -> Context:

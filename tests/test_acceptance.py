@@ -349,7 +349,7 @@ def test_postulate_checks():
             extra = {**rep.next.interp, Location("mark", (Atom("green"),)): Natural(7)}
             nxt = State(rep.next.signature, extra, rep.next.universe,
                         rep.next.reserve_cursor, rep.next.reserve_seed)
-            return type(rep)(rep.state, nxt, rep.raised_rule, rep.update_multiset, rep.update_set)
+            return type(rep)(rep.state, nxt, rep.raised_rule, rep.update_set)
         return rep
 
     rep = check_isomorphism_closure(parse_state(ATOMIC), trials=100, seed=9,

@@ -255,6 +255,30 @@ def test_deeply_nested_rule_runs_and_prints(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+def test_run_prints_naturals_past_4300_digits(tmp_path, capsys):
+    doc = put(tmp_path, "square.rst", "function f/0\ninit f = 2\nprogram\nf := f * f\n")
+    assert main(["run", doc, "--steps", "14"]) == 0
+    assert f"\ninit f = {2 ** 16384}\n" in capsys.readouterr().out
+
+
+def test_fmt_reads_naturals_past_4300_digits(tmp_path, capsys):
+    digits = "7" * 5000
+    doc = put(tmp_path, "big.rst", f"function f/0\ninit f = {digits}\nprogram\nf := f\n")
+    assert main(["fmt", doc]) == 0
+    assert f"\ninit f = {digits}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", [
+    "function f/0\ninit f = ²\nprogram\nf := f\n",
+    "function f/0\ninit f = 0\nprogram\nf := f + ٣\n",
+])
+def test_run_non_ascii_digit_exits_2(tmp_path, capsys, doc):
+    assert main(["run", put(tmp_path, "digit.rst", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rasm: syntax-error: ") and "stray character" in err
+    assert err.count("\n") == 1
+
+
 # --------------------------------------------------------------------- diff
 
 def test_diff_identical_trees(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every layer the benchmark's tracer wraps still exists.
+"""Source hygiene: every name a module imports is used in that module,
+every layer the benchmark's tracer wraps still exists, and the parser, the
+printer and the evaluator agree on every background operation.
 
 Each `src/rasm/*.py` except the package `__init__` is parsed with `ast`; a
 name bound by an import counts as used when it is loaded anywhere in the
@@ -11,6 +12,11 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from rasm.evaluator import BACKGROUND_OPS
+from rasm.parser import KEYWORDS, parse_term
+from rasm.printer import print_term
+from rasm.terms import INFIX, Apply, BackgroundOp
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rasm"
@@ -73,3 +79,30 @@ def test_every_bench_layer_has_a_site():
 
     missing = [layer for layer, sites in tracing.LAYERS.items() if not any(resolves(*site) for site in sites)]
     assert not missing, f"bench/tracing.py layers with no resolvable site: {missing}"
+
+
+F, G, H = Apply("f"), Apply("g"), Apply("h")
+
+
+def _applied(op, args):
+    """`op` over as many of `args` as its arity takes (all when variadic).
+    Nullary applications as arguments keep tuple/mset from folding to values."""
+    arity = BACKGROUND_OPS[op].arity
+    return BackgroundOp(op, args if arity is None else args[:arity])
+
+
+def test_every_infix_spelling_names_a_background_op():
+    assert set(INFIX) <= set(BACKGROUND_OPS)
+
+
+@pytest.mark.parametrize("op", sorted(BACKGROUND_OPS))
+def test_every_background_op_parses_back_from_its_printed_text(op):
+    flat = _applied(op, (F, G))
+    assert parse_term(print_term(flat)) == flat
+    if op not in KEYWORDS:  # and/or/not have keyword syntax only
+        functional = op + "(" + ", ".join(print_term(a) for a in flat.args) + ")"
+        assert parse_term(functional) == flat
+    for inner in BACKGROUND_OPS:  # nesting checks the two precedence tables agree
+        for args in ((_applied(inner, (F, G)), H), (F, _applied(inner, (G, H)))):
+            t = _applied(op, args)
+            assert parse_term(print_term(t)) == t, print_term(t)

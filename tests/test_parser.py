@@ -119,6 +119,15 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_term("?")
     assert "dangling" in exc.value.message
+    for text, col in (("²", 1), ("f + ٣", 5), ("1٣", 2)):  # naturals are ASCII digits
+        with pytest.raises(ParseError) as exc:
+            parse_term(text)
+        assert exc.value.column == col and "stray character" in exc.value.message
+
+
+def test_nested_parentheses():
+    depth = 109
+    assert parse_rule("f := " + "(" * depth + "1" + ")" * depth) == T.Assign("f", (), T.Literal(Natural(1)))
 
 
 def test_comments_and_blank_lines():

@@ -1,6 +1,7 @@
 """Canonical text output for values, trees, rules, states, and traces."""
 
 import hashlib
+from pathlib import Path
 
 from rasm.machine import run
 from rasm.parser import parse_rule, parse_state, parse_term, parse_value
@@ -135,3 +136,19 @@ def test_trace_updates_sorted_and_flagged():
     lines = text.splitlines()
     assert lines[2:6] == ["update f = 1", "update f = 2", "update g(1) = 1", "update g(2) = 1"]
     assert lines[6] == "consistent false"
+
+
+def test_trace_hashes_an_unchanged_rule_once(monkeypatch):
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    reports = run(parse_state((demos / "increment.rst").read_text(encoding="utf-8")), steps=50)
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return rule_hash(r)
+
+    monkeypatch.setattr("rasm.printer.rule_hash", counting)
+    text = format_trace(reports)
+    assert len(calls) == 1
+    assert text.startswith((demos / "increment.trace").read_text(encoding="utf-8"))  # its first 10 steps
+    assert text.count("\nrule " + rule_hash(reports[0].raised_rule) + "\n") == 50
