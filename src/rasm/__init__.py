@@ -9,6 +9,11 @@ operations.  The `conformance` module turns the behavioural postulates such
 machines are meant to satisfy into executable checks.
 """
 
+import sys
+
+if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+ caps int<->str at 4,300 digits
+    sys.set_int_max_str_digits(0)  # naturals are unbounded
+
 from .conformance import (
     CheckReport,
     Violation,

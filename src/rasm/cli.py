@@ -195,8 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+ caps int<->str at 4,300 digits
-        sys.set_int_max_str_digits(0)  # naturals are unbounded
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

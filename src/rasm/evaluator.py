@@ -39,7 +39,7 @@ from .terms import (
     subst_rule,
 )
 from .trees import subtree
-from .updates import COLLAPSE_OPS, SharedUpdate, Update, UpdateMultiset, _as_path, _tree_arg, is_collapse_op
+from .updates import COLLAPSE_OPS, SharedUpdate, Update, UpdateMultiset, _as_path, _tree_arg
 from .values import (
     FALSE,
     TRUE,
@@ -265,7 +265,7 @@ def _eval(s: State, env: dict, r: Rule, ctx: _EvalCtx) -> list:
         return [Update(Location(r.func, args), val)]
     if isinstance(r, PartialAssign):
         _location_symbol(s, env, r.func, len(r.args))
-        if not is_collapse_op(r.op):
+        if r.op not in COLLAPSE_OPS:
             raise EvalError("unknown-operator", f"{r.op!r} is not a registered collapse operator")
         args = tuple(eval_term(s, env, a) for a in r.args)
         operands = tuple(eval_term(s, env, a) for a in r.operands)

@@ -2,18 +2,27 @@
 
 An ordinary update fixes a location to a value.  A shared update (produced by
 partial assignment) names an operator and argument values; at collapse time
-all shared updates on one location are folded over the location's current
-value.  The fold must be order-independent: operators are registered with a
-commutativity class.  A group whose operators are all registered commutative
-is accepted at any size without trying orders.  Any other group of at most
-`BRUTE_FORCE_LIMIT` shared updates is verified by trying every permutation;
-a larger one is declared inconsistent.
+all shared updates on one location are folded once, in canonical order, over
+the location's current value.  The fold must not depend on that order, so
+the group is consistent exactly when every two of its updates are
+independent, that is when they
+
+- are both `munion` (multiset union commutes);
+- make the same edit: equal kind, path and payload, where `right_extend(x)`
+  is the append `extend_at((), x)`;
+- are both tree operators and neither path is a prefix of the other; or
+- one appends at a path `p`, and the other acts strictly below `p` through a
+  child index that `p` already has in the current value.
+
+Pairwise independent updates commute on every value the group can reach, so
+every order folds to the same value, whatever the group's size.
 
 Every tree operator goes through one rewrite of the node at a path: the
-root for `right_extend`, the path given as first argument (a tuple of
-naturals) for `extend_at` and `subst_at`.  A shared update always names a
-whole location; an edit inside a tree value names its node only by that
-path argument.
+root for `right_extend` and `subst_tt`, the path given as first argument (a
+tuple of naturals) for `extend_at` and `subst_at`; for independence an
+undecodable path counts as the root.  A shared update always names a whole
+location; an edit inside a tree value names its node only by that path
+argument.
 
 Entries are keyed location first, ordinary before shared, so the sorted
 multiset holds each location's entries in one run, and a shared group in
@@ -31,8 +40,6 @@ from .errors import EvalError, RasmError
 from .state import Location, State
 from .trees import Node, Tree, TreeAlgebraError, subst_tt
 from .values import UNDEF, Multiset, Natural, TreeVal, TupleVal, Value, value_key
-
-BRUTE_FORCE_LIMIT = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,10 +111,6 @@ class UpdateSet:
 
 # ------------------------------------------------------- operator registry
 
-COMMUTATIVE = "commutative"
-CHECKED = "checked"  # order-independence established per group, not by class
-
-
 def _fold_munion(current: Value, *args: Value) -> Value:
     acc = current
     for a in args:
@@ -178,24 +181,28 @@ def _fold_subst_tt(current: Value, *args: Value) -> Value:
     return args[0] if len(args) == 1 else UNDEF
 
 
+Edit = tuple[str, tuple[int, ...] | None, tuple[Value, ...]]  # kind, path, payload
+
+
+def _at_path(kind: str) -> Callable[[tuple[Value, ...]], Edit]:
+    return lambda args: (kind, _as_path(args[0]) if args else None, args[1:])
+
+
 @dataclass(frozen=True, slots=True)
 class CollapseOp:
     fold: Callable[..., Value]
     min_args: int
-    comm_class: str
+    edit: Callable[[tuple[Value, ...]], Edit]  # what the pair rule compares
 
 
 COLLAPSE_OPS: dict[str, CollapseOp] = {
-    "munion": CollapseOp(_fold_munion, 1, COMMUTATIVE),
-    "right_extend": CollapseOp(_fold_right_extend, 1, CHECKED),
-    "extend_at": CollapseOp(_fold_extend_at, 2, CHECKED),
-    "subst_at": CollapseOp(_fold_subst_at, 2, CHECKED),
-    "subst_tt": CollapseOp(_fold_subst_tt, 1, CHECKED),
+    # Any two munion updates are independent, so they share one edit.
+    "munion": CollapseOp(_fold_munion, 1, lambda args: ("munion", (), ())),
+    "right_extend": CollapseOp(_fold_right_extend, 1, lambda args: ("append", (), args)),
+    "extend_at": CollapseOp(_fold_extend_at, 2, _at_path("append")),
+    "subst_at": CollapseOp(_fold_subst_at, 2, _at_path("subst")),
+    "subst_tt": CollapseOp(_fold_subst_tt, 1, lambda args: ("subst_tt", (), args)),
 }
-
-
-def is_collapse_op(name: str) -> bool:
-    return name in COLLAPSE_OPS
 
 
 def _apply_shared(current: Value, u: SharedUpdate) -> Value:
@@ -236,17 +243,28 @@ def _collapse_shared(current: Value, shared: tuple[SharedUpdate, ...]) -> tuple[
     result = current
     for u in shared:
         result = _apply_shared(result, u)
-    if all(COLLAPSE_OPS[u.op].comm_class == COMMUTATIVE for u in shared):
-        return result, True
-    if len(shared) > BRUTE_FORCE_LIMIT:
-        return result, False
-    for perm in set(itertools.permutations(shared)):
-        acc = current
-        for u in perm:
-            acc = _apply_shared(acc, u)
-        if acc != result:
-            return result, False
-    return result, True
+    edits = {COLLAPSE_OPS[u.op].edit(u.args) for u in shared}  # equal edits are independent
+    return result, all(_independent(current, a, b) for a, b in itertools.combinations(edits, 2))
+
+
+def _independent(current: Value, a: Edit, b: Edit) -> bool:
+    """Whether two different edits are independent (module docstring).
+
+    `munion` and `subst_tt` act at the root and do not append, so only
+    equal edits are independent of them.
+    """
+    pa, pb = a[1] or (), b[1] or ()
+    if len(pa) > len(pb):
+        a, pa, pb = b, pb, pa
+    if pb[: len(pa)] != pa:
+        return True
+    if a[0] != "append" or len(pb) == len(pa):
+        return False
+    t = _tree_arg(current)
+    try:
+        return t is not None and pb[len(pa)] < len(t.at(pa).children)
+    except TreeAlgebraError:
+        return False
 
 
 def apply_update_set(s: State, us: UpdateSet) -> dict[Location, Value]:

@@ -89,9 +89,6 @@ class Multiset(Value):
     def __len__(self) -> int:
         return len(self.items)
 
-    def count(self, v: Value) -> int:
-        return sum(1 for x in self.items if x == v)
-
     def union(self, other: "Multiset") -> "Multiset":
         return Multiset(self.items + other.items)
 

@@ -12,6 +12,7 @@ from rasm.cli import ISO_TRIALS, main
 from rasm.conformance import CheckReport, Violation
 from rasm.parser import parse_rule, parse_state, parse_tree
 from rasm.printer import print_rule, print_state, print_tree
+from rasm.state import PGM, Location
 from rasm.treediff import SubtreeRef
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -157,6 +158,29 @@ def test_run_inconsistent_step_is_a_warning(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 0
     assert "step 1: inconsistent update set" in err
+
+
+def _append_beside_edits(first):
+    """A PAR of 7 rules: one appends a copy of rule 1 under the PAR at
+    (1, 0), six rewrite its children (1, 0, first) and (1, 0, 1..5)."""
+    lines = ["program", "PAR", "pgm <<= extend_at((1, 0), subtree_at(pgm, (1, 0, 1)))"]
+    lines += [f"pgm <<= subst_at((1, 0, {i}), subtree_at(pgm, (1, 0, 1)))" for i in (first, 1, 2, 3, 4, 5)]
+    return "\n".join(lines + ["ENDPAR"]) + "\n"
+
+
+def test_run_append_beside_edits_of_existing_children_is_consistent(tmp_path, capsys):
+    rc = main(["run", put(tmp_path, "grow.rst", _append_beside_edits(0)), "--steps", "1", "--strict"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    par = parse_state(out).value_of(Location(PGM)).tree.at((1, 0))
+    assert len(par.children) == 8
+
+
+def test_run_edit_of_the_appended_child_is_inconsistent(tmp_path, capsys):
+    # (1, 0, 7) exists only after the append: the two orders disagree.
+    rc = main(["run", put(tmp_path, "grow.rst", _append_beside_edits(7)), "--steps", "1", "--strict"])
+    assert rc == 1
+    assert "inconsistent" in capsys.readouterr().err
 
 
 def test_run_strict_turns_inconsistency_into_failure(tmp_path, capsys):

@@ -5,9 +5,15 @@ parse(print(x)) == x for arbitrary constructed objects.  The conftest
 generators drive the second direction.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import rasm
 
 from rasm import terms as T
 from rasm.errors import EncodingError, ParseError
@@ -235,3 +241,17 @@ def test_parse_state_rejects_malformed_pgm_value():
     doc = "init pgm = 7\n"
     with pytest.raises(EncodingError, match="malformed-program-tree"):
         parse_state(doc)
+
+
+def test_library_reads_and_prints_naturals_past_4300_digits():
+    """Importing the package, not only running its CLI, lifts Python's
+    4,300-digit int<->str limit; a fresh interpreter shows it."""
+    code = (
+        "from rasm import Natural, parse_value, print_value\n"
+        "assert parse_value('7' * 5000) == Natural(7 * (10 ** 5000 - 1) // 9)\n"
+        "assert print_value(Natural(10 ** 5000)) == '1' + '0' * 5000\n"
+    )
+    src = str(Path(rasm.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -125,6 +125,18 @@ def test_updates_collapse_to_single_root_update():
     assert us.updates == (Update(Location(PGM), TreeVal(t2)),)
 
 
+@pytest.mark.parametrize("k", [7, 12])
+def test_many_disjoint_edits_collapse_to_the_new_tree(k):
+    t1 = prog("PAR " + " ".join(f"f := {i}" for i in range(k)) + " ENDPAR")
+    t2 = prog("PAR " + " ".join(f"f := {i + 100}" for i in range(k)) + " ENDPAR")
+    um = tree_diff_updates(t1, t2)
+    assert len(um) == k
+    sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
+    us = collapse(State(sig, {Location(PGM): TreeVal(t1)}), um)
+    assert us.consistent
+    assert us.updates == (Update(Location(PGM), TreeVal(t2)),)
+
+
 def test_updates_are_minimal_for_local_edit():
     t1 = prog("PAR f := 1 f := 2 ENDPAR")
     t2 = prog("PAR f := 1 f := 3 ENDPAR")

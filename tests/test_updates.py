@@ -10,13 +10,12 @@ from rasm.errors import RasmError
 from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm.trees import Tree, leaf, node, trees_equal
 from rasm.updates import (
-    BRUTE_FORCE_LIMIT,
+    COLLAPSE_OPS,
     SharedUpdate,
     Update,
     UpdateMultiset,
     apply_update_set,
     collapse,
-    is_collapse_op,
 )
 from rasm.values import UNDEF, Atom, Multiset, Natural, TreeVal, TupleVal
 
@@ -40,9 +39,9 @@ def path_val(*idx):
 
 def test_registry_membership():
     for name in ("munion", "right_extend", "extend_at", "subst_at", "subst_tt"):
-        assert is_collapse_op(name), name
-    assert not is_collapse_op("add")
-    assert not is_collapse_op("")
+        assert name in COLLAPSE_OPS, name
+    assert "add" not in COLLAPSE_OPS
+    assert "" not in COLLAPSE_OPS
 
 
 def test_duplicate_ordinary_updates_merge():
@@ -151,23 +150,22 @@ def test_subst_at_identical_updates_commute():
     assert trees_equal(got.value.tree, Tree(node("r", leaf("p"), leaf("b"))))
 
 
-def test_brute_force_cap_is_conservative():
+def test_identical_updates_are_consistent_at_any_size():
     s = base_state(f=TreeVal(two_leaf_tree()))
     u = SharedUpdate(F, "subst_at", (path_val(0), TreeVal(Tree(leaf("p")))))
-    at_cap = collapse(s, UpdateMultiset((u,) * BRUTE_FORCE_LIMIT))
-    assert at_cap.consistent
-    over_cap = collapse(s, UpdateMultiset((u,) * (BRUTE_FORCE_LIMIT + 1)))
-    # same fold result, but order-independence can no longer be certified
-    assert not over_cap.consistent
-    assert at_cap.updates == over_cap.updates
+    want = (Update(F, TreeVal(Tree(node("r", leaf("p"), leaf("b"))))),)
+    for k in range(1, 13):
+        us = collapse(s, UpdateMultiset((u,) * k))
+        assert us.consistent, k  # no size cap: 7 copies used to be inconsistent
+        assert us.updates == want, k
 
 
 def test_commutative_class_exempt_from_cap():
     s = base_state(f=mset())
-    entries = tuple(SharedUpdate(F, "munion", (mset(i),)) for i in range(BRUTE_FORCE_LIMIT + 3))
+    entries = tuple(SharedUpdate(F, "munion", (mset(i),)) for i in range(9))
     us = collapse(s, UpdateMultiset(entries))
     assert us.consistent
-    assert us.updates == (Update(F, mset(*range(BRUTE_FORCE_LIMIT + 3))),)
+    assert us.updates == (Update(F, mset(*range(9))),)
 
 
 def test_commutative_group_skips_the_permutations(monkeypatch):
@@ -186,6 +184,14 @@ def test_commutative_group_skips_the_permutations(monkeypatch):
     assert us.consistent
     assert us.updates == (Update(F, mset(*range(6))),)
     assert len(calls) == 6  # one canonical fold, no orders tried
+
+    calls.clear()
+    t = Tree(node("r", leaf("a"), leaf("b"), leaf("c"), leaf("d")))
+    entries = tuple(SharedUpdate(F, "subst_at", (path_val(i), TreeVal(Tree(leaf("z"))))) for i in range(4))
+    us = collapse(base_state(f=TreeVal(t)), UpdateMultiset(entries))
+    assert us.consistent
+    assert us.updates == (Update(F, TreeVal(Tree(node("r", *(leaf("z") for _ in range(4)))))),)
+    assert len(calls) == 4  # disjoint paths decide the group pair by pair
 
 
 def test_subst_at_path_rewrites_node():
@@ -262,8 +268,10 @@ def test_apply_rejects_lying_consistency_flag():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_collapse_verdict_matches_exhaustive_permutation(data):
-    """For small shared groups the consistency flag must agree with a direct
-    check over every application order."""
+    """For small shared groups the consistency flag is checked against every
+    application order: a consistent verdict means every order folds to the
+    same value, and a group whose orders all fold to one value other than
+    undef is consistent."""
     import random as _random
 
     from conftest import random_tree
@@ -285,24 +293,75 @@ def test_collapse_verdict_matches_exhaustive_permutation(data):
     s = base_state(f=TreeVal(t))
     us = collapse(s, UpdateMultiset(tuple(ops)))
 
+    results = _outcomes(s.value_of(F), ops)
+    assert not us.consistent or len(results) == 1, f"consistent, but {len(results)} distinct outcomes"
+    assert us.consistent or len(results) > 1 or results == {UNDEF}, f"inconsistent, but one outcome {results}"
+
+
+def _outcomes(current, ops):
+    """Every value the group folds to over all application orders."""
     from rasm.updates import _apply_shared
 
-    canonical = sorted(ops, key=SharedUpdate.key)
     results = set()
-    for perm in itertools.permutations(canonical):
-        acc = s.value_of(F)
+    for perm in set(itertools.permutations(ops)):
+        acc = current
         for u in perm:
             acc = _apply_shared(acc, u)
         results.add(acc)
-    assert us.consistent == (len(results) == 1), (
-        f"flag says {us.consistent} but {len(results)} distinct outcomes"
-    )
+    return results
+
+
+def _mixed_group(rng, paths):
+    """1-6 shared updates on `f` over every collapse operator, with some
+    undecodable paths and non-tree payloads, and at times a duplicate."""
+
+    def payload():
+        return rng.choice((TreeVal(Tree(leaf("p"))), TreeVal(Tree(leaf("q"))), Natural(1), mset(2)))
+
+    def path():
+        if rng.random() < 0.1:
+            return rng.choice((Natural(0), TupleVal((Atom("x"),))))
+        return path_val(*rng.choice(paths))
+
+    def update():
+        kind = rng.choice(("munion", "subst_at", "subst_at", "extend_at", "extend_at", "right_extend", "subst_tt"))
+        if kind == "munion":
+            return SharedUpdate(F, kind, (rng.choice((mset(rng.randrange(3)), Natural(2))),))
+        if kind in ("subst_at", "extend_at"):
+            return SharedUpdate(F, kind, (path(), payload()))
+        return SharedUpdate(F, kind, (payload(),))
+
+    ops = [update() for _ in range(rng.randrange(1, 7))]
+    if rng.random() < 0.3:
+        ops[-1] = ops[0]  # an exact duplicate
+    return ops
+
+
+def test_collapse_verdict_is_sound_on_mixed_groups():
+    """300 mixed groups over tree, undef, multiset and natural current
+    values: a consistent verdict always means every order folds to the same
+    value.  The pair rule may call a group inconsistent whose orders agree;
+    that is the conservative direction."""
+    import random as _random
+
+    from conftest import random_tree
+
+    rng = _random.Random(88)
+    t = random_tree(rng, depth=3, branch=3)
+    paths = [p for p, _n in t.iter_nodes()] + [(0, 9), (7,)]  # two that leave the tree
+    for i in range(300):
+        current = rng.choice((TreeVal(t), TreeVal(t), TreeVal(t), UNDEF, mset(1), Natural(4)))
+        ops = _mixed_group(rng, paths)
+        if collapse(base_state(f=current), UpdateMultiset(ops)).consistent:
+            assert len(_outcomes(current, ops)) == 1, (i, ops)
 
 
 def _grouping_collapse(s, um):
     """Collapse as a dict grouping by location, each shared group re-sorted
-    before its fold: the algorithm the single-walk `collapse` replaced."""
-    from rasm.updates import COLLAPSE_OPS, COMMUTATIVE, _apply_shared
+    before its fold: the algorithm the single-walk `collapse` replaced.
+    Each group's verdict comes from `_collapse_shared`, which has its own
+    oracle above."""
+    from rasm.updates import _collapse_shared
 
     groups = {}
     for e in um:
@@ -316,18 +375,7 @@ def _grouping_collapse(s, um):
             if len({u.value for u in ordinary}) > 1 or shared:
                 consistent = False
             continue
-        canonical = sorted(shared, key=SharedUpdate.key)
-        result = s.value_of(loc)
-        for u in canonical:
-            result = _apply_shared(result, u)
-        ok = all(COLLAPSE_OPS[u.op].comm_class == COMMUTATIVE for u in canonical)
-        if not ok and len(canonical) <= BRUTE_FORCE_LIMIT:
-            ok = True
-            for perm in set(itertools.permutations(canonical)):
-                acc = s.value_of(loc)
-                for u in perm:
-                    acc = _apply_shared(acc, u)
-                ok = ok and acc == result
+        result, ok = _collapse_shared(s.value_of(loc), tuple(sorted(shared, key=SharedUpdate.key)))
         updates.add(Update(loc, result))
         consistent = consistent and ok
     return frozenset(updates), consistent

@@ -29,8 +29,8 @@ def test_multiset_is_order_insensitive():
     a = Multiset((Natural(1), Natural(2), Natural(1)))
     b = Multiset((Natural(2), Natural(1), Natural(1)))
     assert a == b and hash(a) == hash(b)
-    assert a.count(Natural(1)) == 2
-    assert a.count(Natural(9)) == 0
+    assert a.items.count(Natural(1)) == 2
+    assert a.items.count(Natural(9)) == 0
 
 
 def test_multiset_union_adds_multiplicities():
