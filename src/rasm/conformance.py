@@ -189,12 +189,21 @@ def _raised_updates(s: State, r: Rule) -> UpdateMultiset:
     return eval_rule(s, {}, r)
 
 
+def _outcome(fn: Callable, *args) -> tuple:
+    """("ok", result) or ("error", code): an error is an outcome too."""
+    try:
+        return "ok", fn(*args)
+    except RasmError as e:
+        return "error", e.code
+
+
 def check_bounded_exploration(
     s1: State, s2: State, updates_fn: UpdatesFn | None = None
 ) -> CheckReport:
     """States agreeing on pgm and on every extracted read term must yield
-    the same update multiset.  Give the states equal reserve cursors, or
-    fresh-atom spellings will differ for reasons the postulate ignores."""
+    the same update multiset; an evaluation error counts as its code, on
+    either side.  Give the states equal reserve cursors, or fresh-atom
+    spellings will differ for reasons the postulate ignores."""
     fn = updates_fn if updates_fn is not None else _raised_updates
     name = "bounded-exploration"
     if s1.signature != s2.signature:
@@ -209,10 +218,10 @@ def check_bounded_exploration(
     e1 = s1.with_signature(s1.signature.extended(prog.signature))
     e2 = s2.with_signature(s2.signature.extended(prog.signature))
     for b in beta_rule(prog.rule):
-        if eval_term(e1, {}, b) != eval_term(e2, {}, b):
+        if _outcome(eval_term, e1, {}, b) != _outcome(eval_term, e2, {}, b):
             return CheckReport(name, 1, (), ("read-term values differ; coincidence precondition failed",))
-    um1 = fn(e1, prog.rule)
-    um2 = fn(e2, prog.rule)
+    um1 = _outcome(fn, e1, prog.rule)
+    um2 = _outcome(fn, e2, prog.rule)
     if um1 == um2:
         return CheckReport(name, 1)
     v = Violation(

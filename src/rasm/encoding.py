@@ -5,15 +5,20 @@ nullary symbol ``pgm``:
 
     pgm⟨signature⟨func⟨name=⟨'f⟩ arity=⟨n⟩⟩ ...⟩ rule⟨R⟩⟩
 
-Terms stay opaque in the encoding: a dropped term is a leaf value wrapping
-the term AST, so drop followed by raise is the identity and tree rewriting
-cannot produce syntactically broken terms, only unraisable ones.  Sub-rules
-are always wrapped in a rule⟨...⟩ node, which makes "the rule under this
-node" one uniform selection everywhere.
+`FORMS` is the grammar of R, written down nowhere else: each rule form's
+label, its `terms` class, and its fields in child order, each with the kind
+of child that encodes it; in every form the leaves come first.  Terms stay
+opaque: a dropped term is a leaf value wrapping the term AST, so drop
+followed by raise is the identity and tree rewriting cannot produce
+syntactically broken terms, only unraisable ones.  Sub-rules are always
+wrapped in a rule⟨...⟩ node, which makes "the rule under this node" one
+uniform selection everywhere.
 
-Raising is partial: anything that does not match the grammar is a
-malformed-encoding error carrying the path of the offending node, never a
-guess.
+Drop and raise are two loops over that table with explicit stacks; neither
+recurses, so a rule of any nesting depth round-trips.  Raising is partial:
+anything that does not match the grammar is a malformed-encoding error
+carrying the path of the offending node, never a guess.  Nodes are checked
+in preorder, so the error names the first fault in document order.
 
 `beta_rule` computes the read set of a rule: one multiset comprehension per
 potential update source.  Two states that agree on pgm and on the values of
@@ -32,62 +37,178 @@ from .terms import Comprehension, Rule, Term, _fresh, free_vars, subst_rule, sub
 from .trees import Node, Path, Tree, leaf, node
 from .values import TRUE, Atom, DroppedTerm, Natural, TupleVal, Value
 
-RULE_LABELS = frozenset({"update", "partial", "if", "par", "forall", "let", "import"})
-LABELS = RULE_LABELS | frozenset({PGM, "signature", "func", "rule", "name", "arity", "term", "bool"})
-
 _TRUE = T.Literal(TRUE)
 
+# label -> (class, fields in child order, each with the kind of child that
+# encodes it).  A `rule` child is one rule⟨...⟩ wrapper; `rules` takes every
+# child as one; every other kind is a leaf (`_LEAF_KINDS`).
+FORMS: dict[str, tuple[type, tuple[tuple[str, str], ...]]] = {
+    "update": (T.Assign, (("func", "func"), ("args", "terms"), ("rhs", "term"))),
+    "partial": (T.PartialAssign, (("func", "func"), ("op", "func"), ("args", "terms"), ("operands", "terms"))),
+    "if": (T.If, (("cond", "bool"), ("then_branch", "rule"), ("else_branch", "rule"))),
+    "par": (T.Par, (("rules", "rules"),)),
+    "forall": (T.Forall, (("var", "binder"), ("guard", "bool"), ("body", "rule"))),
+    "let": (T.Let, (("var", "binder"), ("binding", "term"), ("body", "rule"))),
+    "import": (T.Import, (("var", "binder"), ("body", "rule"))),
+}
+_FORM_OF = {cls: (label, fields) for label, (cls, fields) in FORMS.items()}
 
-# --------------------------------------------------------------------- drop
 
-def _terms_value(ts: tuple[Term, ...]) -> TupleVal:
-    return TupleVal(tuple(DroppedTerm(t) for t in ts))
+# ----------------------------------------------------------------- leaves
 
-
-def _var_leaf(name: str) -> Node:
-    return leaf("term", DroppedTerm(T.Var(name)))
+def _bad(msg: str, path: Path) -> EncodingError:
+    return EncodingError("malformed-encoding", msg, path)
 
 
-def _rule_node(r: Rule) -> Node:
-    return node("rule", _drop_rule(r))
+def _is_term(x: object) -> bool:
+    todo = [x]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (T.Apply, T.BackgroundOp)):
+            todo += x.args
+        elif isinstance(x, Comprehension) and all(isinstance(b, str) for b in x.binders):
+            todo += (x.head, x.guard)
+        elif not (isinstance(x, T.Var) or isinstance(x, T.Literal) and isinstance(x.value, Value)):
+            return False
+    return True
 
+
+def _leaf_value(n: Node, label: str, path: Path) -> Value:
+    if n.label != label:
+        raise _bad(f"expected a {label} leaf, found {n.label!r}", path)
+    if n.children or n.value is None:
+        raise _bad(f"{label} node must be a leaf carrying a value", path)
+    return n.value
+
+
+def _atom_leaf(n: Node, path: Path, label: str) -> str:
+    v = _leaf_value(n, label, path)
+    if not isinstance(v, Atom):
+        raise _bad(f"{label} leaf must hold an atom, found {v!r}", path)
+    return v.name
+
+
+def _term_leaf(n: Node, path: Path, label: str) -> Term:
+    v = _leaf_value(n, label, path)
+    if not isinstance(v, DroppedTerm) or not _is_term(v.term):
+        raise _bad(f"{label} leaf must hold a dropped term, found {v!r}", path)
+    return v.term
+
+
+def _terms_leaf(n: Node, path: Path, label: str) -> tuple[Term, ...]:
+    v = _leaf_value(n, label, path)
+    if not isinstance(v, TupleVal):
+        raise _bad(f"{label} leaf must hold a tuple of dropped terms, found {v!r}", path)
+    for item in v.items:
+        if not isinstance(item, DroppedTerm) or not _is_term(item.term):
+            raise _bad(f"{label} tuple holds a non-term entry {item!r}", path)
+    return tuple(item.term for item in v.items)
+
+
+def _binder_leaf(n: Node, path: Path, label: str) -> str:
+    t = _term_leaf(n, path, label)
+    if not isinstance(t, T.Var):
+        raise _bad(f"binder leaf must hold a variable, found {t!r}", path)
+    return t.name
+
+
+def _arity(n: Node, k: int | None, path: Path) -> None:
+    """`n` has `k` children (any number when `k` is None) and no value."""
+    if k is not None and len(n.children) != k:
+        raise _bad(f"{n.label} node needs {k} children, found {len(n.children)}", path)
+    if n.value is not None:
+        raise _bad(f"{n.label} node cannot carry a value", path)
+
+
+# kind -> (leaf label, field value -> leaf value, checked leaf -> field value)
+_LEAF_KINDS = {
+    "func": ("func", Atom, _atom_leaf),
+    "term": ("term", DroppedTerm, _term_leaf),
+    "terms": ("term", lambda ts: TupleVal(tuple(map(DroppedTerm, ts))), _terms_leaf),
+    "bool": ("bool", DroppedTerm, _term_leaf),
+    "binder": ("term", lambda name: DroppedTerm(T.Var(name)), _binder_leaf),
+}
+
+
+def _in_child_order(cls: type, names: list[str]):
+    """`cls` as a constructor that takes its fields in child order."""
+    order = [names.index(f) for f in cls.__match_args__]
+    return cls if order == sorted(order) else lambda *values: cls(*[values[i] for i in order])
+
+
+# What raise needs of each form, worked out once from `FORMS`: its
+# constructor, its leaf decoders, and its child count (None: any).
+_RAISE = {
+    label: (
+        _in_child_order(cls, [name for name, _kind in fields]),
+        tuple((i, _LEAF_KINDS[k][0], _LEAF_KINDS[k][2]) for i, (_, k) in enumerate(fields) if k in _LEAF_KINDS),
+        None if fields[-1][1] == "rules" else len(fields),
+    )
+    for label, (cls, fields) in FORMS.items()
+}
+
+
+# -------------------------------------------------------- drop and raise
 
 def _drop_rule(r: Rule) -> Node:
-    if isinstance(r, T.Assign):
-        return node(
-            "update",
-            leaf("func", Atom(r.func)),
-            leaf("term", _terms_value(r.args)),
-            leaf("term", DroppedTerm(r.rhs)),
-        )
-    if isinstance(r, T.PartialAssign):
-        return node(
-            "partial",
-            leaf("func", Atom(r.func)),
-            leaf("func", Atom(r.op)),
-            leaf("term", _terms_value(r.args)),
-            leaf("term", _terms_value(r.operands)),
-        )
-    if isinstance(r, T.If):
-        return node(
-            "if",
-            leaf("bool", DroppedTerm(r.cond)),
-            _rule_node(r.then_branch),
-            _rule_node(r.else_branch),
-        )
-    if isinstance(r, T.Par):
-        return node("par", *(_rule_node(x) for x in r.rules))
-    if isinstance(r, T.Forall):
-        return node("forall", _var_leaf(r.var), leaf("bool", DroppedTerm(r.guard)), _rule_node(r.body))
-    if isinstance(r, T.Let):
-        return node("let", _var_leaf(r.var), leaf("term", DroppedTerm(r.binding)), _rule_node(r.body))
-    if isinstance(r, T.Import):
-        return node("import", _var_leaf(r.var), _rule_node(r.body))
-    raise TypeError(f"not a rule: {r!r}")
+    """`r` encoded, inside its rule⟨...⟩ wrapper.  The rules are listed in
+    preorder and built in reverse, so the wrapped sub-rules of each are
+    finished first and pop off `built` in child order."""
+    order = []  # (label, leaves, sub-rule count), in preorder
+    todo = [r]
+    while todo:
+        r = todo.pop()
+        label, fields = _FORM_OF[type(r)]
+        leaves, subs = [], []
+        for name, kind in fields:
+            v = getattr(r, name)
+            if kind in _LEAF_KINDS:
+                leaf_label, encode, _decode = _LEAF_KINDS[kind]
+                leaves.append(leaf(leaf_label, encode(v)))
+            else:
+                subs += [v] if kind == "rule" else v
+        order.append((label, leaves, len(subs)))
+        todo += reversed(subs)
+    built: list[Node] = []
+    for label, leaves, k in reversed(order):
+        rules = [built.pop() for _ in range(k)]
+        built.append(node("rule", node(label, *leaves, *rules)))
+    return built[0]
+
+
+def _raise_rule(n: Node, path: Path) -> Rule:
+    """The rule `n` at `path` encodes.  Nodes are checked in preorder, each
+    rule⟨...⟩ wrapper when it is popped, and built as in `_drop_rule`."""
+    order = []  # (constructor, decoded leaves, variadic, sub-rule count), in preorder
+    todo = [(n, path, False)]  # True: a rule⟨...⟩ wrapper
+    while todo:
+        n, path, wrapped = todo.pop()
+        if wrapped:
+            if n.label != "rule":
+                raise _bad(f"expected a rule⟨...⟩ wrapper, found {n.label!r}", path)
+            _arity(n, 1, path)
+            n, path = n.children[0], path + (0,)
+        if n.label not in _RAISE:
+            raise _bad(f"{n.label!r} is not a rule form", path)
+        make, decoders, arity = _RAISE[n.label]
+        _arity(n, arity, path)
+        c = n.children
+        leaves = [decode(c[i], path + (i,), label) for i, label, decode in decoders]
+        order.append((make, leaves, arity is None, len(c) - len(leaves)))
+        todo += [(c[i], path + (i,), True) for i in range(len(c) - 1, len(leaves) - 1, -1)]
+    built: list[Rule] = []
+    for make, leaves, variadic, k in reversed(order):
+        rules = [built.pop() for _ in range(k)]
+        built.append(make(*leaves, tuple(rules)) if variadic else make(*leaves, *rules))
+    return built[0]
 
 
 def drop_rule(r: Rule) -> Tree:
-    return Tree(_drop_rule(r))
+    return Tree(_drop_rule(r).children[0])
+
+
+def raise_rule(t: Tree) -> Rule:
+    return _raise_rule(t.root_node, ())
 
 
 def drop_signature(sig: Signature) -> Tree:
@@ -99,144 +220,7 @@ def drop_signature(sig: Signature) -> Tree:
 
 def drop_program(sig: Signature, r: Rule) -> Tree:
     """The self-representation tree; `sig` must already contain pgm."""
-    return Tree(node(PGM, drop_signature(sig).root_node, _rule_node(r)))
-
-
-# -------------------------------------------------------------------- raise
-
-def _bad(msg: str, path: Path) -> EncodingError:
-    return EncodingError("malformed-encoding", msg, path)
-
-
-def _is_term(x: object) -> bool:
-    if isinstance(x, T.Var):
-        return True
-    if isinstance(x, T.Literal):
-        return isinstance(x.value, Value)
-    if isinstance(x, (T.Apply, T.BackgroundOp)):
-        return all(_is_term(a) for a in x.args)
-    if isinstance(x, Comprehension):
-        return (
-            all(isinstance(b, str) for b in x.binders) and _is_term(x.head) and _is_term(x.guard)
-        )
-    return False
-
-
-def raise_term(v: Value) -> Term:
-    if isinstance(v, DroppedTerm) and _is_term(v.term):
-        return v.term
-    raise EncodingError("malformed-encoding", f"not a dropped term: {v!r}")
-
-
-def _leaf_value(n: Node, label: str, path: Path) -> Value:
-    if n.label != label:
-        raise _bad(f"expected a {label} leaf, found {n.label!r}", path)
-    if n.children or n.value is None:
-        raise _bad(f"{label} node must be a leaf carrying a value", path)
-    return n.value
-
-
-def _atom_leaf(n: Node, path: Path, label: str = "func") -> str:
-    v = _leaf_value(n, label, path)
-    if not isinstance(v, Atom):
-        raise _bad(f"{label} leaf must hold an atom, found {v!r}", path)
-    return v.name
-
-
-def _term_leaf(n: Node, path: Path) -> Term:
-    v = _leaf_value(n, "term", path)
-    if not isinstance(v, DroppedTerm) or not _is_term(v.term):
-        raise _bad(f"term leaf must hold a dropped term, found {v!r}", path)
-    return v.term
-
-
-def _terms_leaf(n: Node, path: Path) -> tuple[Term, ...]:
-    v = _leaf_value(n, "term", path)
-    if not isinstance(v, TupleVal):
-        raise _bad(f"term leaf must hold a tuple of dropped terms, found {v!r}", path)
-    out = []
-    for item in v.items:
-        if not isinstance(item, DroppedTerm) or not _is_term(item.term):
-            raise _bad(f"term tuple holds a non-term entry {item!r}", path)
-        out.append(item.term)
-    return tuple(out)
-
-
-def _binder_leaf(n: Node, path: Path) -> str:
-    t = _term_leaf(n, path)
-    if not isinstance(t, T.Var):
-        raise _bad(f"binder leaf must hold a variable, found {t!r}", path)
-    return t.name
-
-
-def _guard_leaf(n: Node, path: Path) -> Term:
-    v = _leaf_value(n, "bool", path)
-    if not isinstance(v, DroppedTerm) or not _is_term(v.term):
-        raise _bad(f"bool leaf must hold a dropped term, found {v!r}", path)
-    return v.term
-
-
-def _arity(n: Node, k: int, path: Path) -> None:
-    if len(n.children) != k:
-        raise _bad(f"{n.label} node needs {k} children, found {len(n.children)}", path)
-    if n.value is not None:
-        raise _bad(f"{n.label} node cannot carry a value", path)
-
-
-def _rule_child(n: Node, path: Path) -> Rule:
-    if n.label != "rule":
-        raise _bad(f"expected a rule⟨...⟩ wrapper, found {n.label!r}", path)
-    _arity(n, 1, path)
-    return _raise_rule(n.children[0], path + (0,))
-
-
-def _raise_rule(n: Node, path: Path) -> Rule:
-    c = n.children
-    if n.label == "update":
-        _arity(n, 3, path)
-        func = _atom_leaf(c[0], path + (0,))
-        args = _terms_leaf(c[1], path + (1,))
-        rhs = _term_leaf(c[2], path + (2,))
-        return T.Assign(func, args, rhs)
-    if n.label == "partial":
-        _arity(n, 4, path)
-        func = _atom_leaf(c[0], path + (0,))
-        op = _atom_leaf(c[1], path + (1,))
-        args = _terms_leaf(c[2], path + (2,))
-        operands = _terms_leaf(c[3], path + (3,))
-        return T.PartialAssign(func, args, op, operands)
-    if n.label == "if":
-        _arity(n, 3, path)
-        cond = _guard_leaf(c[0], path + (0,))
-        then_branch = _rule_child(c[1], path + (1,))
-        else_branch = _rule_child(c[2], path + (2,))
-        return T.If(cond, then_branch, else_branch)
-    if n.label == "par":
-        if n.value is not None:
-            raise _bad("par node cannot carry a value", path)
-        return T.Par(tuple(_rule_child(x, path + (i,)) for i, x in enumerate(c)))
-    if n.label == "forall":
-        _arity(n, 3, path)
-        var = _binder_leaf(c[0], path + (0,))
-        guard = _guard_leaf(c[1], path + (1,))
-        body = _rule_child(c[2], path + (2,))
-        return T.Forall(var, guard, body)
-    if n.label == "let":
-        _arity(n, 3, path)
-        var = _binder_leaf(c[0], path + (0,))
-        binding = _term_leaf(c[1], path + (1,))
-        body = _rule_child(c[2], path + (2,))
-        return T.Let(var, binding, body)
-    if n.label == "import":
-        _arity(n, 2, path)
-        var = _binder_leaf(c[0], path + (0,))
-        body = _rule_child(c[1], path + (1,))
-        return T.Import(var, body)
-    raise _bad(f"{n.label!r} is not a rule form", path)
-
-
-def raise_rule(t: Tree) -> Rule:
-    return _raise_rule(t.root_node, ())
+    return Tree(node(PGM, drop_signature(sig).root_node, _drop_rule(r)))
 
 
 def raise_signature(t: Tree) -> Signature:
@@ -264,11 +248,10 @@ def raise_signature(t: Tree) -> Signature:
 
 @dataclass(frozen=True, slots=True)
 class Program:
-    """A validated self-representation: raised signature and rule plus the tree."""
+    """A validated self-representation: the raised signature and rule."""
 
     signature: Signature
     rule: Rule
-    tree: Tree
 
 
 def _unique_child(p: Tree, label: str) -> Node:
@@ -296,15 +279,13 @@ def as_program(t: Tree) -> Program:
     if len(root.children) != 2 or root.value is not None:
         raise EncodingError("malformed-program-tree", "pgm root needs exactly a signature and a rule child", ())
     sig_tree = extract_signature_subtree(t)
-    rule_wrap = extract_rule_subtree(t)
+    wrap = extract_rule_subtree(t).root_node
     sig = raise_signature(sig_tree)
     if PGM not in sig or sig.lookup(PGM).arity != 0:
         raise EncodingError("malformed-program-tree", "encoded signature must contain nullary pgm", ())
-    wrap = rule_wrap.root_node
     if len(wrap.children) != 1 or wrap.value is not None:
         raise EncodingError("malformed-program-tree", "rule wrapper needs exactly one child", ())
-    rule = raise_rule(Tree(wrap.children[0]))
-    return Program(sig, rule, t)
+    return Program(sig, raise_rule(Tree(wrap.children[0])))
 
 
 # ------------------------------------------------------------------- beta

@@ -295,25 +295,31 @@ class _Parser:
         self.fail("a tree literal may contain at most one hole")
 
     def _tree_node(self) -> Node:
-        if self.take("^"):
-            return Node(XI)
-        t = self.peek()
-        if t.kind != "ident":
-            self.fail(f"expected a node label, found {t.text or 'end of input'!r}", ("label",))
-        label = self.advance().text
-        if self.at("="):
-            self.advance()
-            self.expect("⟨")
-            v = self.value()
-            self.expect("⟩")
-            return Node(label, (), v)
-        if self.take("⟨"):
-            children = []
-            while not self.at("⟩"):
-                children.append(self._tree_node())
-            self.expect("⟩")
-            return Node(label, tuple(children))
-        return Node(label)
+        """One tree node, its open ancestors kept on a stack, not in frames."""
+        open_nodes: list[tuple[str, list[Node]]] = []  # label, children so far
+        while True:
+            if open_nodes and self.take("⟩"):
+                label, children = open_nodes.pop()
+                n = Node(label, tuple(children))
+            elif self.take("^"):
+                n = Node(XI)
+            else:
+                t = self.peek()
+                if t.kind != "ident":
+                    self.fail(f"expected a node label, found {t.text or 'end of input'!r}", ("label",))
+                label = self.advance().text
+                if self.take("⟨"):
+                    open_nodes.append((label, []))
+                    continue
+                v = None
+                if self.take("="):
+                    self.expect("⟨")
+                    v = self.value()
+                    self.expect("⟩")
+                n = Node(label, (), v)
+            if not open_nodes:
+                return n
+            open_nodes[-1][1].append(n)
 
     # --------------------------------------------------------------- values
 

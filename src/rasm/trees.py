@@ -153,10 +153,6 @@ HOLE = Context(Node(XI))  # the trivial context
 Hedge = tuple[Tree, ...]
 
 
-def hedge(*trees: Tree) -> Hedge:
-    return tuple(trees)
-
-
 def _splice(root: Node, path: Path, items: tuple[Node, ...]) -> Node:
     """`root` with the node at `path` replaced by `items`, spliced in place.
 

@@ -9,7 +9,8 @@ independent, that is when they
 
 - are both `munion` (multiset union commutes);
 - make the same edit: equal kind, path and payload, where `right_extend(x)`
-  is the append `extend_at((), x)`;
+  is the append `extend_at((), x)`, and `subst_tt(t)`, for a tree `t`, is
+  the edit `subst_at((), t)` (the two fold to `t` in either order);
 - are both tree operators and neither path is a prefix of the other; or
 - one appends at a path `p`, and the other acts strictly below `p` through a
   child index that `p` already has in the current value.
@@ -188,6 +189,12 @@ def _at_path(kind: str) -> Callable[[tuple[Value, ...]], Edit]:
     return lambda args: (kind, _as_path(args[0]) if args else None, args[1:])
 
 
+def _subst_tt_edit(args: tuple[Value, ...]) -> Edit:
+    # A tree payload makes `subst_tt(t)` the edit `subst_at((), t)`.
+    kind = "subst" if len(args) == 1 and _tree_arg(args[0]) is not None else "subst_tt"
+    return (kind, (), args)
+
+
 @dataclass(frozen=True, slots=True)
 class CollapseOp:
     fold: Callable[..., Value]
@@ -201,7 +208,7 @@ COLLAPSE_OPS: dict[str, CollapseOp] = {
     "right_extend": CollapseOp(_fold_right_extend, 1, lambda args: ("append", (), args)),
     "extend_at": CollapseOp(_fold_extend_at, 2, _at_path("append")),
     "subst_at": CollapseOp(_fold_subst_at, 2, _at_path("subst")),
-    "subst_tt": CollapseOp(_fold_subst_tt, 1, lambda args: ("subst_tt", (), args)),
+    "subst_tt": CollapseOp(_fold_subst_tt, 1, _subst_tt_edit),
 }
 
 

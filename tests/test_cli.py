@@ -265,18 +265,18 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys, argv):
 
 
 def test_deeply_nested_rule_runs_and_prints(tmp_path, capsys):
-    depth = 300
-    rule = "IF f = 0 THEN " * depth + "f := 1" + " ENDIF" * depth
-    doc = put(tmp_path, "deep.rst", "function f/0\ninit f = 0\nprogram\n" + rule + "\n")
-    trace = tmp_path / "deep.trace"
-    assert main(["run", doc, "--trace", str(trace)]) == 0
-    assert capsys.readouterr().out.startswith("function f/0\nfunction pgm/0\ninit f = 1\ninit pgm = #pgm⟨")
-    assert trace.read_text(encoding="utf-8").count("step ") == 2
-    assert main(["fmt", doc]) == 0
-    text = capsys.readouterr().out
-    assert text.count("if⟨") == depth
-    assert main(["fmt", put(tmp_path, "canon.rst", text)]) == 0
-    assert capsys.readouterr().out == text
+    for depth in (300, 900):  # drop and raise loop; 900 died in a recursive drop
+        rule = "IF f = 0 THEN " * depth + "f := 1" + " ENDIF" * depth
+        doc = put(tmp_path, "deep.rst", "function f/0\ninit f = 0\nprogram\n" + rule + "\n")
+        trace = tmp_path / "deep.trace"
+        assert main(["run", doc, "--trace", str(trace)]) == 0, depth
+        assert capsys.readouterr().out.startswith("function f/0\nfunction pgm/0\ninit f = 1\ninit pgm = #pgm⟨")
+        assert trace.read_text(encoding="utf-8").count("step ") == 2
+        assert main(["fmt", doc]) == 0
+        text = capsys.readouterr().out
+        assert text.count("if⟨") == depth
+        assert main(["fmt", put(tmp_path, "canon.rst", text)]) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_run_prints_naturals_past_4300_digits(tmp_path, capsys):
@@ -376,6 +376,16 @@ def test_check_writes_report_beside_input(tmp_path, capsys):
                  "naive-equivalence", "bounded-exploration"):
         assert f"check {name}" in out
     assert "\nviolation " not in out
+
+
+def test_check_counts_a_failing_read_term_as_an_outcome(tmp_path, capsys):
+    # The LET binding reads the undeclared `g`; `run` never evaluates it.
+    doc = put(tmp_path, "let.rst", "function f/0\ninit f = 0\nprogram\nLET x = g IN f := 1\n")
+    assert main(["run", doc]) == 0
+    capsys.readouterr()
+    assert main(["check", doc, "--steps", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "check bounded-exploration" in out and "\nviolation " not in out
 
 
 def test_check_report_flag_overrides_path(tmp_path):

@@ -19,6 +19,7 @@ from rasm.conformance import (
     merge_reports,
     rule_has_partial_assign,
 )
+from rasm.errors import EvalError
 from rasm.machine import run, step
 from rasm.parser import parse_rule, parse_state
 from rasm.state import FunctionSymbol, Location, Signature, State
@@ -189,6 +190,26 @@ def test_bounded_exploration_negative_control():
     assert "update multisets differ" in rep.violations[0].description
     # the same pair passes with the honest update function
     assert check_bounded_exploration(s1, s2).passed
+
+
+def test_bounded_exploration_counts_errors_as_outcomes():
+    # `g` is undeclared: the LET binding's read term fails alike in both
+    # states, and the body never reads it.
+    doc = "function f/0\nfunction h/0\ninit f = 0\ninit h = {}\n\nprogram\nLET x = g IN f := 1\n"
+    s1, s2 = parse_state(doc.format(1)), parse_state(doc.format(2))
+    rep = check_bounded_exploration(s1, s2)
+    assert rep.passed and rep.notes == (), rep.text()
+
+    from rasm.evaluator import eval_rule
+
+    def failing_on_h2(st, rule):
+        if st.value_of(Location("h")) == Natural(2):
+            raise EvalError("unknown-symbol", "no function symbol 'h2'")
+        return eval_rule(st, {}, rule)
+
+    rep = check_bounded_exploration(s1, s2, updates_fn=failing_on_h2)
+    assert not rep.passed
+    assert "update multisets differ" in rep.violations[0].description
 
 
 # ------------------------------------------- runs and initial states

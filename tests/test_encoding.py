@@ -22,7 +22,6 @@ from rasm.encoding import (
     extract_signature_subtree,
     raise_rule,
     raise_signature,
-    raise_term,
 )
 from rasm.errors import EncodingError
 from rasm.parser import parse_rule
@@ -63,6 +62,21 @@ def test_roundtrip_random_rules():
         assert raise_rule(drop_rule(r)) == r
 
 
+def test_roundtrip_5000_deep_rule():
+    # Built without the parser, and compared level by level: `==` on such a
+    # rule would itself recurse.
+    cond = T.BackgroundOp("eq", (T.Apply("f"), T.Literal(Natural(0))))
+    innermost = T.Assign("f", (), T.Literal(Natural(1)))
+    r = innermost
+    for _ in range(5000):
+        r = T.If(cond, r, T.SKIP)
+    back = raise_rule(drop_rule(r))
+    for depth in range(5000):
+        assert type(back) is T.If and back.cond == cond and back.else_branch == T.SKIP, depth
+        back = back.then_branch
+    assert back == innermost
+
+
 def test_drop_assign_shape():
     t = drop_rule(parse_rule("g(1) := 2"))
     root = t.root_node
@@ -101,12 +115,6 @@ def test_program_subtree_paths():
     assert trees_equal(rw, subtree(t, (1,)))
     assert rw.root_node.label == "rule"
     assert raise_rule(subtree(rw, (0,))) == parse_rule("f := 1")
-
-
-def test_raise_term_rejects_non_terms():
-    assert raise_term(DroppedTerm(T.Literal(TRUE))) == T.Literal(TRUE)
-    with pytest.raises(EncodingError, match="malformed-encoding"):
-        raise_term(Natural(3))
 
 
 def bad_cases():

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every layer the benchmark's tracer wraps still exists, and the parser, the
-printer and the evaluator agree on every background operation.
+every name a module defines is read somewhere, every layer the benchmark's
+tracer wraps still exists, and the parser, the printer and the evaluator
+agree on every background operation.
 
 Each `src/rasm/*.py` except the package `__init__` is parsed with `ast`; a
 name bound by an import counts as used when it is loaded anywhere in the
@@ -47,7 +48,7 @@ def _annotations(tree: ast.AST):
 
 
 def _loaded(tree: ast.AST) -> set[str]:
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for ann in _annotations(tree):
         for n in ast.walk(ann):
             if isinstance(n, ast.Constant) and isinstance(n.value, str):  # a forward reference
@@ -61,6 +62,46 @@ def test_every_import_is_used(path):
     used = _loaded(tree)
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and assigned names, dunders aside,
+    mapped to their line."""
+    out = {}
+    for n in tree.body:
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[n.name] = n.lineno
+        elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            for t in targets:
+                for name in ast.walk(t):
+                    if isinstance(name, ast.Name):
+                        out[name.id] = n.lineno
+    return {k: v for k, v in out.items() if not (k.startswith("__") and k.endswith("__"))}
+
+
+def test_every_defined_name_is_read():
+    """A name is read when its own module loads it, when a module in `src/`
+    or `tests/` imports it by name from its module, or when any of them
+    reads an attribute of that name."""
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    imported_from: set[tuple[str, str]] = set()
+    attributes: set[str] = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.module:
+                module = n.module.split(".")[-1]
+                imported_from |= {(module, a.name) for a in n.names}
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                attributes.add(n.attr)
+    unread = []
+    for path in MODULES:
+        loaded = _loaded(trees[path])
+        for name, line in _defined(trees[path]).items():
+            if name not in loaded and (path.stem, name) not in imported_from and name not in attributes:
+                unread.append(f"{path.stem}.{name} (line {line})")
+    assert not unread, f"names defined but never read: {', '.join(sorted(unread))}"
 
 
 def test_every_bench_layer_has_a_site():

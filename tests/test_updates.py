@@ -311,6 +311,20 @@ def _outcomes(current, ops):
     return results
 
 
+@pytest.mark.parametrize("current", [TreeVal(Tree(node("r", leaf("a")))), UNDEF, Natural(4)], ids=["tree", "undef", "natural"])
+@pytest.mark.parametrize("path,consistent", [(path_val(), True), (Natural(0), False)], ids=["root", "undecodable"])
+def test_subst_tt_beside_subst_at_at_the_root(current, path, consistent):
+    """`subst_tt(t)` is the edit `subst_at((), t)`: every order folds the
+    pair to `t`.  An undecodable path folds to undef in one order."""
+    t = TreeVal(Tree(node("s", leaf("b"))))
+    ops = [SharedUpdate(F, "subst_tt", (t,)), SharedUpdate(F, "subst_at", (path, t))]
+    us = collapse(base_state(f=current), UpdateMultiset(ops))
+    assert us.consistent == consistent
+    assert (len(_outcomes(current, ops)) == 1) == consistent
+    if consistent:
+        assert us.updates == (Update(F, t),)
+
+
 def _mixed_group(rng, paths):
     """1-6 shared updates on `f` over every collapse operator, with some
     undecodable paths and non-tree payloads, and at times a duplicate."""
