@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 runtime failure (or an inconsistent step under
 --strict, or a diff whose reconciliation term fails verification), 2 syntax
 error (non-UTF-8 input included) or a usage error such as a negative count,
 3 malformed program tree, 4 postulate violation, 5 attempted signature
-shrinkage.  `diff` reports unreadable input, a missing file included, as 3:
+shrinkage.  Input nested too deeply for Python's recursion limit is a runtime
+failure (1).  `diff` reports unreadable input, a missing file included, as 3:
 its contract is "both files hold program trees" and it does not distinguish
 why one does not.
 """
@@ -212,6 +213,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as e:
         print(f"rasm: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("rasm: input nests too deeply for the interpreter's recursion limit", file=sys.stderr)
         return 1
 
 

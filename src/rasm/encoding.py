@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .errors import EncodingError, RasmError
 from .state import PGM, FunctionSymbol, Signature
 from . import terms as T
-from .terms import Comprehension, Rule, Term, _fresh, free_vars, subst_rule, subst_term
+from .terms import Comprehension, Rule, Term, free_vars, rename_binders, subst_term
 from .trees import Node, Path, Tree, leaf, node
 from .values import TRUE, Atom, DroppedTerm, Natural, TupleVal, Value
 
@@ -307,26 +307,13 @@ def _comp(head: Term) -> Comprehension:
     return Comprehension(head, (), _TRUE)
 
 
-def _rename_binders(e: Comprehension, avoid: frozenset[str]) -> Comprehension:
-    binders = list(e.binders)
-    head, guard = e.head, e.guard
-    for i, b in enumerate(binders):
-        if b in avoid:
-            taken = avoid | set(binders) | free_vars(head) | free_vars(guard)
-            nb = _fresh(b, taken)
-            head = subst_term(head, {b: T.Var(nb)})
-            guard = subst_term(guard, {b: T.Var(nb)})
-            binders[i] = nb
-    return Comprehension(head, tuple(binders), guard)
-
-
 def _conjoin(entries: tuple[Comprehension, ...], extra: Term) -> tuple[Comprehension, ...]:
     # Binders of an entry must not capture the free variables of the guard
     # being pushed in from outside.
-    avoid = frozenset(free_vars(extra))
+    avoid = free_vars(extra)
     out = []
     for e in entries:
-        e = _rename_binders(e, avoid)
+        e = rename_binders(e, avoid)
         out.append(Comprehension(e.head, e.binders, _and(e.guard, extra)))
     return tuple(out)
 
@@ -358,28 +345,31 @@ def _beta(r: Rule) -> tuple[Comprehension, ...]:
             out = out + _beta(x)
         return out
     if isinstance(r, T.Forall):
-        avoid = frozenset({r.var}) | frozenset(free_vars(r.guard))
+        avoid = free_vars(r.guard) | {r.var}
         out = ()
         for e in _beta(r.body):
-            e = _rename_binders(e, avoid)
+            e = rename_binders(e, avoid)
             for g in (r.guard, _neg(r.guard)):
                 out = out + (Comprehension(e.head, (r.var,) + e.binders, _and(e.guard, g)),)
         return out
     if isinstance(r, T.Let):
-        return (_comp(r.binding),) + _beta(subst_rule(r.body, {r.var: r.binding}))
+        bound = {r.var: r.binding}
+        return (_comp(r.binding),) + tuple(subst_term(e, bound) for e in _beta(r.body))
     if isinstance(r, T.Import):
-        # The fresh atom is drawn, not read; body entries keep the variable
-        # free and the closing pass below quantifies it away.
-        return _beta(r.body)
+        # The fresh atom is drawn, not read: an entry that reads the
+        # variable ranges over it here, where nothing outside can capture it.
+        return tuple(
+            Comprehension(e.head, (r.var,) + e.binders, e.guard) if r.var in free_vars(e) else e
+            for e in _beta(r.body)
+        )
     raise TypeError(f"not a rule: {r!r}")
 
 
 def beta_rule(r: Rule) -> tuple[Comprehension, ...]:
     """Read-set comprehensions of a rule, all closed.
 
-    Residual free variables (import-bound names survive extraction) are
-    turned into extra binders so every entry evaluates under the empty
-    environment.
+    The free variables of the rule itself are turned into extra binders
+    so every entry evaluates under the empty environment.
     """
     out = []
     for e in _beta(r):

@@ -8,9 +8,12 @@ values that are not truth values at all.
 
 Rule evaluation is sequential and deterministic: Par children left to right,
 Forall and comprehension assignments in canonical active-domain order, IMPORT
-draws numbered by a running reserve cursor.  LET substitutes its binding term
-into the body; IMPORT binds a fresh reserve atom that can never become the
-symbol of an update location.
+draws numbered by a running reserve cursor.  LET binds its variable to the
+binding term together with the LET's own environment, and each read of the
+variable evaluates the term there: the term is read in the LET's scope, and
+never when the variable is not read.  FORALL and IMPORT bind values; an
+update head is a location symbol unless its nearest binding that is not a
+LET comes from one of them.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .terms import (
     Rule,
     Term,
     Var,
-    subst_rule,
 )
 from .trees import subtree
 from .updates import COLLAPSE_OPS, SharedUpdate, Update, UpdateMultiset, _as_path, _tree_arg
@@ -54,7 +56,18 @@ from .values import (
     boolean,
 )
 
-Env = Mapping[str, Value]
+
+class _LetBinding:
+    """A LET variable's term and the environment it is read in."""
+
+    __slots__ = ("term", "env")
+
+    def __init__(self, term: Term, env: Env):
+        self.term = term
+        self.env = env
+
+
+Env = Mapping[str, "Value | _LetBinding"]
 
 
 # ------------------------------------------------------- background algebra
@@ -169,9 +182,12 @@ def eval_term(s: State, env: Env, t: Term) -> Value:
         return t.value
     if isinstance(t, Var):
         try:
-            return env[t.name]
+            v = env[t.name]
         except KeyError:
             raise EvalError("unbound-variable", f"variable {t.name!r} is not bound") from None
+        if isinstance(v, _LetBinding):
+            return eval_term(s, v.env, v.term)
+        return v
     if isinstance(t, Apply):
         sym = s.signature.lookup(t.func)
         if sym is None:
@@ -241,7 +257,11 @@ def eval_rule_with_cursor(s: State, env: Env, r: Rule) -> tuple[UpdateMultiset, 
 
 
 def _location_symbol(s: State, env: Env, func: str, nargs: int) -> None:
-    if func in env:
+    # A LET does not bar its name; look through it to the binding it shadows.
+    bound = env.get(func)
+    while isinstance(bound, _LetBinding):
+        bound = bound.env.get(func)
+    if bound is not None:
         raise EvalError("bound-variable-as-location", f"{func!r} is a bound variable, not a location symbol")
     sym = s.signature.lookup(func)
     if sym is None:
@@ -296,7 +316,9 @@ def _eval(s: State, env: dict, r: Rule, ctx: _EvalCtx) -> list:
                 out.extend(_eval(s, inner, r.body, ctx))
         return out
     if isinstance(r, Let):
-        return _eval(s, env, subst_rule(r.body, {r.var: r.binding}), ctx)
+        inner = dict(env)
+        inner[r.var] = _LetBinding(r.binding, env)
+        return _eval(s, inner, r.body, ctx)
     if isinstance(r, Import):
         atom = _draw_reserve(s, ctx)
         inner = dict(env)

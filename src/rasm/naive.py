@@ -1,19 +1,19 @@
 """A deliberately naive rule evaluator, kept independent on purpose.
 
 This is the oracle the main evaluator is checked against, so it avoids the
-main code paths: let extends an environment instead of substituting,
-comprehension enumeration recurses instead of taking a product, updates
-accumulate in a list with a pairwise clash scan instead of multiset
-grouping plus collapse.  It shares only the value types, state reads, and
-the background operation table.
+main code paths: comprehension enumeration recurses instead of taking a
+product, update heads are checked against an explicit set of barred names
+instead of through the environment, and updates accumulate in a list with a
+pairwise clash scan instead of multiset grouping plus collapse.  It shares
+only the value types, state reads, and the background operation table.
 
-Let bindings enter the environment as unevaluated thunks.  Substitution
-semantics only touches a binding where the variable occurs, so an eager
-environment would raise on errors the reference semantics never sees; the
-thunk defers evaluation to the use sites, which restores outcome equality.
-For the same reason only forall/import names are barred from update-head
-position: a let name never survives substitution into head position, it
-just fails symbol lookup.
+Let bindings enter the environment as unevaluated thunks that carry the
+let's own environment, and a read of the variable evaluates the thunk.  An
+eager environment would raise on bindings that are never read, which the
+semantics does not; reading the term in the let's scope is what
+capture-avoiding substitution of the term would give.  Only forall/import
+names are barred from update-head position: a let name in head position is
+a symbol, and a let that shadows a barred name leaves it barred.
 
 Partial assignments are out of scope here; rules must stick to the plain
 forms.  Fresh import atoms are numbered exactly like the main evaluator's
@@ -141,8 +141,8 @@ def _collect_updates(
             else:
                 raise EvalError("non-boolean-guard", f"forall guard evaluated to {g!r}")
     elif isinstance(r, T.Let):
-        # barred is untouched: substitution leaves the enclosing binding
-        # visible to head checks even when the let shadows its name.
+        # barred is untouched: a let does not bar its name, nor unbar the
+        # forall/import name it shadows.
         inner = {**env, r.var: _Thunk(r.binding, dict(env))}
         _collect_updates(s, inner, r.body, out, fresh, barred)
     elif isinstance(r, T.Import):

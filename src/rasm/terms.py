@@ -6,9 +6,10 @@ comparable for free.
 
 Variables are explicit (`Var`), distinct from nullary function application:
 a bare identifier in surface syntax becomes a `Var` only where an enclosing
-FORALL/LET/IMPORT or comprehension binds it.  LET evaluation substitutes the
-binding term for the variable (capture-avoiding), it does not extend the
-environment; this keeps dropped let-bodies syntactically faithful.
+FORALL/LET/IMPORT or comprehension binds it.  The evaluator binds all of
+them in its environment, a LET variable to its term read in the LET's scope;
+substitution works on terms only, for the read terms `encoding.beta_rule`
+builds.
 """
 
 from __future__ import annotations
@@ -139,42 +140,19 @@ SKIP = Par(())  # the do-nothing rule
 
 # ------------------------------------------------------------ free variables
 
-def free_vars(x: Term | Rule) -> frozenset[str]:
-    if isinstance(x, Var):
-        return frozenset((x.name,))
-    if isinstance(x, Literal):
+def free_vars(t: Term) -> frozenset[str]:
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    if isinstance(t, Literal):
         return frozenset()
-    if isinstance(x, (Apply, BackgroundOp)):
+    if isinstance(t, (Apply, BackgroundOp)):
         out: frozenset[str] = frozenset()
-        for a in x.args:
+        for a in t.args:
             out |= free_vars(a)
         return out
-    if isinstance(x, Comprehension):
-        return (free_vars(x.head) | free_vars(x.guard)) - frozenset(x.binders)
-    if isinstance(x, Assign):
-        out = free_vars(x.rhs)
-        for a in x.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(x, PartialAssign):
-        out = frozenset()
-        for a in x.args + x.operands:
-            out |= free_vars(a)
-        return out
-    if isinstance(x, If):
-        return free_vars(x.cond) | free_vars(x.then_branch) | free_vars(x.else_branch)
-    if isinstance(x, Par):
-        out = frozenset()
-        for r in x.rules:
-            out |= free_vars(r)
-        return out
-    if isinstance(x, Forall):
-        return (free_vars(x.guard) | free_vars(x.body)) - frozenset((x.var,))
-    if isinstance(x, Let):
-        return free_vars(x.binding) | (free_vars(x.body) - frozenset((x.var,)))
-    if isinstance(x, Import):
-        return free_vars(x.body) - frozenset((x.var,))
-    raise TypeError(f"not a term or rule: {x!r}")
+    if isinstance(t, Comprehension):
+        return (free_vars(t.head) | free_vars(t.guard)) - frozenset(t.binders)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def _fresh(base: str, avoid: frozenset[str]) -> str:
@@ -182,6 +160,24 @@ def _fresh(base: str, avoid: frozenset[str]) -> str:
     while f"{base}_{i}" in avoid:
         i += 1
     return f"{base}_{i}"
+
+
+def rename_binders(c: Comprehension, avoid: frozenset[str]) -> Comprehension:
+    """`c` with every binder in `avoid` renamed, so that a term whose free
+    variables lie in `avoid` can be put under it without capture.  A new
+    name avoids `avoid`, the other binders and the free variables of the
+    head and the guard."""
+    clash = [b for b in dict.fromkeys(c.binders) if b in avoid]
+    if not clash:
+        return c
+    taken = avoid | frozenset(c.binders) | free_vars(c.head) | free_vars(c.guard)
+    names = {}
+    for b in clash:
+        names[b] = _fresh(b, taken)
+        taken |= {names[b]}
+    renamed = {b: Var(n) for b, n in names.items()}
+    binders = tuple(names.get(b, b) for b in c.binders)
+    return Comprehension(subst_term(c.head, renamed), binders, subst_term(c.guard, renamed))
 
 
 def subst_term(t: Term, mapping: dict[str, Term]) -> Term:
@@ -199,80 +195,8 @@ def subst_term(t: Term, mapping: dict[str, Term]) -> Term:
         return BackgroundOp(t.op, tuple(subst_term(a, mapping) for a in t.args))
     if isinstance(t, Comprehension):
         inner = {k: v for k, v in mapping.items() if k not in t.binders}
-        binders, head, guard = t.binders, t.head, t.guard
-        clash = _capture_clash(binders, inner)
-        if clash:
-            ren = _renaming(binders, inner, free_vars(head) | free_vars(guard))
-            binders = tuple(ren.get(b, b) for b in binders)
-            head = subst_term(head, {k: Var(v) for k, v in ren.items()})
-            guard = subst_term(guard, {k: Var(v) for k, v in ren.items()})
-        return Comprehension(subst_term(head, inner), binders, subst_term(guard, inner))
+        # The keys are not binders here: naming them only keeps a renamed
+        # binder off a variable that is being replaced.
+        t = rename_binders(t, frozenset(inner).union(*map(free_vars, inner.values())))
+        return Comprehension(subst_term(t.head, inner), t.binders, subst_term(t.guard, inner))
     raise TypeError(f"not a term: {t!r}")
-
-
-def _capture_clash(binders, mapping) -> bool:
-    if not mapping:
-        return False
-    incoming: frozenset[str] = frozenset()
-    for v in mapping.values():
-        incoming |= free_vars(v)
-    return any(b in incoming for b in binders)
-
-
-def _renaming(binders, mapping, body_free) -> dict[str, str]:
-    incoming: frozenset[str] = frozenset()
-    for v in mapping.values():
-        incoming |= free_vars(v)
-    avoid = incoming | body_free | frozenset(mapping)
-    out = {}
-    for b in binders:
-        if b in incoming:
-            nb = _fresh(b, avoid)
-            avoid |= {nb}
-            out[b] = nb
-    return out
-
-
-def subst_rule(r: Rule, mapping: dict[str, Term]) -> Rule:
-    """Substitute terms for free variables throughout a rule."""
-    if not mapping:
-        return r
-    if isinstance(r, Assign):
-        return Assign(r.func, tuple(subst_term(a, mapping) for a in r.args), subst_term(r.rhs, mapping))
-    if isinstance(r, PartialAssign):
-        return PartialAssign(
-            r.func,
-            tuple(subst_term(a, mapping) for a in r.args),
-            r.op,
-            tuple(subst_term(a, mapping) for a in r.operands),
-        )
-    if isinstance(r, If):
-        return If(
-            subst_term(r.cond, mapping),
-            subst_rule(r.then_branch, mapping),
-            subst_rule(r.else_branch, mapping),
-        )
-    if isinstance(r, Par):
-        return Par(tuple(subst_rule(x, mapping) for x in r.rules))
-    if isinstance(r, (Forall, Let, Import)):
-        return _subst_binder(r, mapping)
-    raise TypeError(f"not a rule: {r!r}")
-
-
-def _subst_binder(r: Forall | Let | Import, mapping: dict[str, Term]) -> Rule:
-    inner = {k: v for k, v in mapping.items() if k != r.var}
-    var = r.var
-    body = r.body
-    guard = r.guard if isinstance(r, Forall) else None
-    if _capture_clash((var,), inner):
-        scope_free = free_vars(body) | (free_vars(guard) if guard is not None else frozenset())
-        nv = _fresh(var, scope_free | frozenset(inner))
-        ren = {var: Var(nv)}
-        body = subst_rule(body, ren)
-        guard = subst_term(guard, ren) if guard is not None else None
-        var = nv
-    if isinstance(r, Forall):
-        return Forall(var, subst_term(guard, inner), subst_rule(body, inner))
-    if isinstance(r, Let):
-        return Let(var, subst_term(r.binding, mapping), subst_rule(body, inner))
-    return Import(var, subst_rule(body, inner))

@@ -220,6 +220,67 @@ def random_rule(rng: random.Random, depth: int = 4, env: tuple = (), allow_parti
     return rng.choice(forms)()
 
 
+# ------------------------------------------------- rules that reuse names
+
+POOL = ("x", "y", "f", "g")  # every binder and update head; f and g are symbols too
+
+
+def _pool_term(rng: random.Random, env: tuple, depth: int):
+    """Like `random_term`, but comprehension binders come from `POOL` and a
+    variable may be any pool name, bound or not."""
+    if depth <= 0 or rng.random() < 0.3:
+        if env and rng.random() < 0.5:
+            return Var(rng.choice(env))
+        if rng.random() < 0.1:
+            return Var(rng.choice(POOL))  # most likely unbound
+        return rng.choice((Literal(Natural(rng.randrange(4))), Literal(Atom(rng.choice(ATOMS[:2]))), Apply("f")))
+    return rng.choice((
+        lambda: Apply("g", (_pool_term(rng, env, depth - 1),)),
+        lambda: BackgroundOp("add", (_pool_term(rng, env, depth - 1), _pool_term(rng, env, depth - 1))),
+        lambda: BackgroundOp("tuple", (_pool_term(rng, env, depth - 1), _pool_term(rng, env, depth - 1))),
+        lambda: _pool_comprehension(rng, env, depth),
+    ))()
+
+
+def _pool_guard(rng: random.Random, env: tuple, depth: int):
+    op = rng.choice(("eq", "ne", "lt"))
+    return BackgroundOp(op, (_pool_term(rng, env, depth - 1), _pool_term(rng, env, depth - 1)))
+
+
+def _pool_comprehension(rng, env, depth):
+    binders = tuple(rng.choice(POOL) for _ in range(rng.randrange(1, 3)))
+    inner = env + binders
+    return Comprehension(_pool_term(rng, inner, depth - 1), binders, _pool_guard(rng, inner, depth - 1))
+
+
+def random_rule_reusing_names(rng: random.Random, depth: int = 4, env: tuple = ()) -> Rule:
+    """A rule whose binders and update heads all come from `POOL`, so
+    shadowing, capture and bound names in head position are common.  It
+    need not be closed: evaluation errors are outcomes too."""
+
+    def sub(*bound):
+        return random_rule_reusing_names(rng, depth - 1, env + bound)
+
+    def assign():
+        name = rng.choice(POOL + ("f", "g"))  # symbols twice as likely
+        arity = SYMBOL_ARITIES.get(name, rng.randrange(2))
+        args = tuple(_pool_term(rng, env, depth - 1) for _ in range(arity))
+        return Assign(name, args, _pool_term(rng, env, depth - 1))
+
+    if depth <= 0:
+        return assign()
+    v = rng.choice(POOL)
+    return rng.choice((
+        assign,
+        lambda: If(_pool_guard(rng, env, depth - 1), sub(), sub() if rng.random() < 0.5 else Par(())),
+        lambda: Par(tuple(sub() for _ in range(rng.randrange(1, 3)))),
+        lambda: Forall(v, _pool_guard(rng, env + (v,), depth - 1), sub(v)),
+        # A bare pool name as the binding is what a later binder can capture.
+        lambda: Let(v, Var(rng.choice(POOL)) if rng.random() < 0.3 else _pool_term(rng, env, depth - 1), sub(v)),
+        lambda: Import(v, sub(v)),
+    ))()
+
+
 # ----------------------------------------------------- program-tree pairs
 
 def _subrule_count(r: Rule) -> int:

@@ -279,6 +279,27 @@ def test_deeply_nested_rule_runs_and_prints(tmp_path, capsys):
         assert capsys.readouterr().out == text
 
 
+@pytest.mark.parametrize("argv,rule", [
+    (["check", "--steps", "1", "--trials", "1"], "IF f = 0 THEN " * 200 + "f := 1" + " ENDIF" * 200),
+    (["run"], "f := " + "(" * 300 + "1" + ")" * 300),
+    (["fmt"], "f := " + "(" * 300 + "1" + ")" * 300),
+], ids=["check-200-ifs", "run-300-parens", "fmt-300-parens"])
+def test_input_too_deep_for_the_stack_exits_1_with_one_line(tmp_path, capsys, argv, rule):
+    doc = put(tmp_path, "deep.rst", "function f/0\ninit f = 0\nprogram\n" + rule + "\n")
+    assert main([argv[0], doc] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert err == "rasm: input nests too deeply for the interpreter's recursion limit\n"
+    assert "Traceback" not in out + err
+
+
+def test_run_bound_head_under_a_let_is_barred(tmp_path, capsys):
+    # The LET's term mentions f; the IMPORT still binds f, so f is no
+    # location symbol in the head below it.
+    doc = put(tmp_path, "head.rst", "function f/0\nprogram\nLET x = ?f IN IMPORT f DO f := f\n")
+    assert main(["run", doc]) == 1
+    assert "bound-variable-as-location" in capsys.readouterr().err
+
+
 def test_run_prints_naturals_past_4300_digits(tmp_path, capsys):
     doc = put(tmp_path, "square.rst", "function f/0\ninit f = 2\nprogram\nf := f * f\n")
     assert main(["run", doc, "--steps", "14"]) == 0

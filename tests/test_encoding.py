@@ -224,6 +224,21 @@ def test_beta_import_closes_the_drawn_name():
     assert free_vars(e) == frozenset()
 
 
+def test_beta_import_variable_is_not_under_an_enclosing_guard():
+    # The imported x is a fresh atom, not the forall's x: the update's read
+    # term ranges over it on its own, and p constrains only the forall's.
+    r = parse_rule("FORALL x WITH p(x) DO IMPORT x DO q(x) := 1 ENDDO")
+    texts = [comp_text(e) for e in beta_rule(r)]
+    assert texts == ["{| (1, x_1) | x, x_1 : p(x) |}", "{| (1, x_1) | x, x_1 : not p(x) |}"]
+
+
+def test_beta_let_does_not_capture_an_import_variable():
+    # The let's x is a free name of the rule; the import's x is another.
+    r = parse_rule("LET y = ?x IN IMPORT x DO g(x) := y")
+    texts = [comp_text(e) for e in beta_rule(r)]
+    assert texts == ["{| x | x : true |}", "{| (x, x_1) | x, x_1 : true |}"]
+
+
 def test_beta_partial_assign_reads_current_value():
     (e,) = beta_rule(parse_rule("f <<= munion({| 1 |})"))
     assert comp_text(e) == "{| munion(f, {| 1 |}) | : true |}"

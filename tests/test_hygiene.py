@@ -147,3 +147,73 @@ def test_every_background_op_parses_back_from_its_printed_text(op):
         for args in ((_applied(inner, (F, G)), H), (F, _applied(inner, (G, H)))):
             t = _applied(op, args)
             assert parse_term(print_term(t)) == t, print_term(t)
+
+
+# Functions and methods that call themselves by name, nested ones included:
+# each recurses once per level of its input, so a deep enough input
+# exhausts the stack (ROADMAP item 2).  A new recursive walk goes here on
+# purpose, or is written with a loop instead.
+RECURSIVE_WALKS = {
+    "conformance.rule_has_partial_assign",
+    "encoding._beta",
+    "evaluator.eval_term",
+    "evaluator._eval",
+    "naive.naive_eval_term",
+    "naive.naive_eval_term.enumerate_binders",
+    "naive._collect_updates",
+    "parser._Parser._climb",
+    "parser._Parser.value",
+    "parser._Parser.rule",
+    "parser._rebind",
+    "printer._value_text",
+    "printer._term_text",
+    "printer.print_rule",
+    "state._collect_values",
+    "state._term_literals",
+    "state.rename_value",
+    "state._rename_node",
+    "state.rename_term",
+    "terms.free_vars",
+    "terms.subst_term",
+    "treediff.eval_algebra",
+    "treediff.serialize_algebra",
+    "treediff.tree_diff_theta.build",
+    "treediff.tree_diff_updates.walk",
+    "values._tree_key",
+    "values.value_key",
+}
+
+
+def _recursive_functions(tree: ast.Module, module: str) -> set[str]:
+    """Qualified names of the functions in `tree` that call themselves: a
+    function by its bare name, a method through `self` or `cls`."""
+    out = set()
+
+    def visit(n: ast.AST, qual: list[str], in_class: bool) -> None:
+        for child in ast.iter_child_nodes(n):
+            if isinstance(child, ast.ClassDef):
+                visit(child, qual + [child.name], True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                for c in ast.walk(child):
+                    f = c.func if isinstance(c, ast.Call) else None
+                    if (not in_class and isinstance(f, ast.Name) and f.id == name) or (
+                        in_class and isinstance(f, ast.Attribute) and f.attr == name
+                        and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")
+                    ):
+                        out.add(".".join(qual + [name]))
+                        break
+                visit(child, qual + [name], False)
+            else:
+                visit(child, qual, in_class)
+
+    visit(tree, [module], False)
+    return out
+
+
+def test_recursive_walks_are_listed():
+    found = set()
+    for path in MODULES:
+        found |= _recursive_functions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found - RECURSIVE_WALKS == set(), "new recursive functions: add them to RECURSIVE_WALKS on purpose"
+    assert RECURSIVE_WALKS - found == set(), "no longer recursive: take them out of RECURSIVE_WALKS"

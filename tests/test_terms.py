@@ -1,19 +1,14 @@
-"""Term and rule ASTs: free variables and capture-avoiding substitution."""
+"""Term ASTs: free variables and capture-avoiding substitution."""
 
 from rasm.terms import (
     SKIP,
-    Apply,
-    Assign,
     BackgroundOp,
     Comprehension,
-    Forall,
-    Import,
-    Let,
     Literal,
     Par,
     Var,
     free_vars,
-    subst_rule,
+    rename_binders,
     subst_term,
 )
 from rasm.values import TRUE, Natural
@@ -22,10 +17,8 @@ from rasm.values import TRUE, Natural
 def test_free_vars_respect_binders():
     t = Comprehension(Var("x"), ("x",), BackgroundOp("eq", (Var("y"), Literal(Natural(0)))))
     assert free_vars(t) == frozenset({"y"})
-    r = Forall("x", Literal(TRUE), Assign("f", (), Var("x")))
-    assert free_vars(r) == frozenset()
-    r2 = Let("y", Var("z"), Assign("f", (), Var("y")))
-    assert free_vars(r2) == frozenset({"z"})
+    nested = Comprehension(t, ("y",), BackgroundOp("eq", (Var("x"), Var("z"))))
+    assert free_vars(nested) == frozenset({"x", "z"})
 
 
 def test_subst_term_replaces_free_occurrences_only():
@@ -45,27 +38,20 @@ def test_subst_term_avoids_capture():
     assert out.head == BackgroundOp("add", (Var(b), Var("x")))
 
 
-def test_subst_rule_under_binders():
-    r = Forall("x", BackgroundOp("eq", (Var("x"), Var("n"))), Assign("g", (Var("x"),), Var("n")))
-    out = subst_rule(r, {"n": Literal(Natural(2))})
-    assert out == Forall("x", BackgroundOp("eq", (Var("x"), Literal(Natural(2)))),
-                         Assign("g", (Var("x"),), Literal(Natural(2))))
+def test_renamed_binder_avoids_the_mapping_keys():
+    # x must be renamed, and not to x_1: the substitution for x_1 would then
+    # replace the renamed binder's occurrences.
+    t = Comprehension(BackgroundOp("add", (Var("x"), Var("y"))), ("x",), Literal(TRUE))
+    out = subst_term(t, {"y": Var("x"), "x_1": Literal(Natural(0))})
+    assert out == Comprehension(BackgroundOp("add", (Var("x_2"), Var("x"))), ("x_2",), Literal(TRUE))
 
 
-def test_subst_rule_avoids_capture_in_forall():
-    r = Forall("x", Literal(TRUE), Assign("f", (), BackgroundOp("add", (Var("x"), Var("y")))))
-    out = subst_rule(r, {"y": Var("x")})
-    assert isinstance(out, Forall)
-    assert out.var != "x"
+def test_rename_binders_renames_only_clashing_binders():
+    t = Comprehension(BackgroundOp("tuple", (Var("a"), Var("b"))), ("a", "b"), Var("c"))
+    assert rename_binders(t, frozenset({"c"})) is t
+    out = rename_binders(t, frozenset({"b"}))
+    assert out == Comprehension(BackgroundOp("tuple", (Var("a"), Var("b_1"))), ("a", "b_1"), Var("c"))
 
 
 def test_skip_is_empty_par():
     assert SKIP == Par(())
-    assert free_vars(SKIP) == frozenset()
-
-
-def test_import_binds_its_variable():
-    r = Import("a", Assign("g", (Var("a"),), Literal(Natural(1))))
-    assert free_vars(r) == frozenset()
-    out = subst_rule(r, {"a": Literal(Natural(9))})
-    assert out == r  # bound occurrence untouched
