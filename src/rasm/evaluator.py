@@ -8,19 +8,21 @@ values that are not truth values at all.
 
 Rule evaluation is sequential and deterministic: Par children left to right,
 Forall and comprehension assignments in canonical active-domain order, IMPORT
-draws numbered by a running reserve cursor.  LET binds its variable to the
-binding term together with the LET's own environment, and each read of the
-variable evaluates the term there: the term is read in the LET's scope, and
-never when the variable is not read.  FORALL and IMPORT bind values; an
-update head is a location symbol unless its nearest binding that is not a
-LET comes from one of them.
+draws numbered by a running reserve cursor.  A binder that a strict read among
+the guard's conjuncts mentions is enumerated over that read's stored
+arguments only, when the guard cannot raise: at any other value the read is
+undef, so the guard is false or undef and the assignment would be skipped
+anyway.  LET binds its variable to the binding term together with the LET's
+own environment, and each read of the variable evaluates the term there: the
+term is read in the LET's scope, and never when the variable is not read.
+FORALL and IMPORT bind values; an update head is a location symbol unless
+its nearest binding that is not a LET comes from one of them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import EvalError, TreeAlgebraError
 from .state import Location, State
@@ -54,6 +56,7 @@ from .values import (
     TupleVal,
     Value,
     boolean,
+    value_key,
 )
 
 
@@ -219,19 +222,91 @@ def eval_comprehension(s: State, env: Env, mc: Comprehension) -> Multiset:
     tuple quantifies over the single empty assignment.  Multiplicities count
     assignments, so duplicate head values accumulate.
     """
-    domain = s.active_domain()
-    items: list[Value] = []
-    for combo in itertools.product(domain, repeat=len(mc.binders)):
-        inner = dict(env)
-        inner.update(zip(mc.binders, combo))
-        g = eval_term(s, inner, mc.guard)
-        if g == TRUE:
-            items.append(eval_term(s, inner, mc.head))
-        elif g == FALSE or g == UNDEF:
-            continue
-        else:
-            raise EvalError("non-boolean-guard", f"comprehension guard evaluated to {g!r}")
-    return Multiset(items)
+    accepted = _satisfying(s, env, mc.binders, mc.guard, "comprehension")
+    return Multiset(eval_term(s, inner, mc.head) for inner in accepted)
+
+
+# ------------------------------------------------------------- quantifiers
+
+_TOTAL_VARIADIC = ("and", "or", "tuple", "mset")
+
+
+def _satisfying(s: State, env: Env, binders: tuple[str, ...], guard: Term, where: str) -> Iterator[dict]:
+    """`env` extended by each assignment of `binders` that makes `guard`
+    true, in canonical order, the first binder outermost.  A binder ranges
+    over the active domain, or over the stored arguments of the reads
+    `_narrowing` picks for it, given the binders before it."""
+    reads = _narrowing(s, env, binders, guard)
+    inner = dict(env)
+
+    def candidates(k: int) -> Iterator[Value]:
+        if reads is None or not reads[k]:
+            return iter(s.active_domain())
+        found = set.intersection(*(_read_arguments(s, inner, f, binders[k:]) for f in reads[k]))
+        return iter(sorted(found, key=value_key))
+
+    if not binders and _guard_value(s, inner, guard, where) == TRUE:
+        yield inner
+    stack = [candidates(0)] if binders else []
+    while stack:
+        for v in stack[-1]:
+            inner[binders[len(stack) - 1]] = v
+            if len(stack) < len(binders):
+                stack.append(candidates(len(stack)))
+                break
+            if _guard_value(s, inner, guard, where) == TRUE:
+                yield dict(inner)
+        else:  # this binder's candidates are used up
+            stack.pop()
+
+
+def _guard_value(s: State, env: Env, t: Term, where: str) -> Value:
+    g = eval_term(s, env, t)
+    if g in (TRUE, FALSE, UNDEF):
+        return g
+    raise EvalError("non-boolean-guard", f"{where} guard evaluated to {g!r}")
+
+
+def _narrowing(s: State, env: Env, binders: tuple[str, ...], guard: Term) -> list[list[Apply]] | None:
+    """Per binder, the reads among the guard's conjuncts that mention it and
+    take only variables and literals.  None when there are none, a binder
+    name repeats, or the guard could raise for some binding: through an
+    unknown symbol or arity, a variable neither a binder nor bound to a
+    value, an operation that is not total, or a comprehension."""
+    if not binders or len(set(binders)) < len(binders):
+        return None
+    reads, todo = [], [(guard, True)]
+    while todo:
+        t, conjunct = todo.pop()
+        if isinstance(t, Var):
+            if t.name not in binders and not isinstance(env.get(t.name), Value):
+                return None
+        elif isinstance(t, Apply):
+            sym = s.signature.lookup(t.func)
+            if sym is None or sym.arity != len(t.args):
+                return None
+            if conjunct and all(isinstance(u, (Var, Literal)) for u in t.args):
+                reads.append(t)
+            todo += [(u, False) for u in t.args]
+        elif isinstance(t, BackgroundOp):
+            op = BACKGROUND_OPS.get(t.op)
+            if op is None or (t.op not in _TOTAL_VARIADIC if op.arity is None else op.arity != len(t.args)):
+                return None
+            todo += [(u, conjunct and t.op == "and") for u in t.args]
+        elif not isinstance(t, Literal):
+            return None
+    per_binder = [[f for f in reads if Var(b) in f.args] for b in binders]
+    return per_binder if any(per_binder) else None
+
+
+def _read_arguments(s: State, env: dict, f: Apply, pending: tuple[str, ...]) -> set[Value]:
+    """The values `pending[0]` takes in the stored `f` locations that agree
+    with `f`'s literals and with `env` on its variables not pending."""
+    fixed = [(i, u.value if isinstance(u, Literal) else env[u.name])
+             for i, u in enumerate(f.args) if isinstance(u, Literal) or u.name not in pending]
+    at = f.args.index(Var(pending[0]))
+    locs = s.stored(f.func, *fixed[0]) if fixed else s.stored(f.func)
+    return {loc.args[at] for loc in locs if all(loc.args[i] == v for i, v in fixed)}
 
 
 # ------------------------------------------------------------------- rules
@@ -270,13 +345,6 @@ def _location_symbol(s: State, env: Env, func: str, nargs: int) -> None:
         raise EvalError("arity-mismatch", f"{func!r} has arity {sym.arity}, given {nargs} arguments")
 
 
-def _guard_value(s: State, env: Env, t: Term, where: str) -> Value:
-    g = eval_term(s, env, t)
-    if g in (TRUE, FALSE, UNDEF):
-        return g
-    raise EvalError("non-boolean-guard", f"{where} guard evaluated to {g!r}")
-
-
 def _eval(s: State, env: dict, r: Rule, ctx: _EvalCtx) -> list:
     if isinstance(r, Assign):
         _location_symbol(s, env, r.func, len(r.args))
@@ -309,11 +377,8 @@ def _eval(s: State, env: dict, r: Rule, ctx: _EvalCtx) -> list:
         return out
     if isinstance(r, Forall):
         out = []
-        for a in s.active_domain():
-            inner = dict(env)
-            inner[r.var] = a
-            if _guard_value(s, inner, r.guard, "forall") == TRUE:
-                out.extend(_eval(s, inner, r.body, ctx))
+        for inner in _satisfying(s, env, (r.var,), r.guard, "forall"):
+            out.extend(_eval(s, inner, r.body, ctx))
         return out
     if isinstance(r, Let):
         inner = dict(env)

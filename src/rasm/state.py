@@ -142,7 +142,7 @@ class State:
     fresh-atom draws and are excluded from equality.
     """
 
-    __slots__ = ("signature", "interp", "universe", "reserve_cursor", "reserve_seed", "_domain")
+    __slots__ = ("signature", "interp", "universe", "reserve_cursor", "reserve_seed", "_domain", "_index")
 
     def __init__(
         self,
@@ -163,6 +163,7 @@ class State:
         object.__setattr__(self, "reserve_cursor", reserve_cursor)
         object.__setattr__(self, "reserve_seed", reserve_seed)
         object.__setattr__(self, "_domain", None)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, *_):
         raise AttributeError("State is immutable; use with_* helpers")
@@ -188,6 +189,19 @@ class State:
                 _collect_values(val, seen)
             object.__setattr__(self, "_domain", tuple(sorted(seen, key=value_key)))
         return self._domain
+
+    def stored(self, symbol: str, position: int | None = None, value: Value = UNDEF) -> list[Location]:
+        """The stored locations of `symbol`, or those holding `value` at
+        argument `position`.  Indexed per symbol and position on first use;
+        the interpretation never changes, so the index never goes stale."""
+        if self._index is None:
+            object.__setattr__(self, "_index", {})
+        if (symbol, position) not in self._index:
+            by_value = self._index[symbol, position] = {}
+            for loc in self.interp:
+                if loc.symbol == symbol:
+                    by_value.setdefault(None if position is None else loc.args[position], []).append(loc)
+        return self._index[symbol, position].get(None if position is None else value, [])
 
     def reserve_atom(self, offset: int = 0) -> Atom:
         k = self.reserve_cursor + offset

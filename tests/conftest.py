@@ -26,7 +26,7 @@ from rasm.terms import (
     Var,
 )
 from rasm.trees import Context, Node, Tree, XI
-from rasm.values import FALSE, TRUE, UNDEF, Atom, Multiset, Natural, TupleVal
+from rasm.values import FALSE, TRUE, UNDEF, Atom, Multiset, Natural, TupleVal, value_key
 
 LABELS = ("a", "b", "c", "d", "e")
 ATOMS = ("red", "green", "blue", "amber")
@@ -218,6 +218,84 @@ def random_rule(rng: random.Random, depth: int = 4, env: tuple = (), allow_parti
     if allow_partial:
         forms.append(partial)
     return rng.choice(forms)()
+
+
+# ------------------------------------------------ guards that read relations
+
+def random_relational_state(rng: random.Random) -> State:
+    """`random_state` plus the relations p/1 and e/2, mostly boolean; about
+    one state in ten stores a natural in one of their entries."""
+    s = random_state(rng)
+    base = sorted(s.universe, key=value_key)
+    interp = dict(s.interp)
+    for v in rng.sample(base, k=rng.randrange(len(base) + 1)):
+        interp[Location("p", (v,))] = rng.choice((TRUE, TRUE, FALSE))
+    for _ in range(rng.randrange(2 * len(base))):
+        interp[Location("e", (rng.choice(base), rng.choice(base)))] = rng.choice((TRUE, TRUE, FALSE))
+    relational = [loc for loc in interp if loc.symbol in ("p", "e")]
+    if relational and rng.random() < 0.1:
+        interp[rng.choice(relational)] = Natural(rng.randrange(3))
+    sig = s.signature.extended((FunctionSymbol("p", 1), FunctionSymbol("e", 2)))
+    return State(sig, interp, s.universe)
+
+
+def random_relational_guard(rng: random.Random, env: tuple, binders: tuple):
+    """A read of p or e at one of `binders`, alone or in an `and` with
+    `random_guard` conjuncts.  One guard in ten puts the read under an `or`
+    instead; about one in six adds a conjunct that can raise: an unknown
+    symbol, a wrong arity, an unbound argument, or a comprehension whose own
+    guard reads naturals."""
+    x = Var(rng.choice(binders))
+    u = rng.choice([Var(n) for n in env + binders] + [Literal(Natural(rng.randrange(3)))])
+    read = rng.choice((Apply("p", (x,)), Apply("e", (u, x)), Apply("e", (x, u)), Apply("e", (x, x))))
+    if rng.random() < 0.1:
+        read = BackgroundOp("or", (read, random_guard(rng, env + binders, 1)))
+    conjuncts = [read] + [random_guard(rng, env + binders, 1) for _ in range(rng.randrange(3))]
+    if rng.random() < 0.15:
+        q = f"q{len(env) + len(binders)}"
+        conjuncts.append(rng.choice((
+            Apply("missing", (x,)),
+            Apply("p", (x, x)),
+            Apply("e", (Var("unbound"), x)),
+            BackgroundOp("eq", (Comprehension(Var(q), (q,), Apply("g", (Var(q),))), Literal(Multiset(())))),
+        )))
+    rng.shuffle(conjuncts)
+    return conjuncts[0] if len(conjuncts) == 1 else BackgroundOp("and", tuple(conjuncts))
+
+
+def random_relational_rule(rng: random.Random, depth: int = 3, env: tuple = ()) -> Rule:
+    """FORALLs and 1-2-binder comprehensions guarded by
+    `random_relational_guard`, IMPORT under such a FORALL, and LETs whose
+    variables those guards may read (a LET binding may name an unknown
+    symbol).  A comprehension binder may shadow an enclosing name.  Unlike
+    `random_rule`, evaluation errors are common."""
+    n = len(env)
+
+    def inner(*bound):
+        if depth > 1:
+            return random_relational_rule(rng, depth - 1, env + bound)
+        return random_rule(rng, 1, env + bound)
+
+    def forall():
+        return Forall(f"x{n}", random_relational_guard(rng, env, (f"x{n}",)), inner(f"x{n}"))
+
+    def comprehension():
+        binders = tuple(f"q{n + i}" for i in range(rng.randrange(1, 3)))
+        if env and rng.random() < 0.3:  # the last binder shadows an enclosing name
+            binders = binders[:-1] + (rng.choice(env),)
+        guard = random_relational_guard(rng, env, binders)
+        c = Comprehension(random_term(rng, env + binders, 1), binders, guard)
+        return Assign("g", (random_term(rng, env, 0),), c)
+
+    def imported():
+        body = Import(f"z{n}", Assign("g", (Var(f"x{n}"),), Var(f"z{n}")))
+        return Forall(f"x{n}", random_relational_guard(rng, env, (f"x{n}",)), body)
+
+    def let():
+        binding = Apply("missing") if rng.random() < 0.2 else random_term(rng, env, 1)
+        return Let(f"y{n}", binding, inner(f"y{n}"))
+
+    return rng.choice((forall, forall, comprehension, imported, let, lambda: Par((inner(), inner()))))()
 
 
 # ------------------------------------------------- rules that reuse names

@@ -238,3 +238,67 @@ def test_forall_draws_in_canonical_domain_order():
 def test_bound_variable_cannot_be_location():
     with pytest.raises(EvalError, match="bound-variable-as-location"):
         eval_rule(small_state(), {}, parse_rule("IMPORT a DO a := 1"))
+
+
+# ----------------------------------------------- quantifiers narrowed by an index
+
+def relational_state(p=(), value=TRUE):
+    """p/1 holding `value` at each of `p`, h/1 empty, over the naturals 0-2
+    and two atoms."""
+    sig = Signature((FunctionSymbol("f", 0), FunctionSymbol("p", 1), FunctionSymbol("h", 1)))
+    interp = {Location("p", (v,)): value for v in p}
+    return State(sig, interp, frozenset({Natural(0), Natural(1), Natural(2), Atom("red"), Atom("blue")}))
+
+
+def count_lookups(monkeypatch):
+    calls = []
+    stored = State.stored
+    monkeypatch.setattr(State, "stored", lambda self, *a: calls.append(a) or stored(self, *a))
+    return calls
+
+
+@pytest.mark.parametrize("text", [
+    "FORALL x WITH q(x) DO f := x ENDDO",
+    "FORALL x WITH p(x) and q(x) DO f := x ENDDO",
+])
+def test_unknown_guard_symbol_raises_with_an_empty_index(text):
+    with pytest.raises(EvalError, match="unknown-symbol"):
+        eval_rule(relational_state(), {}, parse_rule(text))
+
+
+def test_non_boolean_stored_guard_value_raises():
+    s = relational_state(p=(Natural(1),), value=Natural(5))
+    with pytest.raises(EvalError, match="non-boolean-guard"):
+        eval_rule(s, {}, parse_rule("FORALL x WITH p(x) DO f := x ENDDO"))
+    with pytest.raises(EvalError, match="non-boolean-guard"):
+        eval_term(s, {}, parse_term("{| x | x : p(x) |}"))
+
+
+def test_narrowed_forall_draws_in_canonical_order(monkeypatch):
+    calls = count_lookups(monkeypatch)
+    s = relational_state(p=(Atom("red"), Natural(2), Natural(0)))
+    um, cursor = eval_rule_with_cursor(s, {}, parse_rule("FORALL x WITH p(x) DO IMPORT y DO h(x) := y ENDDO"))
+    assert calls and cursor == 3
+    assert um == UpdateMultiset((
+        Update(Location("h", (Natural(0),)), Atom("$r0")),
+        Update(Location("h", (Natural(2),)), Atom("$r1")),
+        Update(Location("h", (Atom("red"),)), Atom("$r2")),
+    ))
+
+
+def test_duplicate_comprehension_binders_scan_the_whole_domain(monkeypatch):
+    calls = count_lookups(monkeypatch)
+    s = relational_state(p=(Natural(1),))
+    got = eval_term(s, {}, parse_term("{| x | x, x : p(x) |}"))
+    assert not calls
+    # once per value of the first binder, which the second shadows
+    assert got == Multiset((Natural(1),) * len(s.active_domain()))
+
+
+def test_guard_under_or_is_not_narrowed(monkeypatch):
+    calls = count_lookups(monkeypatch)
+    s = relational_state(p=(Natural(1),))
+    s = State(s.signature, {**s.interp, Location("f"): Natural(1)}, s.universe)
+    got = eval_term(s, {}, parse_term("{| x | x : p(x) or f = 1 |}"))
+    assert not calls
+    assert got == Multiset(s.active_domain())

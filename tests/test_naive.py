@@ -17,7 +17,13 @@ from rasm.parser import parse_rule, parse_term
 from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm.updates import Update, collapse
 from rasm.values import Multiset, Natural
-from conftest import random_rule, random_rule_reusing_names, random_state
+from conftest import (
+    random_relational_rule,
+    random_relational_state,
+    random_rule,
+    random_rule_reusing_names,
+    random_state,
+)
 
 
 def small_state(**inits):
@@ -154,3 +160,47 @@ def test_oracle_agrees_when_names_are_reused():
         if not rep.passed:
             failed.append(rep.violations[0].description)
     assert not failed, failed[:3]
+
+
+RELATIONAL_PAIRS = 3000
+
+
+def _relational_pairs():
+    for seed in range(RELATIONAL_PAIRS):
+        rng = random.Random(seed)
+        yield random_relational_state(rng), random_relational_rule(rng)
+
+
+def _outcome(evaluate):
+    try:
+        return ("ok",) + evaluate()
+    except EvalError as e:
+        return ("error", e.code)
+
+
+def test_oracle_agrees_on_guards_that_read_relations():
+    # Quantifiers that enumerate only a read's stored arguments must give
+    # the oracle's full-domain outcome: updates, reserve draws and errors.
+    failed = []
+    for s, r in _relational_pairs():
+        def main():
+            us = collapse(s, eval_rule(s, {}, r))
+            return frozenset(us.updates), us.consistent
+
+        mine, ref = _outcome(main), _outcome(lambda: naive_eval_rule(s, {}, r))
+        if mine != ref:
+            failed.append((r, mine, ref))
+    assert not failed, failed[:3]
+
+
+def test_guards_that_read_relations_narrow_often(monkeypatch):
+    # The agreement above shows something only if the index is consulted.
+    looked_up = []
+    stored = State.stored
+    monkeypatch.setattr(State, "stored", lambda self, *a: looked_up.append(1) or stored(self, *a))
+    narrowed = 0
+    for s, r in _relational_pairs():
+        before = len(looked_up)
+        _outcome(lambda: (eval_rule(s, {}, r),))
+        narrowed += len(looked_up) > before
+    assert narrowed >= RELATIONAL_PAIRS // 3
