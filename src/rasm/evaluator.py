@@ -149,6 +149,7 @@ def _collapse_as_term_op(name: str) -> Callable[[list[Value]], Value]:
 class _BgOp:
     arity: int | None  # None: variadic
     fn: Callable[[list[Value]], Value]
+    total: bool = True  # never raises at its arity; `_narrowing` relies on it
 
 
 BACKGROUND_OPS: dict[str, _BgOp] = {
@@ -170,11 +171,11 @@ BACKGROUND_OPS: dict[str, _BgOp] = {
     "subtree_at": _BgOp(2, _op_subtree_at),
     # Collapse operators double as term operators: first argument plays the
     # role of the current value.
-    "munion": _BgOp(None, _collapse_as_term_op("munion")),
-    "right_extend": _BgOp(None, _collapse_as_term_op("right_extend")),
-    "extend_at": _BgOp(None, _collapse_as_term_op("extend_at")),
-    "subst_at": _BgOp(None, _collapse_as_term_op("subst_at")),
-    "subst_tt": _BgOp(None, _collapse_as_term_op("subst_tt")),
+    "munion": _BgOp(None, _collapse_as_term_op("munion"), total=False),
+    "right_extend": _BgOp(None, _collapse_as_term_op("right_extend"), total=False),
+    "extend_at": _BgOp(None, _collapse_as_term_op("extend_at"), total=False),
+    "subst_at": _BgOp(None, _collapse_as_term_op("subst_at"), total=False),
+    "subst_tt": _BgOp(None, _collapse_as_term_op("subst_tt"), total=False),
 }
 
 
@@ -227,9 +228,6 @@ def eval_comprehension(s: State, env: Env, mc: Comprehension) -> Multiset:
 
 
 # ------------------------------------------------------------- quantifiers
-
-_TOTAL_VARIADIC = ("and", "or", "tuple", "mset")
-
 
 def _satisfying(s: State, env: Env, binders: tuple[str, ...], guard: Term, where: str) -> Iterator[dict]:
     """`env` extended by each assignment of `binders` that makes `guard`
@@ -290,7 +288,7 @@ def _narrowing(s: State, env: Env, binders: tuple[str, ...], guard: Term) -> lis
             todo += [(u, False) for u in t.args]
         elif isinstance(t, BackgroundOp):
             op = BACKGROUND_OPS.get(t.op)
-            if op is None or (t.op not in _TOTAL_VARIADIC if op.arity is None else op.arity != len(t.args)):
+            if op is None or not op.total or op.arity not in (None, len(t.args)):
                 return None
             todo += [(u, conjunct and t.op == "and") for u in t.args]
         elif not isinstance(t, Literal):

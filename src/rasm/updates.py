@@ -250,17 +250,8 @@ def _collapse_shared(current: Value, shared: tuple[SharedUpdate, ...]) -> tuple[
     result = current
     for u in shared:
         result = _apply_shared(result, u)
-    # Equal edits are independent, and so are edits at paths neither of
-    # which is a prefix of the other.  In path order every extension of a
-    # path comes right after it, so only those pairs go to the pair rule.
-    edits = sorted({COLLAPSE_OPS[u.op].edit(u.args) for u in shared}, key=lambda e: e[1] or ())
-    for i, a in enumerate(edits):
-        pa, j = a[1] or (), i + 1
-        while j < len(edits) and (edits[j][1] or ())[: len(pa)] == pa:
-            if not _independent(current, a, edits[j]):
-                return result, False
-            j += 1
-    return result, True
+    edits = {COLLAPSE_OPS[u.op].edit(u.args) for u in shared}  # equal edits are independent
+    return result, all(_independent(current, a, b) for a, b in itertools.combinations(edits, 2))
 
 
 def _independent(current: Value, a: Edit, b: Edit) -> bool:

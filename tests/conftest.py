@@ -222,6 +222,15 @@ def random_rule(rng: random.Random, depth: int = 4, env: tuple = (), allow_parti
 
 # ------------------------------------------------ guards that read relations
 
+def count_lookups(monkeypatch) -> list:
+    """The argument tuples of every `State.stored` call from now on, which
+    the evaluator makes only when it narrows a quantifier."""
+    calls = []
+    stored = State.stored
+    monkeypatch.setattr(State, "stored", lambda self, *a: calls.append(a) or stored(self, *a))
+    return calls
+
+
 def random_relational_state(rng: random.Random) -> State:
     """`random_state` plus the relations p/1 and e/2, mostly boolean; about
     one state in ten stores a natural in one of their entries."""

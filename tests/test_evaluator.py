@@ -5,14 +5,18 @@ total equality tests, comprehension enumeration over the active domain,
 and the update multisets of every rule form.
 """
 
+import itertools
+
 import pytest
 
 from rasm.errors import EvalError
-from rasm.evaluator import eval_rule, eval_rule_with_cursor, eval_term
+from rasm.evaluator import BACKGROUND_OPS, eval_rule, eval_rule_with_cursor, eval_term
 from rasm.parser import parse_rule, parse_term
 from rasm.state import FunctionSymbol, Location, Signature, State
+from rasm.trees import Tree, leaf, node
 from rasm.updates import SharedUpdate, Update, UpdateMultiset
-from rasm.values import FALSE, TRUE, UNDEF, Atom, Multiset, Natural, TupleVal
+from rasm.values import FALSE, TRUE, UNDEF, Atom, Multiset, Natural, TreeVal, TupleVal
+from conftest import count_lookups
 
 
 def small_state(**inits):
@@ -250,11 +254,17 @@ def relational_state(p=(), value=TRUE):
     return State(sig, interp, frozenset({Natural(0), Natural(1), Natural(2), Atom("red"), Atom("blue")}))
 
 
-def count_lookups(monkeypatch):
-    calls = []
-    stored = State.stored
-    monkeypatch.setattr(State, "stored", lambda self, *a: calls.append(a) or stored(self, *a))
-    return calls
+def test_operations_marked_total_never_raise():
+    # Narrowing skips bindings unevaluated, so a guard operation marked
+    # total must return a value, possibly undef, on any arguments.
+    tree = TreeVal(Tree(node("r", leaf("a"))))
+    sample = (UNDEF, TRUE, FALSE, Natural(0), Natural(1), Atom("a"),
+              TupleVal((Natural(0),)), TupleVal(()), Multiset((Natural(1),)), tree)
+    for name, op in BACKGROUND_OPS.items():
+        if op.total:
+            for n in (op.arity,) if op.arity is not None else range(3):
+                for args in itertools.product(sample, repeat=n):
+                    op.fn(list(args))
 
 
 @pytest.mark.parametrize("text", [

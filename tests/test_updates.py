@@ -194,23 +194,6 @@ def test_commutative_group_skips_the_permutations(monkeypatch):
     assert len(calls) == 4  # disjoint paths decide the group pair by pair
 
 
-def test_disjoint_edits_need_no_pair_checks(monkeypatch):
-    # Edits sorted by path meet only their extensions: 1,000 edits at
-    # disjoint child paths are decided without an all-pairs scan.
-    from rasm import updates
-
-    calls = []
-    real = updates._independent
-    monkeypatch.setattr(updates, "_independent", lambda *a: calls.append(a) or real(*a))
-    n = 1000
-    t = Tree(node("r", *(leaf("a") for _ in range(n))))
-    entries = tuple(SharedUpdate(F, "subst_at", (path_val(i), TreeVal(Tree(leaf("z"))))) for i in range(n))
-    us = collapse(base_state(f=TreeVal(t)), UpdateMultiset(entries))
-    assert us.consistent
-    assert us.updates == (Update(F, TreeVal(Tree(node("r", *(leaf("z") for _ in range(n)))))),)
-    assert len(calls) <= n
-
-
 def test_subst_at_path_rewrites_node():
     s = base_state(f=TreeVal(two_leaf_tree()))
     um = UpdateMultiset((
