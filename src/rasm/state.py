@@ -93,7 +93,9 @@ class Signature:
         return other.pairs() <= self.pairs()
 
     def extended(self, symbols: Iterable[FunctionSymbol]) -> "Signature":
-        """This signature plus any genuinely new symbols, order preserved.
+        """This signature plus any genuinely new symbols, order preserved;
+        this very object when there are none, so that a run whose signature
+        stops growing keeps one signature object.
 
         A symbol whose name is already bound keeps its existing entry; a
         redeclaration at a different arity is an error.
@@ -108,7 +110,7 @@ class Signature:
                     "arity-conflict",
                     f"symbol {sym.name!r} redeclared at arity {sym.arity}, have {have.arity}",
                 )
-        return Signature(out.values())
+        return self if len(out) == len(self._by_name) else Signature(out.values())
 
     def __repr__(self) -> str:
         return "Signature(" + ", ".join(f"{s.name}/{s.arity}" for s in self) + ")"
@@ -274,14 +276,14 @@ def atoms_of_value(v: Value) -> frozenset[str]:
 
 
 def atoms_of_state(s: State) -> frozenset[str]:
-    out: set[str] = set()
+    found: set[Value] = set()
     for loc, val in s.interp.items():
         for a in loc.args:
-            out |= atoms_of_value(a)
-        out |= atoms_of_value(val)
+            _collect_values(a, found)
+        _collect_values(val, found)
     for v in s.universe:
-        out |= atoms_of_value(v)
-    return frozenset(out)
+        _collect_values(v, found)
+    return frozenset(x.name for x in found if isinstance(x, Atom))
 
 
 def rename_value(v: Value, pi: Mapping[str, str]) -> Value:

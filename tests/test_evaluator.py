@@ -13,9 +13,10 @@ from rasm.errors import EvalError
 from rasm.evaluator import BACKGROUND_OPS, eval_rule, eval_rule_with_cursor, eval_term
 from rasm.parser import parse_rule, parse_term
 from rasm.state import FunctionSymbol, Location, Signature, State
+from rasm.terms import Apply, Assign, BackgroundOp, Comprehension, Forall, If, Let, Literal, Var
 from rasm.trees import Tree, leaf, node
 from rasm.updates import SharedUpdate, Update, UpdateMultiset
-from rasm.values import FALSE, TRUE, UNDEF, Atom, Multiset, Natural, TreeVal, TupleVal
+from rasm.values import FALSE, TRUE, UNDEF, Atom, Multiset, Natural, TreeVal, TupleVal, boolean
 from conftest import count_lookups
 
 
@@ -98,6 +99,15 @@ def test_unknown_symbol_and_arity():
         ev("missing(1)")
     with pytest.raises(EvalError, match="arity-mismatch"):
         ev("g(1, 2)")
+    # One term object, looked up again whenever the signature differs.
+    t, s = parse_term("missing(1)"), small_state()
+    grown = s.with_signature(s.signature.extended([FunctionSymbol("missing", 1)]))
+    for state, want in ((s, None), (grown, UNDEF), (s, None)):
+        if want is None:
+            with pytest.raises(EvalError, match="unknown-symbol"):
+                eval_term(state, {}, t)
+        else:
+            assert eval_term(state, {}, t) == want
 
 
 def test_unbound_variable():
@@ -242,6 +252,38 @@ def test_forall_draws_in_canonical_domain_order():
 def test_bound_variable_cannot_be_location():
     with pytest.raises(EvalError, match="bound-variable-as-location"):
         eval_rule(small_state(), {}, parse_rule("IMPORT a DO a := 1"))
+
+
+# Each fault with the error it raises, and each place that evaluates it only
+# when `reached`: symbols, arities and operators are looked up ahead of time,
+# yet nothing may raise before evaluation gets there.
+ONE = Literal(Natural(1))
+FAULTS = {
+    "unknown-symbol": (Apply("missing", (ONE,)), "no function symbol 'missing' in the signature"),
+    "arity-mismatch": (Apply("g", (ONE, ONE)), "'g' has arity 1, applied to 2 arguments"),
+    "unknown-operator": (BackgroundOp("bogus", ()), "no background operation 'bogus'"),
+    "unbound-variable": (Var("x"), "variable 'x' is not bound"),
+    "non-boolean-guard": (Comprehension(ONE, (), Literal(Natural(7))),
+                          "comprehension guard evaluated to Natural(n=7)"),
+}
+PLACES = {
+    "if-branch": lambda x, reached: If(Literal(boolean(reached)), Assign("f", (), x), Assign("f", (), ONE)),
+    "let-binding": lambda x, reached: Let("y", x, Assign("f", (), Var("y") if reached else ONE)),
+    "forall-body": lambda x, reached: Forall(
+        "z", BackgroundOp("eq", (Var("z"), ONE)) if reached else Literal(FALSE), Assign("f", (), x)),
+    "comprehension-head": lambda x, reached: Assign("f", (), Comprehension(
+        x, ("z",), BackgroundOp("eq", (Var("z"), ONE)) if reached else Literal(FALSE))),
+}
+
+
+@pytest.mark.parametrize("fault,place", itertools.product(FAULTS, PLACES))
+def test_a_fault_raises_only_where_evaluation_reaches_it(fault, place):
+    term, message = FAULTS[fault]
+    build = PLACES[place]
+    assert eval_rule(small_state(), {}, build(term, False)) == eval_rule(small_state(), {}, build(ONE, False))
+    with pytest.raises(EvalError) as e:
+        eval_rule(small_state(), {}, build(term, True))
+    assert (e.value.code, e.value.message) == (fault, message)
 
 
 # ----------------------------------------------- quantifiers narrowed by an index

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from rasm import evaluator
 from rasm.encoding import as_program, beta_rule, drop_program, drop_rule
 from rasm.errors import EncodingError, MachineError, RasmError
 from rasm.evaluator import eval_rule
@@ -213,8 +214,9 @@ def _fresh_pgm(s):
 
 
 def test_raise_memo_agrees_with_a_fresh_raise_every_step():
-    """`run` raises pgm only when its tree object changed; forcing a new
-    raise before every step must not change a single report."""
+    """`run` raises pgm only when its tree object changed, and compiles the
+    raised rule once per raise; forcing a new raise and a new compile before
+    every step must not change a single report."""
     rng = random.Random(61)
     compared = 0
     for _ in range(80):
@@ -232,6 +234,7 @@ def test_raise_memo_agrees_with_a_fresh_raise_every_step():
         def fresh_loop():
             reports, cur = [], s
             for _ in range(k):
+                evaluator._last_compiled = None
                 rep = step(_fresh_pgm(cur))
                 reports.append(rep)
                 cur = rep.next

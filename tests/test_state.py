@@ -13,11 +13,12 @@ from rasm.state import (
     Signature,
     State,
     atoms_of_state,
+    atoms_of_value,
     rename_state,
 )
 from rasm.trees import Tree, leaf, node
 from rasm.values import UNDEF, Atom, Multiset, Natural, TreeVal, TupleVal, value_key
-from conftest import random_state
+from conftest import random_state, random_value
 
 
 def sig(*pairs):
@@ -133,6 +134,16 @@ def test_rename_reaches_quoted_trees():
     s2 = rename_state(s, {"red": "rose"})
     got = s2.value_of(Location("f"))
     assert got.tree.at((0,)).value == Atom("rose")
+
+
+def test_atoms_of_state_is_the_union_over_its_values():
+    rng = random.Random(31)
+    for _ in range(200):
+        s = random_state(rng)
+        nested = {Location("h", (random_value(rng), random_value(rng))): random_value(rng)}
+        s = State(s.signature, {**s.interp, **nested}, s.universe | {random_value(rng)})
+        values = [v for loc, val in s.interp.items() for v in (*loc.args, val)] + list(s.universe)
+        assert atoms_of_state(s) == frozenset().union(*map(atoms_of_value, values))
 
 
 def test_rename_roundtrip_is_identity():
