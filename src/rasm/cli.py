@@ -68,7 +68,7 @@ def _read(path: str) -> str:
 
 def _warn_if_guard_hit(args, reports) -> None:
     """A fixpoint run that stopped at --max-steps without converging says so."""
-    if args.steps is None and (not reports or reports[-1].next != reports[-1].state):
+    if args.steps is None and (not reports or not reports[-1].fixpoint):
         print(f"rasm: no fixpoint within {args.max_steps} steps (--max-steps guard)", file=sys.stderr)
 
 

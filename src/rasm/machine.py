@@ -31,6 +31,14 @@ class StepReport:
     raised_rule: Rule
     update_set: UpdateSet
 
+    @property
+    def fixpoint(self) -> bool:
+        """`next == state`, told from the step: the signature kept, and the
+        set inconsistent (a stutter) or writing only values already held."""
+        us, value_of = self.update_set, self.state.value_of
+        return self.next.signature == self.state.signature and (
+            not us.consistent or all(value_of(u.location) == u.value for u in us.updates))
+
 
 # Trees are immutable, so the same object always raises to the same Program.
 _last_raise: tuple[Tree, Program] | None = None
@@ -99,14 +107,14 @@ def validate_initial(s: State) -> None:
 def run(
     s: State, steps: int | None = None, max_steps: int = DEFAULT_MAX_STEPS, strict: bool = False
 ) -> list[StepReport]:
-    """Iterate `step`.  `steps=None` runs to a fixpoint (next state equal to
-    the current one), guarded by `max_steps`; a step count runs exactly that
-    many steps.  `strict` stops after the first inconsistent step."""
+    """Iterate `step`.  `steps=None` runs to a fixpoint (`StepReport.fixpoint`:
+    no state comparison), guarded by `max_steps`; a step count runs exactly
+    that many steps.  `strict` stops after the first inconsistent step."""
     reports: list[StepReport] = []
     for _ in range(max_steps if steps is None else steps):
         rep = step(s)
         reports.append(rep)
-        if (strict and not rep.update_set.consistent) or (steps is None and rep.next == s):
+        if (strict and not rep.update_set.consistent) or (steps is None and rep.fixpoint):
             break
         s = rep.next
     return reports

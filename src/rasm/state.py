@@ -25,6 +25,7 @@ from .values import (
     Multiset,
     TreeVal,
     TupleVal,
+    Undef,
     Value,
     value_key,
 )
@@ -48,11 +49,11 @@ class FunctionSymbol:
 class Signature:
     """Ordered set of function symbols, unique by name.
 
-    Equality compares the (name, arity) set; kinds are declarative metadata
+    Equality compares the (name, arity) set, built once; kinds are metadata
     and declaration order only matters for deterministic printing/encoding.
     """
 
-    __slots__ = ("_by_name",)
+    __slots__ = ("_by_name", "_pairs")
 
     def __init__(self, symbols: Iterable[FunctionSymbol] = ()):
         by_name: dict[str, FunctionSymbol] = {}
@@ -61,6 +62,7 @@ class Signature:
                 raise RasmError("duplicate-symbol", f"symbol {sym.name!r} declared twice")
             by_name[sym.name] = sym
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_pairs", frozenset((s.name, s.arity) for s in by_name.values()))
 
     def __setattr__(self, *_):
         raise AttributeError("Signature is immutable")
@@ -78,19 +80,19 @@ class Signature:
         return len(self._by_name)
 
     def pairs(self) -> frozenset[tuple[str, int]]:
-        return frozenset((s.name, s.arity) for s in self)
+        return self._pairs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Signature):
             return NotImplemented
-        return self.pairs() == other.pairs()
+        return self is other or self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash(self.pairs())
+        return hash(self._pairs)
 
     def contains_all(self, other: "Signature") -> bool:
         """Does every (name, arity) of `other` appear here?"""
-        return other.pairs() <= self.pairs()
+        return self is other or other._pairs <= self._pairs
 
     def extended(self, symbols: Iterable[FunctionSymbol]) -> "Signature":
         """This signature plus any genuinely new symbols, order preserved;
@@ -129,7 +131,7 @@ class Location:
         return self
 
     def key(self) -> tuple:
-        return (self.symbol, len(self.args), tuple(value_key(a) for a in self.args))
+        return (self.symbol, len(self.args), tuple(map(value_key, self.args)))
 
 
 PGM_LOCATION = Location(PGM)
@@ -138,7 +140,8 @@ PGM_LOCATION = Location(PGM)
 class State:
     """A finite first-order structure plus run metadata.
 
-    ``interp`` never stores undef (absence means undef).  ``universe`` holds
+    ``interp`` is a copy of the given mapping without its undef entries
+    (absence means undef), in the given order.  ``universe`` holds
     extra declared base-set values beyond those occurring in the
     interpretation.  ``reserve_cursor``/``reserve_seed`` drive deterministic
     fresh-atom draws and are excluded from equality.
@@ -154,11 +157,9 @@ class State:
         reserve_cursor: int = 0,
         reserve_seed: int = 0,
     ):
-        items = interp.items() if isinstance(interp, Mapping) else interp
-        clean: dict[Location, Value] = {}
-        for loc, val in items:
-            if val != UNDEF:
-                clean[loc] = val
+        clean = dict(interp)
+        for loc in [loc for loc, val in clean.items() if type(val) is Undef]:
+            del clean[loc]
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "interp", clean)
         object.__setattr__(self, "universe", frozenset(universe))
@@ -326,13 +327,15 @@ def rename_state(s: State, pi: Mapping[str, str]) -> State:
     The bijection must cover every atom occurring in the state and must not
     merge two of them.  Booleans, naturals and undef are fixed.  The
     signature is untouched: isomorphisms act on the base set, not on the
-    vocabulary.
+    vocabulary.  A bijection fixing every occurring atom returns `s` itself.
     """
     occurring = atoms_of_state(s)
     missing = occurring - set(pi)
     if missing:
         raise RasmError("partial-bijection", f"bijection misses atoms {sorted(missing)[:5]}")
     relevant = {k: pi[k] for k in occurring}
+    if all(k == v for k, v in relevant.items()):
+        return s
     if len(set(relevant.values())) != len(relevant):
         raise RasmError("not-a-bijection", "renaming merges atoms")
     interp = {

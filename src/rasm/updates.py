@@ -25,16 +25,19 @@ undecodable path counts as the root.  A shared update always names a whole
 location; an edit inside a tree value names its node only by that path
 argument.
 
-Entries are keyed location first, ordinary before shared, so the sorted
-multiset holds each location's entries in one run, and a shared group in
-its canonical fold order.  `collapse` walks those runs once and emits the
-update set already in the order the trace prints.
+Entries are keyed by one flat tuple, location first, ordinary before
+shared, so the sorted multiset holds each location's entries in one run,
+and a shared group in its canonical fold order.  `collapse` walks them once,
+passing a lone ordinary update through as it is, and emits the update set
+in the order the trace prints; `apply_update_set` writes that set over one
+copy of the interpretation, so a step costs its update set, not the state.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import Callable, Iterable, Iterator
 
 from .errors import EvalError, RasmError
@@ -51,7 +54,8 @@ class Update:
     value: Value
 
     def key(self) -> tuple:
-        return (self.location.key(), 0, value_key(self.value))
+        loc = self.location  # Location.key inlined: this keys every ordinary update of a step
+        return (loc.symbol, len(loc.args), tuple(map(value_key, loc.args)), 0, value_key(self.value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +67,7 @@ class SharedUpdate:
     args: tuple[Value, ...]
 
     def key(self) -> tuple:
-        return (self.location.key(), 1, self.op, tuple(value_key(a) for a in self.args))
+        return (*self.location.key(), 1, self.op, tuple(map(value_key, self.args)))
 
 
 Entry = Update | SharedUpdate
@@ -75,7 +79,7 @@ class UpdateMultiset:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Entry] = ()):
-        object.__setattr__(self, "entries", tuple(sorted(entries, key=lambda e: e.key())))
+        object.__setattr__(self, "entries", tuple(sorted(entries, key=methodcaller("key"))))
 
     def __setattr__(self, *_):
         raise AttributeError("UpdateMultiset is immutable")
@@ -104,7 +108,7 @@ class UpdateMultiset:
 @dataclass(frozen=True, slots=True)
 class UpdateSet:
     """Collapsed updates, distinct and in `Update.key` order, plus the
-    consistency verdict."""
+    consistency verdict; updates of one location are adjacent."""
 
     updates: tuple[Update, ...]
     consistent: bool
@@ -227,22 +231,27 @@ def collapse(s: State, um: UpdateMultiset) -> UpdateSet:
     Per location: equal ordinary duplicates merge; differing ordinary
     values clash; shared updates fold over the current value, with
     order-independence verified as described in the module docstring; a mix
-    of ordinary and shared updates on one location clashes.
+    of ordinary and shared updates on one location clashes.  A location
+    with one ordinary update costs one comparison with its neighbour.
     """
+    entries, n = um.entries, len(um.entries)
     updates: list[Update] = []
-    consistent = True
-    for loc, run in itertools.groupby(um, key=lambda e: e.location):
-        entries = tuple(run)
-        ordinary = [e for e in entries if isinstance(e, Update)]
-        if ordinary:
-            distinct = list(dict.fromkeys(ordinary))
+    consistent, i = True, 0
+    while i < n:
+        e, j = entries[i], i + 1
+        while j < n and entries[j].location == e.location:
+            j += 1
+        if j == i + 1 and type(e) is Update:
+            updates.append(e)
+        elif type(e) is Update:  # ordinary entries sort before shared ones
+            distinct = list(dict.fromkeys(u for u in entries[i:j] if type(u) is Update))
             updates += distinct
-            if len(distinct) > 1 or len(ordinary) < len(entries):
-                consistent = False
+            consistent = consistent and len(distinct) == 1 and type(entries[j - 1]) is Update
         else:
-            folded, ok = _collapse_shared(s.value_of(loc), entries)
-            updates.append(Update(loc, folded))
+            folded, ok = _collapse_shared(s.value_of(e.location), entries[i:j])
+            updates.append(Update(e.location, folded))
             consistent = consistent and ok
+        i = j
     return UpdateSet(tuple(updates), consistent)
 
 
@@ -275,22 +284,21 @@ def _independent(current: Value, a: Edit, b: Edit) -> bool:
 
 
 def apply_update_set(s: State, us: UpdateSet) -> dict[Location, Value]:
-    """The successor's interpretation: `s` with a consistent update set
-    written over it, or `s.interp` itself when the set is inconsistent (a
-    stutter).
+    """The successor's interpretation: one copy of `s.interp` with a
+    consistent update set written over it, or `s.interp` itself when the
+    set is inconsistent (a stutter).
 
-    Writing undef deletes the interpretation entry.  Raises when the set
-    claims consistency but two updates disagree on one location.
+    Undef is written like any value; `State` drops such entries.  Raises
+    when the set claims consistency but two updates disagree on one
+    location; the set's key order makes such a pair adjacent.
     """
     if not us.consistent:
         return s.interp
     interp = dict(s.interp)
-    written: dict[Location, Value] = {}
+    prev = None
     for u in us.updates:
-        if written.setdefault(u.location, u.value) != u.value:
+        if prev is not None and prev.location == u.location and prev.value != u.value:
             raise RasmError("inconsistent-update-set", f"clash at {u.location}")
-        if u.value == UNDEF:
-            interp.pop(u.location, None)
-        else:
-            interp[u.location] = u.value
+        interp[u.location] = u.value
+        prev = u
     return interp

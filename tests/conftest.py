@@ -9,6 +9,7 @@ way (an undef branch condition, chiefly).
 
 import random
 
+from rasm.encoding import drop_program
 from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm.terms import (
     Apply,
@@ -26,7 +27,7 @@ from rasm.terms import (
     Var,
 )
 from rasm.trees import Context, Node, Tree, XI
-from rasm.values import FALSE, TRUE, UNDEF, Atom, Multiset, Natural, TupleVal, value_key
+from rasm.values import FALSE, TRUE, UNDEF, Atom, Multiset, Natural, TreeVal, TupleVal, value_key
 
 LABELS = ("a", "b", "c", "d", "e")
 ATOMS = ("red", "green", "blue", "amber")
@@ -218,6 +219,15 @@ def random_rule(rng: random.Random, depth: int = 4, env: tuple = (), allow_parti
     if allow_partial:
         forms.append(partial)
     return rng.choice(forms)()
+
+
+def random_machine(rng: random.Random) -> tuple[State, Rule]:
+    """`random_state` with pgm holding a random rule, partial updates
+    included, and that rule."""
+    base = random_state(rng, with_pgm=True)
+    rule = random_rule(rng, allow_partial=True)
+    interp = {**base.interp, Location("pgm"): TreeVal(drop_program(base.signature, rule))}
+    return State(base.signature, interp, base.universe), rule
 
 
 # ------------------------------------------------ guards that read relations

@@ -280,16 +280,25 @@ def test_deeply_nested_rule_runs_and_prints(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,rule", [
-    (["check", "--steps", "1", "--trials", "1"], "IF f = 0 THEN " * 200 + "f := 1" + " ENDIF" * 200),
+    (["check", "--steps", "1", "--trials", "1"], "IF f = 0 THEN " * 300 + "f := 1" + " ENDIF" * 300),
     (["run"], "f := " + "(" * 300 + "1" + ")" * 300),
     (["fmt"], "f := " + "(" * 300 + "1" + ")" * 300),
-], ids=["check-200-ifs", "run-300-parens", "fmt-300-parens"])
+], ids=["check-300-ifs", "run-300-parens", "fmt-300-parens"])
 def test_input_too_deep_for_the_stack_exits_1_with_one_line(tmp_path, capsys, argv, rule):
     doc = put(tmp_path, "deep.rst", "function f/0\ninit f = 0\nprogram\n" + rule + "\n")
     assert main([argv[0], doc] + argv[1:]) == 1
     out, err = capsys.readouterr()
     assert err == "rasm: input nests too deeply for the interpreter's recursion limit\n"
     assert "Traceback" not in out + err
+
+
+def test_check_of_200_nested_ifs_passes(tmp_path, capsys):
+    # Identity isomorphism trials keep the state itself, so no two copies
+    # of the deep pgm tree are compared node by node.
+    rule = "IF f = 0 THEN " * 200 + "f := 1" + " ENDIF" * 200
+    doc = put(tmp_path, "deep.rst", "function f/0\ninit f = 0\nprogram\n" + rule + "\n")
+    assert main(["check", doc, "--steps", "1", "--trials", "1"]) == 0
+    assert "violations 0" in capsys.readouterr().out
 
 
 def test_run_bound_head_under_a_let_is_barred(tmp_path, capsys):

@@ -92,6 +92,22 @@ def test_isomorphism_closure_notes_when_nothing_moves():
     assert any("no movable atoms" in n for n in rep.notes)
 
 
+def test_identity_trials_raise_the_program_once(monkeypatch):
+    from rasm import machine
+
+    s = parse_state(COUNTER)
+    raised = []
+    real = machine.as_program
+    monkeypatch.setattr(machine, "as_program", lambda t: raised.append(t) or real(t))
+    monkeypatch.setattr(machine, "_last_raise", None)
+    rep = check_isomorphism_closure(s, 4)
+    assert len(raised) == 1  # each identity trial steps the state itself
+    assert rep.text() == (
+        "check isomorphism-closure\ninstances 4\n"
+        "note no movable atoms; only the identity bijection was tried\nviolations 0"
+    )
+
+
 def test_isomorphism_closure_negative_control():
     # a step function that special-cases one atom's spelling
     s = parse_state(ATOMIC)

@@ -18,8 +18,8 @@ from rasm.state import FunctionSymbol, Location, PGM_LOCATION, Signature, State
 from rasm.terms import Assign, Literal, Par
 from rasm.trees import Tree, leaf, node, subst_tc, subst_tt, trees_equal
 from rasm.updates import collapse
-from rasm.values import Natural, TreeVal, TupleVal
-from conftest import random_rule, random_state
+from rasm.values import UNDEF, Natural, TreeVal, TupleVal
+from conftest import random_machine, random_rule, random_state
 
 
 def make_state(rule_text, sig_pairs=(("f", 0),), inits=()):
@@ -289,3 +289,98 @@ def test_step_builds_one_state(monkeypatch, rule):
     monkeypatch.setattr(State, "__init__", counting)
     step(s)
     assert len(count) == 1  # the successor, built once
+
+
+def _reference_successor(rep):
+    """The successor written out in full: the pre-state's entries with the
+    update set's writes merged over them, undef dropped."""
+    writes = {u.location: u.value for u in rep.update_set.updates} if rep.update_set.consistent else {}
+    merged = {**rep.state.interp, **writes}
+    return State(rep.next.signature, {loc: v for loc, v in merged.items() if v != UNDEF}, rep.state.universe)
+
+
+def test_successor_agrees_with_a_full_rebuild_on_random_machines():
+    """2,000 random machines, partial updates included: the copied and
+    overwritten interpretation equals the rebuilt one, key order included."""
+    rng = random.Random(137)
+    compared = changed = 0
+    for _ in range(2000):
+        s, _rule = random_machine(rng)
+        try:
+            rep = step(s)
+        except RasmError:
+            continue
+        ref = _reference_successor(rep)
+        assert rep.next == ref
+        assert list(rep.next.interp.items()) == list(ref.interp.items())
+        compared += 1
+        changed += rep.next != rep.state
+    assert compared > 1500 and changed > 500, (compared, changed)
+
+
+def test_fixpoint_is_state_equality_at_every_step_of_random_runs():
+    rng = random.Random(139)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        s, _rule = random_machine(rng)
+        if rng.random() < 0.3:  # declare less than pgm encodes: the first step grows it
+            s = s.with_signature(Signature(sym for sym in s.signature if sym.name != "h"))
+        try:
+            reports = run(s, max_steps=6)
+        except RasmError:
+            continue
+        for rep in reports:
+            assert rep.fixpoint == (rep.next == rep.state)
+            seen[rep.fixpoint] += 1
+    assert seen[True] > 50 and seen[False] > 50, seen
+
+
+def test_fixpoint_run_compares_no_states(monkeypatch):
+    calls = []
+    real = State.__eq__
+    monkeypatch.setattr(State, "__eq__", lambda self, other: calls.append(1) or real(self, other))
+    assert len(run(make_state("f := 1"))) == 2
+    rng = random.Random(149)
+    for _ in range(50):
+        try:
+            run(random_machine(rng)[0], max_steps=6)
+        except RasmError:
+            pass
+    assert calls == []
+
+
+@pytest.mark.parametrize("rule,inits", [
+    ("f := undef", ()),  # undef written to an absent location
+    ("f := 0", (("f", (), Natural(0)),)),  # the value already there
+    ("PAR f := f f := f ENDPAR", (("f", (), Natural(3)),)),  # two equal writes merge
+])
+def test_step_that_changes_nothing_is_a_fixpoint(rule, inits):
+    s = make_state(rule, inits=inits)
+    rep = step(s)
+    assert rep.update_set.consistent and rep.fixpoint
+    assert rep.next == rep.state
+    assert list(rep.next.interp) == list(s.interp)
+
+
+def test_inconsistent_step_that_grows_the_signature_is_no_fixpoint():
+    s = make_state("PAR f := 1 f := 2 ENDPAR", sig_pairs=(("f", 0), ("g", 1)))
+    narrow = s.with_signature(Signature(sym for sym in s.signature if sym.name != "g"))
+    rep = step(narrow)
+    assert not rep.update_set.consistent
+    assert rep.next.interp == narrow.interp
+    assert ("g", 1) in rep.next.signature.pairs()
+    assert not rep.fixpoint and rep.next != rep.state
+    reports = run(narrow)  # the second step stutters on the grown signature
+    assert len(reports) == 2 and reports[-1].fixpoint
+
+
+def test_run_builds_no_signature_pairs_after_the_first_step(monkeypatch):
+    s = make_state("f := f + 1", inits=(("f", (), Natural(0)),))
+    second = step(s).next
+    built = []
+    init, pairs = Signature.__init__, Signature.pairs
+    monkeypatch.setattr(Signature, "__init__", lambda self, *a: built.append("init") or init(self, *a))
+    monkeypatch.setattr(Signature, "pairs", lambda self: built.append("pairs") or pairs(self))
+    reports = run(second, steps=99)
+    assert reports[-1].next.value_of(Location("f")) == Natural(100)
+    assert built == []

@@ -40,6 +40,9 @@ def test_signature_equality_ignores_order_and_kind():
     assert a == b
     assert hash(a) == hash(b)
     assert a.contains_all(b) and b.contains_all(a)
+    c = Signature((FunctionSymbol("g", 1, kind="relational"), FunctionSymbol("f", 0, kind="static")))
+    assert c == a and hash(c) == hash(a) and c.pairs() == a.pairs()
+    assert a != sig(("f", 0), ("g", 2)) and not a.contains_all(sig(("g", 2)))
 
 
 def test_signature_extension():
@@ -118,6 +121,15 @@ def test_rename_is_pointwise_and_total():
     assert s2.interp[Location("g", (Atom("b2"),))] == Atom("r2")
     assert Atom("g2") in s2.universe
     assert s2.signature == s.signature
+
+
+def test_rename_that_fixes_every_atom_returns_the_state():
+    s = State(sig(("f", 0)), {Location("f"): TupleVal((Atom("red"), Atom("blue")))}, frozenset({Atom("green")}))
+    assert rename_state(s, {"red": "red", "blue": "blue", "green": "green", "other": "x"}) is s
+    moved = rename_state(s, {"red": "blue", "blue": "red", "green": "green"})
+    assert moved is not s and moved.value_of(Location("f")) == TupleVal((Atom("blue"), Atom("red")))
+    with pytest.raises(RasmError, match="partial-bijection"):
+        rename_state(s, {"red": "red", "blue": "blue"})
 
 
 def test_rename_rejects_partial_and_merging_maps():

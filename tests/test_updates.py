@@ -265,6 +265,16 @@ def test_apply_rejects_lying_consistency_flag():
         apply_update_set(s, bad)
 
 
+def test_apply_rejects_a_clash_on_a_two_argument_location():
+    from rasm.updates import UpdateSet
+
+    h = Location("h", (Natural(1), Atom("red")))
+    bad = UpdateSet((Update(F, Natural(0)), Update(G1, UNDEF), Update(h, Natural(1)), Update(h, Natural(2))), True)
+    assert bad.updates == tuple(sorted(bad.updates, key=Update.key))  # key order: the clash is adjacent
+    with pytest.raises(RasmError, match="inconsistent-update-set"):
+        apply_update_set(base_state(), bad)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_collapse_verdict_matches_exhaustive_permutation(data):
@@ -437,3 +447,48 @@ def test_collapse_agrees_with_dict_grouping(data):
     us = collapse(s, um)
     assert (frozenset(us.updates), us.consistent) == _grouping_collapse(s, um)
     assert us.updates == tuple(sorted(set(us.updates), key=Update.key))
+
+
+def _groupby_collapse(s, um):
+    """The collapse that the one-pass walk replaced: `itertools.groupby` over
+    the sorted multiset, every run materialised and filtered."""
+    from rasm.updates import UpdateSet, _collapse_shared
+
+    updates, consistent = [], True
+    for loc, run in itertools.groupby(um, key=lambda e: e.location):
+        entries = tuple(run)
+        ordinary = [e for e in entries if isinstance(e, Update)]
+        if ordinary:
+            distinct = list(dict.fromkeys(ordinary))
+            updates += distinct
+            if len(distinct) > 1 or len(ordinary) < len(entries):
+                consistent = False
+        else:
+            folded, ok = _collapse_shared(s.value_of(loc), entries)
+            updates.append(Update(loc, folded))
+            consistent = consistent and ok
+    return UpdateSet(tuple(updates), consistent)
+
+
+def test_collapse_agrees_with_the_groupby_collapse_on_random_machines():
+    """2,000 random machines, partial updates included: the one-pass walk
+    emits the same updates, in the same order, with the same verdict."""
+    import random as _random
+
+    from conftest import random_machine
+    from rasm.evaluator import eval_rule
+
+    rng = _random.Random(131)
+    compared = inconsistent = shared = 0
+    for _ in range(2000):
+        s, rule = random_machine(rng)
+        try:
+            um = eval_rule(s, {}, rule)
+        except RasmError:
+            continue
+        us = collapse(s, um)
+        assert us == _groupby_collapse(s, um), rule
+        compared += 1
+        inconsistent += not us.consistent
+        shared += any(isinstance(e, SharedUpdate) for e in um)
+    assert compared > 1500 and inconsistent > 50 and shared > 100, (compared, inconsistent, shared)
