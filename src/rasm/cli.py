@@ -39,7 +39,6 @@ from .parser import parse_rule, parse_state, parse_tree
 from .printer import format_trace, print_rule, print_state, print_tree
 from .state import State
 from .treediff import eval_algebra, serialize_algebra, tree_diff_theta
-from .trees import trees_equal
 
 ISO_TRIALS = 20  # bijections tried per `check` invocation; tests go higher
 
@@ -125,7 +124,7 @@ def _cmd_diff(args) -> int:
         return 3
     theta = tree_diff_theta(a, b)
     print("theta " + serialize_algebra(theta))
-    verdict = trees_equal(eval_algebra(theta, a), b)
+    verdict = eval_algebra(theta, a) == b
     print("verdict " + ("equal" if verdict else "different"))
     return 0 if verdict else 1
 

@@ -18,7 +18,10 @@ Drop and raise are two loops over that table with explicit stacks; neither
 recurses, so a rule of any nesting depth round-trips.  Raising is partial:
 anything that does not match the grammar is a malformed-encoding error
 carrying the path of the offending node, never a guess.  Nodes are checked
-in preorder, so the error names the first fault in document order.
+in preorder, so the error names the first fault in document order.  Each
+interned node keeps what it raised to in its `raised` slot, written only by
+a raise that succeeded: a rewrite of pgm re-raises only the spine it
+rebuilt, and every error keeps its path.
 
 `beta_rule` computes the read set of a rule: one multiset comprehension per
 potential update source.  Two states that agree on pgm and on the values of
@@ -178,8 +181,10 @@ def _drop_rule(r: Rule) -> Node:
 
 def _raise_rule(n: Node, path: Path) -> Rule:
     """The rule `n` at `path` encodes.  Nodes are checked in preorder, each
-    rule⟨...⟩ wrapper when it is popped, and built as in `_drop_rule`."""
-    order = []  # (constructor, decoded leaves, variadic, sub-rule count), in preorder
+    rule⟨...⟩ wrapper when it is popped, and built as in `_drop_rule`.  A
+    form node keeps the rule it raised to in its `raised` slot, so a subtree
+    that raised before is taken as built; a failed raise caches nothing."""
+    order = []  # (node, constructor, decoded leaves, variadic, sub-rule count), in preorder
     todo = [(n, path, False)]  # True: a rule⟨...⟩ wrapper
     while todo:
         n, path, wrapped = todo.pop()
@@ -190,16 +195,22 @@ def _raise_rule(n: Node, path: Path) -> Rule:
             n, path = n.children[0], path + (0,)
         if n.label not in _RAISE:
             raise _bad(f"{n.label!r} is not a rule form", path)
+        if n.raised is not None:  # a rule form's slot holds only a Rule
+            order.append((n, None, (), False, 0))
+            continue
         make, decoders, arity = _RAISE[n.label]
         _arity(n, arity, path)
         c = n.children
         leaves = [decode(c[i], path + (i,), label) for i, label, decode in decoders]
-        order.append((make, leaves, arity is None, len(c) - len(leaves)))
+        order.append((n, make, leaves, arity is None, len(c) - len(leaves)))
         todo += [(c[i], path + (i,), True) for i in range(len(c) - 1, len(leaves) - 1, -1)]
     built: list[Rule] = []
-    for make, leaves, variadic, k in reversed(order):
-        rules = [built.pop() for _ in range(k)]
-        built.append(make(*leaves, tuple(rules)) if variadic else make(*leaves, *rules))
+    for n, make, leaves, variadic, k in reversed(order):
+        if make is not None:
+            rules = [built.pop() for _ in range(k)]
+            r = make(*leaves, tuple(rules)) if variadic else make(*leaves, *rules)
+            n.raised = r
+        built.append(n.raised)
     return built[0]
 
 
@@ -227,6 +238,8 @@ def raise_signature(t: Tree) -> Signature:
     root = t.root_node
     if root.label != "signature" or root.value is not None:
         raise _bad(f"expected a signature⟨...⟩ node, found {root.label!r}", ())
+    if root.raised is not None:
+        return root.raised
     symbols = []
     for i, fn in enumerate(root.children):
         path = (i,)
@@ -239,9 +252,11 @@ def raise_signature(t: Tree) -> Signature:
             raise _bad(f"arity leaf must hold a natural, found {av!r}", path + (1,))
         symbols.append(FunctionSymbol(name, av.n))
     try:
-        return Signature(symbols)
+        sig = Signature(symbols)
     except RasmError as e:
         raise _bad(e.message, ()) from None
+    root.raised = sig
+    return sig
 
 
 # ------------------------------------------------------------ program trees
@@ -273,9 +288,12 @@ def extract_rule_subtree(p: Tree) -> Tree:
 
 
 def as_program(t: Tree) -> Program:
+    """The program `t` encodes, kept on its root: a tree raises once."""
     root = t.root_node
     if root.label != PGM:
         raise EncodingError("malformed-program-tree", f"root must be labelled pgm, found {root.label!r}", ())
+    if root.raised is not None:
+        return root.raised
     if len(root.children) != 2 or root.value is not None:
         raise EncodingError("malformed-program-tree", "pgm root needs exactly a signature and a rule child", ())
     sig_tree = extract_signature_subtree(t)
@@ -285,7 +303,9 @@ def as_program(t: Tree) -> Program:
         raise EncodingError("malformed-program-tree", "encoded signature must contain nullary pgm", ())
     if len(wrap.children) != 1 or wrap.value is not None:
         raise EncodingError("malformed-program-tree", "rule wrapper needs exactly one child", ())
-    return Program(sig, raise_rule(Tree(wrap.children[0])))
+    prog = Program(sig, raise_rule(Tree(wrap.children[0])))
+    root.raised = prog
+    return prog
 
 
 # ------------------------------------------------------------------- beta

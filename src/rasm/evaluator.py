@@ -19,11 +19,13 @@ FORALL and IMPORT bind values; an update head is a location symbol unless
 its nearest binding that is not a LET comes from one of them.
 
 Terms and rules compile to closures (Feeley & Lapalme, "Using Closures for
-Code Generation", 1987), once per raised program and against the signature
-they run with: symbol, arity and operator lookups and the narrowing reads
-are done then.  Errors stay lazy: a failed lookup compiles to a closure that
-raises when it runs, so an untaken branch, an unread LET binding or an empty
-quantifier raises nothing, and the first error of a PAR stays the first.
+Code Generation", 1987), against the signature they run with: symbol, arity
+and operator lookups and the narrowing reads are done then.  A rule keeps
+its closure with that signature, so a rewritten program compiles only the
+sub-rules its raise rebuilt.  Errors stay lazy: a failed lookup compiles to
+a closure that raises when it runs, so an untaken branch, an unread LET
+binding or an empty quantifier raises nothing, and the first error of a PAR
+stays the first.
 """
 
 from __future__ import annotations
@@ -160,15 +162,15 @@ BACKGROUND_OPS: dict[str, _BgOp] = {
 
 # ------------------------------------------------------------------- terms
 
-_last_compiled: tuple[T.Term | T.Rule, Signature, Callable] | None = None
+_last_compiled: tuple[T.Term, Signature, TermFn] | None = None
 
 
-def _compiled(x: T.Term | T.Rule, sig: Signature) -> Callable:
-    # One slot, keyed like `machine._raise`: a step re-runs the rule it ran last.
+def _compiled(t: T.Term, sig: Signature) -> TermFn:
+    # One slot, keyed by identity and signature: a check re-reads the term it read last.
     global _last_compiled
     last = _last_compiled
-    if last is None or last[0] is not x or (last[1] is not sig and last[1] != sig):
-        last = _last_compiled = (x, sig, (_compile_rule if isinstance(x, T.Rule) else _compile_term)(x, sig))
+    if last is None or last[0] is not t or (last[1] is not sig and last[1] != sig):
+        last = _last_compiled = (t, sig, _compile_term(t, sig))
     return last[2]
 
 
@@ -333,17 +335,23 @@ def eval_rule(s: State, env: Env, r: T.Rule) -> UpdateMultiset:
 def eval_rule_with_cursor(s: State, env: Env, r: T.Rule) -> tuple[UpdateMultiset, int]:
     """Like `eval_rule`, also reporting the reserve cursor after all draws."""
     out, cursor = [], [s.reserve_cursor]
-    _compiled(r, s.signature)(s, env, out, cursor)
+    _compile_rule(r, s.signature)(s, env, out, cursor)
     return UpdateMultiset(out), cursor[0]
 
 
 def _compile_rule(r: T.Rule, sig: Signature) -> RuleFn:
+    """`r`'s closure, kept on `r` with `sig`: it is compiled again only for
+    another signature.  The check sits here, not in a wrapper, so nesting
+    costs one frame per level."""
+    memo = getattr(r, "compiled", None)
+    if memo is not None and (memo[0] is sig or memo[0] == sig):
+        return memo[1]
     if isinstance(r, (T.Assign, T.PartialAssign)):
-        return _update(r, sig)
-    if isinstance(r, T.If):
+        fn = _update(r, sig)
+    elif isinstance(r, T.If):
         cond = _compile_term(r.cond, sig)
         then_, else_ = _compile_rule(r.then_branch, sig), _compile_rule(r.else_branch, sig)
-        def if_(s, env, out, cursor):
+        def fn(s, env, out, cursor):
             g = cond(s, env)
             if g is TRUE or g == TRUE:
                 then_(s, env, out, cursor)
@@ -353,31 +361,30 @@ def _compile_rule(r: T.Rule, sig: Signature) -> RuleFn:
                 raise EvalError("condition-undef", "if-guard evaluated to undef")
             else:
                 raise EvalError("non-boolean-guard", f"if-guard evaluated to {g!r}")
-        return if_
-    if isinstance(r, T.Par):
+    elif isinstance(r, T.Par):
         rules = [_compile_rule(sub, sig) for sub in r.rules]
-        def par(s, env, out, cursor):
+        def fn(s, env, out, cursor):
             for run in rules:
                 run(s, env, out, cursor)
-        return par
-    if isinstance(r, T.Forall):
+    elif isinstance(r, T.Forall):
         each, body = _satisfying(sig, (r.var,), r.guard, "forall"), _compile_rule(r.body, sig)
-        def forall(s, env, out, cursor):
+        def fn(s, env, out, cursor):
             for inner in each(s, env):
                 body(s, inner, out, cursor)
-        return forall
-    if isinstance(r, (T.Let, T.Import)):
+    elif isinstance(r, (T.Let, T.Import)):
         var, body = r.var, _compile_rule(r.body, sig)
         binding = _compile_term(r.binding, sig) if isinstance(r, T.Let) else None
-        def bind(s, env, out, cursor):
+        def fn(s, env, out, cursor):
             inner = dict(env)
             if binding is not None:
                 inner[var] = _LetBinding(binding, env)
             else:  # IMPORT draws the next reserve atom
                 inner[var], cursor[0] = s.reserve_atom(cursor[0] - s.reserve_cursor), cursor[0] + 1
             body(s, inner, out, cursor)
-        return bind
-    raise TypeError(f"not a rule: {r!r}")
+    else:
+        raise TypeError(f"not a rule: {r!r}")
+    object.__setattr__(r, "compiled", (sig, fn))
+    return fn
 
 
 def _update(r: T.Assign | T.PartialAssign, sig: Signature) -> RuleFn:

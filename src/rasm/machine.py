@@ -1,9 +1,11 @@
 """The reflective step: raise the stored program, run it, apply, repeat.
 
 Every step re-reads pgm, so a program that rewrites its own tree behaves
-differently on the very next step; the tree is raised again only when it
-changed.  Phase order is strict: raise, evaluate against the pre-state,
-collapse against pre-state values, apply.  The signature used for
+differently on the very next step.  Tree nodes are interned and each keeps
+what it raised to, so an unchanged pgm is not raised again and a rewritten
+one raises only the spine the rewrite rebuilt.  Phase order is strict:
+raise, evaluate against the pre-state, collapse against pre-state values,
+apply.  The signature used for
 evaluation is raised from pgm and may only grow along a run; shrinking it
 is an error, not a stutter.
 """
@@ -40,22 +42,11 @@ class StepReport:
             not us.consistent or all(value_of(u.location) == u.value for u in us.updates))
 
 
-# Trees are immutable, so the same object always raises to the same Program.
-_last_raise: tuple[Tree, Program] | None = None
-
-
-def _raise(t: Tree) -> Program:
-    global _last_raise
-    if _last_raise is None or _last_raise[0] is not t:
-        _last_raise = (t, as_program(t))
-    return _last_raise[1]
-
-
 def _stored_program(s: State) -> Program:
     v = s.value_of(PGM_LOCATION)
     if not isinstance(v, TreeVal) or not isinstance(v.tree, Tree):
         raise EncodingError("malformed-program-tree", f"pgm holds {v!r}, not a tree value")
-    return _raise(v.tree)
+    return as_program(v.tree)
 
 
 def _check_kept(current: Signature, encoded: Signature, what: str) -> None:
@@ -87,7 +78,7 @@ def _grown_signature(current: Signature, pgm: Value) -> Signature:
     if not isinstance(pgm, TreeVal):
         return current
     try:
-        prog = _raise(pgm.tree)
+        prog = as_program(pgm.tree)
     except EncodingError:
         return current
     _check_kept(current, prog.signature, "rewritten pgm")

@@ -266,10 +266,11 @@ def format_trace(reports) -> str:
     canonical order, consistency flag.  Blocks are blank-line separated;
     output ends in a newline."""
     blocks = []
-    rule, digest = None, ""
+    digests: dict[int, str] = {}  # by identity: a pgm tree raises to one Rule object
     for i, rep in enumerate(reports, 1):
-        if rep.raised_rule is not rule:  # a run raises an unchanged pgm to the same Rule
-            rule, digest = rep.raised_rule, rule_hash(rep.raised_rule)
+        digest = digests.get(id(rep.raised_rule))
+        if digest is None:
+            digest = digests[id(rep.raised_rule)] = rule_hash(rep.raised_rule)
         lines = [f"step {i}", "rule " + digest]
         for u in rep.update_set.updates:
             lines.append("update " + print_location(u.location) + " = " + print_value(u.value))

@@ -82,7 +82,9 @@ class Literal(Term):
 
 
 class Rule:
-    __slots__ = ()
+    # `evaluator._compile_rule` keeps (signature, closure) here; it takes no
+    # part in equality, hashing or repr.
+    __slots__ = ("compiled",)
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,16 +10,22 @@ A node is named by its path: the tuple of child indexes leading to it from
 the root, which is ``()``.  Paths are the only node address; there are no
 node ids.  Every operation returns a new tree and leaves its inputs alone,
 so a path names the same position before and after an edit elsewhere.
-Each `Node` caches one number when it is built, the count of hole leaves
-below it; lookups and edits walk down the path and rebuild the spine above
-it in loops, without recursion.
+Nodes are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006): `Node(...)` returns the one live node with that label,
+child tuple and leaf value, so equal nodes are the same object, equality is
+identity and the hash is the identity hash.  A node is checked and counts
+the hole leaves below it once, when it is first built; lookups and edits
+walk down the path and rebuild the spine above it in loops, without
+recursion.  Two slots hold what later layers work out from a node, once per
+node: `raised` (what `encoding` raises it to) and `tree_key` (its
+`values.value_key` payload).
 Leaf values are opaque here; the runtime stores `values.Value` instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+import weakref
+from typing import Iterator, Sequence
 
 from .errors import TreeAlgebraError
 
@@ -28,32 +34,61 @@ XI = "^"  # label of the context hole; forbidden everywhere else
 Path = tuple[int, ...]  # child-index path from the root
 
 
-@dataclass(frozen=True, slots=True)
 class Node:
     """One tree node: a label, an ordered child tuple, an optional leaf value.
 
-    Internal nodes never carry values; this is enforced on construction.
-    ``holes`` (hole leaves in this subtree) is computed once from the
-    already-built children and takes no part in equality, hashing or repr.
+    Internal nodes never carry values; this is enforced when a node is first
+    built.  Nodes are interned, keyed by label, children, value and the
+    value's class (so that `1` and `True`, equal in Python, stay apart); the
+    table holds them weakly, so it shrinks as trees die.  A node is shared
+    by every tree that holds an equal one, so nothing assigns to its first
+    four fields after this constructor; `raised` and `tree_key` are caches
+    that their owners fill.
     """
 
-    label: str
-    children: tuple["Node", ...] = ()
-    value: object = None
-    holes: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("label", "children", "value", "holes", "raised", "tree_key", "__weakref__")
 
-    def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
-            raise TreeAlgebraError("bad-label", f"label must be a non-empty string, got {self.label!r}")
-        if not isinstance(self.children, tuple):
-            object.__setattr__(self, "children", tuple(self.children))
-        if self.children and self.value is not None:
-            raise TreeAlgebraError("value-on-internal-node", f"node {self.label!r} has children and a value")
-        object.__setattr__(self, "holes", (self.label == XI) + sum(c.holes for c in self.children))
+    def __new__(cls, label: str, children: Sequence["Node"] = (), value: object = None) -> "Node":
+        if type(children) is not tuple:
+            children = tuple(children)
+        key = (label, children, value, value.__class__)
+        entry = _INTERNED.get(key)
+        if entry is not None:
+            n = entry()
+            if n is not None:
+                return n
+        if not isinstance(label, str) or not label:
+            raise TreeAlgebraError("bad-label", f"label must be a non-empty string, got {label!r}")
+        if children and value is not None:
+            raise TreeAlgebraError("value-on-internal-node", f"node {label!r} has children and a value")
+        n = object.__new__(cls)
+        n.label, n.children, n.value, n.raised, n.tree_key = label, children, value, None, None
+        n.holes = (label == XI) + sum([c.holes for c in children])
+        entry = _INTERNED[key] = _Entry(n, _forget)
+        entry.key = key
+        return n
+
+    def __repr__(self) -> str:
+        return f"Node(label={self.label!r}, children={self.children!r}, value={self.value!r})"
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+
+class _Entry(weakref.ref):
+    """The intern table's weak reference to a node, with the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    # A node died: drop its entry, unless a new node has taken the key since.
+    if _INTERNED.get(entry.key) is entry:
+        del _INTERNED[entry.key]
+
+
+_INTERNED: dict[tuple, _Entry] = {}
 
 
 def node(label: str, *children: Node) -> Node:
@@ -78,11 +113,10 @@ def _spine(root: Node, path: Path) -> list[Node]:
 class _TreeBase:
     """Shared accessors over a root Node; a node is named by its path."""
 
-    __slots__ = ("_root", "_hash")
+    __slots__ = ("_root",)
 
     def __init__(self, root: Node):
         self._root = root
-        self._hash: Optional[int] = None
 
     @property
     def root_node(self) -> Node:
@@ -103,12 +137,10 @@ class _TreeBase:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _TreeBase):
             return NotImplemented
-        return self._root == other._root
+        return self._root is other._root
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._root)
-        return self._hash
+        return hash(self._root)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._root!r})"
@@ -266,8 +298,3 @@ def inject_hedge(c: Context, h: Sequence[Tree]) -> Tree:
 def inject_context(c1: Context, c2: Context) -> Context:
     """Replace c1's hole by the context c2 (alias of composition)."""
     return subst_cc(c1, c2)
-
-
-def trees_equal(t1: _TreeBase, t2: _TreeBase) -> bool:
-    """Structural equality: labels, sibling order and leaf values."""
-    return t1.root_node == t2.root_node

@@ -119,9 +119,21 @@ def boolean(flag: bool) -> Boolean:
     return TRUE if flag else FALSE
 
 
-def _tree_key(n) -> tuple:
-    val = () if n.value is None else value_key(n.value)
-    return (n.label, val, tuple(_tree_key(c) for c in n.children))
+def _tree_key(root) -> tuple:
+    """`(label, leaf value key, child keys)`, cached on each interned node
+    and built bottom-up with an explicit stack, so a tree is keyed once."""
+    todo = [root]
+    while todo:
+        n = todo[-1]
+        pending = [c for c in n.children if c.tree_key is None]
+        if pending:
+            todo += pending
+            continue
+        todo.pop()
+        if n.tree_key is None:
+            val = () if n.value is None else value_key(n.value)
+            n.tree_key = (n.label, val, tuple([c.tree_key for c in n.children]))
+    return root.tree_key
 
 
 def value_key(v: Value) -> tuple:
@@ -143,7 +155,8 @@ def value_key(v: Value) -> tuple:
     if isinstance(v, Multiset):
         return (5, tuple(value_key(x) for x in v.items))
     if isinstance(v, TreeVal):
-        return (6, _tree_key(v.tree.root_node))
+        root = v.tree.root_node
+        return (6, root.tree_key or _tree_key(root))
     if isinstance(v, DroppedTerm):
         return (7, repr(v.term))
     raise TypeError(f"not a value: {v!r}")

@@ -9,6 +9,9 @@ way (an undef branch condition, chiefly).
 
 import random
 
+import pytest
+
+from rasm import encoding, trees
 from rasm.encoding import drop_program
 from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm.terms import (
@@ -228,6 +231,34 @@ def random_machine(rng: random.Random) -> tuple[State, Rule]:
     rule = random_rule(rng, allow_partial=True)
     interp = {**base.interp, Location("pgm"): TreeVal(drop_program(base.signature, rule))}
     return State(base.signature, interp, base.universe), rule
+
+
+# ------------------------------------------------------ raise memos
+
+@pytest.fixture
+def fresh_nodes(monkeypatch):
+    """An empty intern table for one test: every node it builds is new, so
+    no raise or compile memo that another test left alive is hit."""
+    monkeypatch.setattr(trees, "_INTERNED", {})
+
+
+def forget_raises(t) -> None:
+    """Clear the raise memo of every node of `t`: the next raise decodes the
+    whole tree into new Rule objects, which compile anew."""
+    for _path, n in t.iter_nodes():
+        n.raised = None
+
+
+def count_form_decodes(monkeypatch) -> list:
+    """The label of every rule form raise decodes from now on, one entry per
+    Rule it builds; a memoised subtree adds none."""
+    decoded = []
+    for label, (make, decoders, arity) in list(encoding._RAISE.items()):
+        def counting(*fields, _make=make, _label=label):
+            decoded.append(_label)
+            return _make(*fields)
+        monkeypatch.setitem(encoding._RAISE, label, (counting, decoders, arity))
+    return decoded
 
 
 # ------------------------------------------------ guards that read relations

@@ -35,7 +35,6 @@ from rasm.trees import (
     subst_cc,
     subst_ct,
     subtree,
-    trees_equal,
 )
 from rasm.updates import (
     SharedUpdate,
@@ -86,7 +85,7 @@ def test_tree_algebra_laws():
         below = [p for p, _n in t.iter_nodes() if p]
         if below:
             p = rng.choice(below)
-            if not trees_equal(subst_ct(context_at(t, (), p), subtree(t, p)), t):
+            if subst_ct(context_at(t, (), p), subtree(t, p)) != t:
                 failures.append(("decomposition", i))
 
         if subst_cc(subst_cc(c1, c2), c3) != subst_cc(c1, subst_cc(c2, c3)):
@@ -259,7 +258,7 @@ def test_tree_diff_reconciliation():
     failures = []
     for i in range(300):
         t1, t2 = random_program_pair(rng)
-        if not trees_equal(eval_algebra(tree_diff_theta(t1, t2), t1), t2):
+        if eval_algebra(tree_diff_theta(t1, t2), t1) != t2:
             failures.append(("theta-misses-target", i))
         s = State(sig, {Location("pgm"): TreeVal(t1)})
         us = collapse(s, tree_diff_updates(t1, t2))

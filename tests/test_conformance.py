@@ -22,10 +22,10 @@ from rasm.conformance import (
 from rasm.errors import EvalError
 from rasm.machine import run, step
 from rasm.parser import parse_rule, parse_state
-from rasm.state import FunctionSymbol, Location, Signature, State
+from rasm.state import PGM_LOCATION, FunctionSymbol, Location, Signature, State
 from rasm.updates import Update, UpdateMultiset
 from rasm.values import Atom, Natural
-from conftest import random_rule, random_state
+from conftest import count_form_decodes, forget_raises, random_rule, random_state
 
 
 COUNTER = "function f/0\ninit f = 0\n\nprogram\nf := f + 1\n"
@@ -93,15 +93,11 @@ def test_isomorphism_closure_notes_when_nothing_moves():
 
 
 def test_identity_trials_raise_the_program_once(monkeypatch):
-    from rasm import machine
-
     s = parse_state(COUNTER)
-    raised = []
-    real = machine.as_program
-    monkeypatch.setattr(machine, "as_program", lambda t: raised.append(t) or real(t))
-    monkeypatch.setattr(machine, "_last_raise", None)
+    forget_raises(s.value_of(PGM_LOCATION).tree)
+    decoded = count_form_decodes(monkeypatch)
     rep = check_isomorphism_closure(s, 4)
-    assert len(raised) == 1  # each identity trial steps the state itself
+    assert decoded == ["update"]  # each identity trial steps the state itself
     assert rep.text() == (
         "check isomorphism-closure\ninstances 4\n"
         "note no movable atoms; only the identity bijection was tried\nviolations 0"

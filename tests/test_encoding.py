@@ -28,9 +28,10 @@ from rasm.parser import parse_rule
 from rasm.printer import print_rule
 from rasm.state import FunctionSymbol, Signature
 from rasm.terms import Comprehension, free_vars
-from rasm.trees import Tree, leaf, node, subtree, trees_equal
-from rasm.values import TRUE, Atom, DroppedTerm, Natural, TupleVal
-from conftest import random_rule
+from rasm.trees import Tree, leaf, node, subst_tt, subtree
+from rasm.updates import COLLAPSE_OPS
+from rasm.values import TRUE, Atom, DroppedTerm, Natural, TreeVal, TupleVal, value_key
+from conftest import count_form_decodes, forget_raises, random_rule
 
 
 def rt(text):
@@ -89,7 +90,7 @@ def test_drop_assign_shape():
 
 def test_drop_is_stable():
     r = parse_rule("PAR f := 1 IMPORT a DO g(a) := 2 ENDPAR")
-    assert trees_equal(drop_rule(r), drop_rule(r))
+    assert drop_rule(r) == drop_rule(r)
 
 
 def test_signature_roundtrip():
@@ -110,9 +111,9 @@ def test_program_subtree_paths():
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
     t = drop_program(sig, parse_rule("f := 1"))
     # fixed layout: signature at child 0, rule wrapper at child 1
-    assert trees_equal(extract_signature_subtree(t), subtree(t, (0,)))
+    assert extract_signature_subtree(t) == subtree(t, (0,))
     rw = extract_rule_subtree(t)
-    assert trees_equal(rw, subtree(t, (1,)))
+    assert rw == subtree(t, (1,))
     assert rw.root_node.label == "rule"
     assert raise_rule(subtree(rw, (0,))) == parse_rule("f := 1")
 
@@ -260,3 +261,88 @@ def test_beta_forall_avoids_capturing_outer_binder():
     entries = beta_rule(r)
     for e in entries:
         assert len(set(e.binders)) == len(e.binders), comp_text(e)
+
+
+# ------------------------------------------------------------ raise memos
+
+def _par_program(n: int):
+    """pgm over f/0 whose rule is a PAR of `f := k` for k < n."""
+    sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
+    return drop_program(sig, T.Par(tuple(T.Assign("f", (), T.Literal(Natural(k))) for k in range(n))))
+
+
+def test_subst_at_raises_again_only_the_rebuilt_spine(monkeypatch):
+    subst_at = COLLAPSE_OPS["subst_at"].fold
+    t = _par_program(6)
+    forget_raises(t)
+    decoded = count_form_decodes(monkeypatch)
+    prog = as_program(t)
+    assert sorted(decoded) == ["par"] + ["update"] * 6
+    for i in range(6):
+        decoded.clear()
+        new = drop_rule(T.Assign("f", (), T.Literal(Natural(100 + i)))).root_node
+        edited = subst_at(TreeVal(t), TupleVal((Natural(1), Natural(0), Natural(i))),
+                          TreeVal(Tree(node("rule", new)))).tree
+        got = as_program(edited)
+        assert sorted(decoded) == ["par", "update"]  # (1, 0) and the new form at (1, 0, i, 0)
+        assert got.rule.rules[i] == T.Assign("f", (), T.Literal(Natural(100 + i)))
+        assert [got.rule.rules[k] is prog.rule.rules[k] for k in range(6)] == [k != i for k in range(6)]
+        decoded.clear()
+        swapped = subst_at(TreeVal(t), TupleVal((Natural(1), Natural(0), Natural(i))),
+                           TreeVal(subtree(t, (1, 0, 5 - i)))).tree
+        as_program(swapped)
+        assert decoded == ["par"]  # a memoised subtree moved: only the par decodes
+    forget_raises(edited)
+    assert as_program(edited) == got  # a fresh raise agrees with the memo
+
+
+def _error(t):
+    with pytest.raises(EncodingError) as exc:
+        as_program(t)
+    e = exc.value
+    return e.code, e.message, e.path
+
+
+@pytest.mark.parametrize("where", ["below", "above"])
+def test_memoised_subtrees_keep_the_error_path(where):
+    t = _par_program(4)
+    as_program(t)  # every node of t now holds its raise
+    bad = node("update", leaf("func", Atom("f")), leaf("term", TupleVal(())), leaf("term", Natural(3)))
+    if where == "below":  # a malformed form among memoised siblings
+        edited = subst_tt(t, (1, 0, 2, 0), Tree(bad))
+        want = ("malformed-encoding",
+                "term leaf must hold a dropped term, found Natural(n=3) (at node path 2.0.2)", (2, 0, 2))
+    else:  # memoised rules under a parent that is no rule form
+        kids = t.at((1, 0)).children
+        edited = subst_tt(t, (1, 0), Tree(node("sequence", *kids)))
+        want = ("malformed-encoding", "'sequence' is not a rule form (at node path root)", ())
+    assert _error(edited) == want
+    forget_raises(edited)
+    assert _error(edited) == want
+    wrapped = subst_tt(t, (1, 0, 1), Tree(node("rules", t.at((1, 0, 1, 0)))))
+    assert _error(wrapped) == (
+        "malformed-encoding", "expected a rule⟨...⟩ wrapper, found 'rules' (at node path 1)", (1,))
+
+
+def test_5000_deep_tree_hashes_compares_keys_and_raises_without_recursion():
+    def build(bottom: int):
+        cond = leaf("bool", DroppedTerm(T.BackgroundOp("eq", (T.Apply("f"), T.Literal(Natural(0))))))
+        skip = node("rule", node("par"))
+        n = node("update", leaf("func", Atom("f")), leaf("term", TupleVal(())),
+                 leaf("term", DroppedTerm(T.Literal(Natural(bottom)))))
+        for _ in range(5000):
+            n = node("if", cond, node("rule", n), skip)
+        sig = drop_signature(Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))).root_node
+        return Tree(node("pgm", sig, node("rule", n)))
+
+    a, b, c = build(1), build(1), build(2)
+    assert a.root_node is b.root_node and a == b and hash(a) == hash(b) and a != c
+    assert {a: "a"}[b] == "a"
+    assert value_key(TreeVal(a)) == value_key(TreeVal(b))
+    assert value_key(TreeVal(c))[1][0] == "pgm"
+    r = as_program(a).rule
+    for _ in range(5000):
+        assert type(r) is T.If
+        r = r.then_branch
+    assert r == T.Assign("f", (), T.Literal(Natural(1)))
+    assert as_program(b) is as_program(a)

@@ -9,11 +9,12 @@ import itertools
 
 import pytest
 
+from rasm import evaluator
 from rasm.errors import EvalError
 from rasm.evaluator import BACKGROUND_OPS, eval_rule, eval_rule_with_cursor, eval_term
 from rasm.parser import parse_rule, parse_term
 from rasm.state import FunctionSymbol, Location, Signature, State
-from rasm.terms import Apply, Assign, BackgroundOp, Comprehension, Forall, If, Let, Literal, Var
+from rasm.terms import Apply, Assign, BackgroundOp, Comprehension, Forall, If, Let, Literal, Par, Var
 from rasm.trees import Tree, leaf, node
 from rasm.updates import SharedUpdate, Update, UpdateMultiset
 from rasm.values import FALSE, TRUE, UNDEF, Atom, Multiset, Natural, TreeVal, TupleVal, boolean
@@ -354,3 +355,34 @@ def test_guard_under_or_is_not_narrowed(monkeypatch):
     got = eval_term(s, {}, parse_term("{| x | x : p(x) or f = 1 |}"))
     assert not calls
     assert got == Multiset(s.active_domain())
+
+
+# ------------------------------------------------------------ compile memo
+
+def test_compile_memo_is_keyed_by_the_signature():
+    # Compiled while g is unknown, the read is the lazy unknown-symbol
+    # closure; the same rule object reads g once the signature has grown.
+    r = parse_rule("f := g(1)")
+    s = small_state()
+    bare = State(Signature((FunctionSymbol("f", 0),)), {}, s.universe)
+    with pytest.raises(EvalError, match="unknown-symbol"):
+        eval_rule(bare, {}, r)
+    kept = r.compiled
+    with pytest.raises(EvalError, match="unknown-symbol"):
+        eval_rule(bare, {}, r)
+    assert r.compiled is kept  # the same signature reuses the closure
+    grown = State(s.signature, {Location("g", (Natural(1),)): Natural(5)}, s.universe)
+    assert eval_rule(grown, {}, r) == UpdateMultiset([Update(Location("f"), Natural(5))])
+    assert r.compiled[0] is grown.signature
+
+
+def test_unchanged_sub_rules_are_not_compiled_again(monkeypatch):
+    a, b, c = parse_rule("f := 1"), parse_rule("g(1) := 2"), parse_rule("g(2) := 3")
+    s = small_state()
+    eval_rule(s, {}, Par((a, b)))
+    compiled = []
+    real = evaluator._update
+    monkeypatch.setattr(evaluator, "_update", lambda r, sig: compiled.append(r) or real(r, sig))
+    um = eval_rule(s, {}, Par((a, b, c)))
+    assert compiled == [c]
+    assert len(um.entries) == 3

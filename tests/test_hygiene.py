@@ -181,7 +181,6 @@ RECURSIVE_WALKS = {
     "treediff.serialize_algebra",
     "treediff.tree_diff_theta.build",
     "treediff.tree_diff_updates.walk",
-    "values._tree_key",
     "values.value_key",
 }
 

@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from rasm import evaluator
 from rasm.encoding import as_program, beta_rule, drop_program, drop_rule
 from rasm.errors import EncodingError, MachineError, RasmError
 from rasm.evaluator import eval_rule
@@ -16,10 +15,10 @@ from rasm.machine import DEFAULT_MAX_STEPS, StepReport, run, step, validate_init
 from rasm.parser import parse_rule, parse_state
 from rasm.state import FunctionSymbol, Location, PGM_LOCATION, Signature, State
 from rasm.terms import Assign, Literal, Par
-from rasm.trees import Tree, leaf, node, subst_tc, subst_tt, trees_equal
+from rasm.trees import leaf, node, subst_tc, subst_tt
 from rasm.updates import collapse
 from rasm.values import UNDEF, Natural, TreeVal, TupleVal
-from conftest import random_machine, random_rule, random_state
+from conftest import forget_raises, random_machine, random_rule, random_state
 
 
 def make_state(rule_text, sig_pairs=(("f", 0),), inits=()):
@@ -207,16 +206,16 @@ def _outcome(fn):
 
 
 def _fresh_pgm(s):
-    """The same state with pgm held in a new but equal Tree object."""
-    t = s.value_of(PGM_LOCATION).tree
-    return State(s.signature, {**s.interp, PGM_LOCATION: TreeVal(Tree(t.root_node))},
-                 s.universe, s.reserve_cursor, s.reserve_seed)
+    """The same state, its pgm nodes' raise memos cleared: the next step
+    raises the whole tree and compiles every rule anew."""
+    forget_raises(s.value_of(PGM_LOCATION).tree)
+    return s
 
 
 def test_raise_memo_agrees_with_a_fresh_raise_every_step():
-    """`run` raises pgm only when its tree object changed, and compiles the
-    raised rule once per raise; forcing a new raise and a new compile before
-    every step must not change a single report."""
+    """`run` raises each pgm node once and compiles each raised rule once per
+    signature; forcing a new raise and a new compile before every step must
+    not change a single report."""
     rng = random.Random(61)
     compared = 0
     for _ in range(80):
@@ -234,7 +233,6 @@ def test_raise_memo_agrees_with_a_fresh_raise_every_step():
         def fresh_loop():
             reports, cur = [], s
             for _ in range(k):
-                evaluator._last_compiled = None
                 rep = step(_fresh_pgm(cur))
                 reports.append(rep)
                 cur = rep.next

@@ -20,7 +20,7 @@ from rasm.errors import EncodingError, ParseError
 from rasm.parser import parse_rule, parse_state, parse_term, parse_tree, parse_value
 from rasm.printer import print_rule, print_term, print_tree, print_value
 from rasm.state import Location, PGM
-from rasm.trees import Context, Tree, leaf, node, trees_equal
+from rasm.trees import Context, Tree, leaf, node
 from rasm.values import (
     FALSE,
     TRUE,
@@ -60,7 +60,7 @@ def test_parse_values():
 def test_parse_trees():
     t = parse_tree("a⟨b c=⟨7⟩⟩")
     assert isinstance(t, Tree)
-    assert trees_equal(t, Tree(node("a", leaf("b"), leaf("c", Natural(7)))))
+    assert t == Tree(node("a", leaf("b"), leaf("c", Natural(7))))
     c = parse_tree("a⟨^ b⟩")
     assert isinstance(c, Context)
     assert parse_value("#a⟨b⟩") == TreeVal(Tree(node("a", leaf("b"))))
@@ -153,7 +153,7 @@ def test_roundtrip_random_trees():
     rng = random.Random(83)
     for _ in range(200):
         t = random_tree(rng)
-        assert trees_equal(parse_tree(print_tree(t)), t)
+        assert parse_tree(print_tree(t)) == t
 
 
 def test_roundtrip_random_rules():

@@ -152,3 +152,27 @@ def test_trace_hashes_an_unchanged_rule_once(monkeypatch):
     assert len(calls) == 1
     assert text.startswith((demos / "increment.trace").read_text(encoding="utf-8"))  # its first 10 steps
     assert text.count("\nrule " + rule_hash(reports[0].raised_rule) + "\n") == 50
+
+
+def test_trace_hashes_each_raised_program_once(monkeypatch):
+    # `shared_rewrite` from the benchmark swaps two pairs of its sub-rules
+    # every step, so pgm returns to the same interned tree, and the same
+    # raised Rule, every two steps.
+    import importlib
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    m = workloads.shared_rewrite(1, 15)
+    reports = run(parse_state(m.document), steps=15)
+    want = [rule_hash(rep.raised_rule) for rep in reports]
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return rule_hash(r)
+
+    monkeypatch.setattr("rasm.printer.rule_hash", counting)
+    text = format_trace(reports)
+    assert len(calls) == 2 and calls[0] is not calls[1]
+    assert [line[5:] for line in text.splitlines() if line.startswith("rule ")] == want
+    assert workloads.check_trace(m, text) == []

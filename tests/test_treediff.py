@@ -20,7 +20,6 @@ from rasm.treediff import (
     tree_diff_theta,
     tree_diff_updates,
 )
-from rasm.trees import trees_equal
 from rasm.updates import Update, collapse
 from rasm.values import Natural, TreeVal
 from conftest import random_program_pair
@@ -48,7 +47,7 @@ def test_rule_change_reuses_signature_subtree():
     assert isinstance(theta, Rebuild)
     sig_part = theta.parts[0]
     assert sig_part == SubtreeRef((0,))  # signature unchanged, referenced
-    assert trees_equal(eval_algebra(theta, t1), t2)
+    assert eval_algebra(theta, t1) == t2
 
 
 def test_theta_evaluates_to_target_on_random_pairs():
@@ -56,7 +55,7 @@ def test_theta_evaluates_to_target_on_random_pairs():
     for _ in range(100):
         t1, t2 = random_program_pair(rng)
         theta = tree_diff_theta(t1, t2)
-        assert trees_equal(eval_algebra(theta, t1), t2)
+        assert eval_algebra(theta, t1) == t2
 
 
 def test_signature_growth_is_one_right_extension():
@@ -68,7 +67,7 @@ def test_signature_growth_is_one_right_extension():
     assert isinstance(ext, ExtendRight)
     assert ext.base == SubtreeRef((0,))
     assert len(ext.extras) == 1 and isinstance(ext.extras[0], TreeLiteral)
-    assert trees_equal(eval_algebra(theta, t1), t2)
+    assert eval_algebra(theta, t1) == t2
 
 
 def test_reuse_prefers_topmost_leftmost():

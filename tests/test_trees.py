@@ -5,14 +5,20 @@ plain nested tuples, written here from the definitions and sharing no code
 with the implementation.
 """
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_context, random_node, random_tree
+from conftest import random_context, random_node, random_rule, random_state, random_tree
+from rasm import trees
+from rasm.encoding import drop_program, drop_rule, raise_rule
 from rasm.errors import TreeAlgebraError
+from rasm.parser import parse_tree
+from rasm.printer import print_tree
+from rasm.state import PGM_LOCATION, State, atoms_of_state, rename_state
 from rasm.trees import (
     HOLE,
     XI,
@@ -34,8 +40,8 @@ from rasm.trees import (
     subst_tc,
     subst_tt,
     subtree,
-    trees_equal,
 )
+from rasm.values import TRUE, Natural, TreeVal
 
 # ------------------------------------------------------------ naive oracle
 # Shape: (label, value, (child, ...)); built by recursion only.
@@ -86,7 +92,7 @@ def test_subtree_of_root_is_identity():
     rng = random.Random(12)
     for _ in range(20):
         t = random_tree(rng)
-        assert trees_equal(subtree(t, ()), t)
+        assert subtree(t, ()) == t
 
 
 def test_subtree_unknown_node():
@@ -109,7 +115,7 @@ def test_subst_tt_matches_naive_rebuild():
 def test_subst_tt_at_root_is_replacement():
     t = Tree(node("a", leaf("b"), leaf("c")))
     t2 = Tree(leaf("d", 7))
-    assert trees_equal(subst_tt(t, (), t2), t2)
+    assert subst_tt(t, (), t2) == t2
 
 
 def test_subst_tt_self_nesting():
@@ -134,7 +140,7 @@ def test_context_at_punches_hole_and_reinjection_restores():
         p = rng.choice(below)
         c = context_at(t, (), p)
         assert shape_hole_path(shape(c.root_node)) == p == c.hole
-        assert trees_equal(subst_ct(c, subtree(t, p)), t)
+        assert subst_ct(c, subtree(t, p)) == t
 
 
 def test_context_at_requires_strict_ancestor():
@@ -169,7 +175,7 @@ def test_subst_cc_identities_and_associativity():
 
 def test_subst_ct_trivial_context():
     t = Tree(node("a", leaf("b", 3)))
-    assert trees_equal(subst_ct(HOLE, t), t)
+    assert subst_ct(HOLE, t) == t
 
 
 def test_label_hedge():
@@ -214,7 +220,7 @@ def test_inject_hedge():
         "a", None, (("b", None, ()), ("p", None, ()), ("q", None, ())))
     # zero-tree splice removes the hole position entirely
     assert shape(inject_hedge(c, ()).root_node) == ("a", None, (("b", None, ()),))
-    assert trees_equal(inject_hedge(HOLE, (t1,)), t1)
+    assert inject_hedge(HOLE, (t1,)) == t1
     with pytest.raises(TreeAlgebraError, match="empty-hedge-at-root"):
         inject_hedge(HOLE, ())
     with pytest.raises(TreeAlgebraError, match="hedge-at-root"):
@@ -232,8 +238,8 @@ def test_inject_context_is_composition():
 def test_trees_equal_is_order_sensitive():
     t = Tree(node("a", leaf("b"), leaf("c")))
     swapped = Tree(node("a", leaf("c"), leaf("b")))
-    assert trees_equal(t, t)
-    assert not trees_equal(t, swapped)
+    assert t == t == Tree(node("a", leaf("b"), leaf("c")))
+    assert t != swapped
 
 
 def test_value_on_internal_node_rejected():
@@ -272,7 +278,7 @@ def test_decomposition_identity(t, data):
     if not below:
         return
     p = data.draw(st.sampled_from(below))
-    assert trees_equal(subst_ct(context_at(t, (), p), subtree(t, p)), t)
+    assert subst_ct(context_at(t, (), p), subtree(t, p)) == t
 
 
 @given(contexts_st(), contexts_st(), contexts_st())
@@ -287,7 +293,7 @@ def test_substitution_then_selection(t1, t2, data):
     """After subst_tt at a path, selecting at that path yields t2 again."""
     path = data.draw(st.sampled_from(_all_paths(t1)))
     out = subst_tt(t1, path, t2)
-    assert trees_equal(subtree(out, path), t2)
+    assert subtree(out, path) == t2
 
 
 @given(trees_st())
@@ -362,3 +368,73 @@ def test_depth_5000_chain_is_edited_without_recursion():
     assert subst_ct(c, Tree(leaf("z"))).at(bottom).label == "z"
     assert subst_tc(t, bottom).hole == bottom
     assert inject_hedge(c, ()).at(bottom[1:]).is_leaf
+
+
+# ------------------------------------------------------ hash-consed nodes
+
+def _agrees_with_shape(nodes) -> None:
+    """Identity, `==` and `hash` of interned hole-free nodes, and of the
+    trees over them, against `shape`."""
+    for a in nodes:
+        for b in nodes:
+            same = shape(a) == shape(b)
+            assert (a is b) == same and (a == b) == same and (Tree(a) == Tree(b)) == same
+            if same:
+                assert hash(a) == hash(b) and hash(Tree(a)) == hash(Tree(b))
+
+
+def test_interned_nodes_agree_with_the_structural_reference():
+    rng = random.Random(71)
+    for _ in range(40):
+        # Small trees over few labels, so that equal subtrees are common.
+        roots = [random_node(rng, depth=2, branch=2) for _ in range(6)]
+        pool = {id(n): n for r in roots for _p, n in Tree(r).iter_nodes()}
+        _agrees_with_shape(list(pool.values()))
+
+
+def test_equal_leaf_values_of_other_variants_stay_apart():
+    one, true = leaf("x", Natural(1)), leaf("x", TRUE)
+    assert one is not true and one != true and shape(one) != shape(true)
+    assert one.value == Natural(1) and true.value == TRUE
+    assert leaf("x", Natural(1)) is one
+    # Python's own 1 == True does not merge them either.
+    assert leaf("x", 1) is not leaf("x", True)
+    assert type(leaf("x", 1).value) is int and leaf("x", True).value is True
+
+
+def test_parser_drop_rename_and_subst_build_the_interned_nodes():
+    rng = random.Random(73)
+    for _ in range(60):
+        t = random_tree(rng, depth=3, branch=3)
+        assert parse_tree(print_tree(t)).root_node is t.root_node
+        p = rng.choice(_all_paths(t))
+        assert subst_tt(t, p, subtree(t, p)).root_node is t.root_node
+        other = random_tree(rng, depth=2, branch=2)
+        edited = subst_tt(t, p, other)
+        assert subst_tt(edited, p, subtree(t, p)).root_node is t.root_node
+        _agrees_with_shape([t.root_node, edited.root_node, parse_tree(print_tree(edited)).root_node])
+
+        r = random_rule(rng, depth=3)
+        dropped = drop_rule(r)
+        assert drop_rule(r).root_node is dropped.root_node
+        assert drop_rule(raise_rule(dropped)).root_node is dropped.root_node
+
+        base = random_state(rng, with_pgm=True)
+        tree = drop_program(base.signature, r)
+        s = State(base.signature, {**base.interp, PGM_LOCATION: TreeVal(tree)}, base.universe)
+        there = {a: a for a in atoms_of_state(s)} | {"red": "green", "green": "red"}
+        renamed = rename_state(s, there).value_of(PGM_LOCATION).tree
+        back = rename_state(rename_state(s, there), there).value_of(PGM_LOCATION).tree
+        assert back.root_node is tree.root_node
+        _agrees_with_shape([tree.root_node, renamed.root_node, back.root_node])
+
+
+def test_intern_table_shrinks_back_when_its_trees_die():
+    gc.collect()
+    before = len(trees._INTERNED)
+    rng = random.Random(79)
+    kept = [node("interning-probe", random_node(rng, depth=4), leaf("n", k)) for k in range(50)]
+    assert len(trees._INTERNED) >= before + 50
+    del kept
+    gc.collect()
+    assert len(trees._INTERNED) == before

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rasm.errors import RasmError
 from rasm.state import FunctionSymbol, Location, Signature, State
-from rasm.trees import Tree, leaf, node, trees_equal
+from rasm.trees import Tree, leaf, node
 from rasm.updates import (
     COLLAPSE_OPS,
     SharedUpdate,
@@ -105,7 +105,7 @@ def test_right_extend_appends_operand_roots():
     us = collapse(s, um)
     assert us.consistent
     (u,) = us.updates
-    assert trees_equal(u.value.tree, Tree(node("r", leaf("a"), leaf("b"), leaf("c"))))
+    assert u.value.tree == Tree(node("r", leaf("a"), leaf("b"), leaf("c")))
 
 
 def test_right_extend_pair_is_order_dependent():
@@ -128,7 +128,7 @@ def test_extend_at_disjoint_paths_commute():
     assert us.consistent
     (u,) = us.updates
     want = Tree(node("r", node("x", leaf("a"), leaf("p")), node("y", leaf("b"), leaf("q"))))
-    assert trees_equal(u.value.tree, want)
+    assert u.value.tree == want
 
 
 def test_subst_at_same_path_twice_is_order_dependent():
@@ -147,7 +147,7 @@ def test_subst_at_identical_updates_commute():
     us = collapse(s, UpdateMultiset((u, u)))
     assert us.consistent
     (got,) = us.updates
-    assert trees_equal(got.value.tree, Tree(node("r", leaf("p"), leaf("b"))))
+    assert got.value.tree == Tree(node("r", leaf("p"), leaf("b")))
 
 
 def test_identical_updates_are_consistent_at_any_size():
@@ -203,7 +203,7 @@ def test_subst_at_path_rewrites_node():
     assert us.consistent
     (u,) = us.updates
     assert u.location == F
-    assert trees_equal(u.value.tree, Tree(node("r", leaf("a"), leaf("z"))))
+    assert u.value.tree == Tree(node("r", leaf("a"), leaf("z")))
 
 
 def test_extend_at_path_appends_below():
@@ -214,7 +214,7 @@ def test_extend_at_path_appends_below():
     us = collapse(s, um)
     assert us.consistent
     (u,) = us.updates
-    assert trees_equal(u.value.tree, Tree(node("r", node("x", leaf("a"), leaf("b")))))
+    assert u.value.tree == Tree(node("r", node("x", leaf("a"), leaf("b"))))
 
 
 def test_path_edit_on_non_tree_degrades_to_undef():
