@@ -48,7 +48,6 @@ from .values import (
     TreeVal,
     TupleVal,
     Value,
-    boolean,
     value_key,
 )
 
@@ -71,19 +70,17 @@ def _logic(args: list[Value], zero: Boolean) -> Value:
     # wins over the neutral value, anything non-truth poisons to undef.
     saw_undef = False
     for a in args:
-        if a == zero:
+        if a is zero:
             return zero
-        if a == UNDEF:
+        if not isinstance(a, Boolean):
             saw_undef = True
-        elif not isinstance(a, Boolean):
-            saw_undef = True
-    return UNDEF if saw_undef else boolean(zero == FALSE)
+    return UNDEF if saw_undef else Boolean(zero is FALSE)
 
 
 def _op_not(args: list[Value]) -> Value:
     (a,) = args
     if isinstance(a, Boolean):
-        return boolean(not a.flag)
+        return Boolean(a is FALSE)
     return UNDEF
 
 
@@ -91,7 +88,7 @@ def _nat(fn: Callable[[int, int], int | bool], wrap: Callable) -> Callable[[list
     def run(args: list[Value]) -> Value:
         a, b = args
         if isinstance(a, Natural) and isinstance(b, Natural):
-            return wrap(fn(a.n, b.n))
+            return wrap(fn(a, b))  # naturals are ints
         return UNDEF
 
     return run
@@ -139,12 +136,12 @@ BACKGROUND_OPS: dict[str, _BgOp] = {
     "and": _BgOp(None, lambda args: _logic(args, FALSE)),
     "or": _BgOp(None, lambda args: _logic(args, TRUE)),
     "not": _BgOp(1, _op_not),
-    "eq": _BgOp(2, lambda args: boolean(args[0] == args[1])),
-    "ne": _BgOp(2, lambda args: boolean(args[0] != args[1])),
-    "lt": _BgOp(2, _nat(lambda a, b: a < b, boolean)),
-    "le": _BgOp(2, _nat(lambda a, b: a <= b, boolean)),
-    "gt": _BgOp(2, _nat(lambda a, b: a > b, boolean)),
-    "ge": _BgOp(2, _nat(lambda a, b: a >= b, boolean)),
+    "eq": _BgOp(2, lambda args: Boolean(args[0] == args[1])),
+    "ne": _BgOp(2, lambda args: Boolean(args[0] != args[1])),
+    "lt": _BgOp(2, _nat(lambda a, b: a < b, Boolean)),
+    "le": _BgOp(2, _nat(lambda a, b: a <= b, Boolean)),
+    "gt": _BgOp(2, _nat(lambda a, b: a > b, Boolean)),
+    "ge": _BgOp(2, _nat(lambda a, b: a >= b, Boolean)),
     "add": _BgOp(2, _nat(lambda a, b: a + b, Natural)),
     "mul": _BgOp(2, _nat(lambda a, b: a * b, Natural)),
     "sub": _BgOp(2, _nat(lambda a, b: max(a - b, 0), Natural)),  # monus, naturals only
@@ -217,12 +214,12 @@ def _compile_term(t: T.Term, sig: Signature) -> TermFn:
         if sym.arity != n:
             return _raiser("arity-mismatch", f"{func!r} has arity {sym.arity}, applied to {n} arguments")
         if not n:
-            loc = Location(func)
+            loc = (func, ())
             return lambda s, env: s.interp.get(loc, UNDEF)
         args = [_compile_term(a, sig) for a in t.args]
         def read(s, env):
             vs = tuple([a(s, env) for a in args])
-            return UNDEF if UNDEF in vs else s.interp.get(Location(func, vs), UNDEF)  # strict
+            return UNDEF if UNDEF in vs else s.interp.get((func, vs), UNDEF)  # strict
         return read
     if isinstance(t, T.BackgroundOp):
         op = BACKGROUND_OPS.get(t.op)
@@ -252,9 +249,9 @@ def _satisfying(sig: Signature, binders: tuple[str, ...], guard: T.Term, where: 
 
     def accepts(s: State, env: Env) -> bool:
         g = test(s, env)
-        if g is TRUE or g == TRUE:
+        if g is TRUE:
             return True
-        if g == FALSE or g == UNDEF:
+        if g is FALSE or g is UNDEF:
             return False
         raise EvalError("non-boolean-guard", f"{where} guard evaluated to {g!r}")
 
@@ -353,11 +350,11 @@ def _compile_rule(r: T.Rule, sig: Signature) -> RuleFn:
         then_, else_ = _compile_rule(r.then_branch, sig), _compile_rule(r.else_branch, sig)
         def fn(s, env, out, cursor):
             g = cond(s, env)
-            if g is TRUE or g == TRUE:
+            if g is TRUE:
                 then_(s, env, out, cursor)
-            elif g == FALSE:
+            elif g is FALSE:
                 else_(s, env, out, cursor)
-            elif g == UNDEF:
+            elif g is UNDEF:
                 raise EvalError("condition-undef", "if-guard evaluated to undef")
             else:
                 raise EvalError("non-boolean-guard", f"if-guard evaluated to {g!r}")

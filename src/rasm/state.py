@@ -1,7 +1,9 @@
 """States: signatures, locations, interpretations, and atom renaming.
 
 A state is a finite interpretation of a signature: a mapping from locations
-(function symbol + argument tuple) to values, undef everywhere else.  The
+(function symbol + argument tuple) to values, undef everywhere else.  A
+location is the tuple ``(symbol, args)`` itself, so the mapping can be read
+with a bare tuple, and locations and values hash and compare in C.  The
 distinguished nullary symbol ``pgm`` holds the machine's self-representation.
 
 `rename_state` applies a bijection on atoms pointwise to every location and
@@ -14,6 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Optional
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import RasmError
 from .trees import Node
@@ -25,7 +28,6 @@ from .values import (
     Multiset,
     TreeVal,
     TupleVal,
-    Undef,
     Value,
     value_key,
 )
@@ -118,12 +120,19 @@ class Signature:
         return "Signature(" + ", ".join(f"{s.name}/{s.arity}" for s in self) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class Location:
-    """A function symbol name with an argument tuple."""
+class Location(tuple):
+    """A function symbol name with an argument tuple: the pair
+    ``(symbol, args)``, hashed and compared as that tuple, in C.  A bare
+    ``(symbol, args)`` tuple therefore keys a dict like its Location, which
+    is how the evaluator reads without building one."""
 
-    symbol: str
-    args: tuple[Value, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, symbol: str, args: tuple[Value, ...] = ()) -> "Location":
+        return tuple.__new__(cls, (symbol, args))
+
+    symbol = property(itemgetter(0))
+    args = property(itemgetter(1))
 
     @property
     def base(self) -> "Location":
@@ -131,7 +140,10 @@ class Location:
         return self
 
     def key(self) -> tuple:
-        return (self.symbol, len(self.args), tuple(map(value_key, self.args)))
+        return (self[0], len(self[1]), tuple(map(value_key, self[1])))
+
+    def __repr__(self) -> str:
+        return f"Location(symbol={self[0]!r}, args={self[1]!r})"
 
 
 PGM_LOCATION = Location(PGM)
@@ -158,7 +170,7 @@ class State:
         reserve_seed: int = 0,
     ):
         clean = dict(interp)
-        for loc in [loc for loc, val in clean.items() if type(val) is Undef]:
+        for loc in [loc for loc, val in clean.items() if val is UNDEF]:
             del clean[loc]
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "interp", clean)

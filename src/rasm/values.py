@@ -2,58 +2,92 @@
 
 Variants: atoms, truth values, naturals, undef, tuples, multisets, trees,
 and quoted terms (dropped terms).  A rule becomes a value only as its program
-tree, the value of ``pgm``.  All variants are frozen and hashable so they can
-serve as location arguments and multiset members.
+tree, the value of ``pgm``.  All variants are immutable and hashable so they
+can serve as location arguments and multiset members.
 
-Truth values and naturals are distinct variants: ``Boolean(True) != Natural(1)``
-even though Python's own ``True == 1``.  ``UNDEF`` is a singleton distinct from
-``FALSE``.  Multisets ignore insertion order but respect multiplicity; they
-keep their items sorted by the canonical total order `value_key`, which also
-drives deterministic printing and active-domain enumeration.
+The four scalar variants hash and compare in C.  A natural is an `int` and
+an atom a `str`, so each hashes and compares as that builtin does; truth
+values and undef are the singletons `TRUE`, `FALSE` and `UNDEF`, so equality
+is identity.  Truth values and naturals stay distinct variants:
+``Boolean(True) != Natural(1)`` even though Python's own ``True == 1``.
+Only a raw `int` or `str` equals a natural or an atom; values never hold
+one, and the tree intern table keys leaves by class as well.  Multisets
+ignore insertion order but respect multiplicity; they keep their items
+sorted by the canonical total order `value_key`, which also drives
+deterministic printing and active-domain enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .trees import _TreeBase
 
 
 class Value:
-    """Marker base class; every variant is a frozen dataclass below."""
+    """Marker base class of every variant below."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Atom(Value):
+class Atom(str, Value):
     """A named base-set element.  Reserve atoms use the ``$`` namespace."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, name: str) -> "Atom":
+        if not name:
             raise ValueError("atom name must be non-empty")
+        return str.__new__(cls, name)
+
+    name = property(str.__str__)  # a plain str
+
+    def __repr__(self) -> str:
+        return f"Atom(name={str.__repr__(self)})"
 
 
-@dataclass(frozen=True, slots=True)
 class Boolean(Value):
-    flag: bool
+    """A truth value: `Boolean(flag)` is `TRUE` or `FALSE`, the only two."""
+
+    __slots__ = ()
+
+    def __new__(cls, flag: bool) -> "Boolean":
+        return TRUE if flag else FALSE
+
+    @property
+    def flag(self) -> bool:
+        return self is TRUE
+
+    def __repr__(self) -> str:
+        return f"Boolean(flag={self is TRUE})"
 
 
-@dataclass(frozen=True, slots=True)
-class Natural(Value):
-    n: int
+class Natural(int, Value):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"naturals are non-negative, got {self.n}")
+    def __new__(cls, n: int) -> "Natural":
+        if n < 0:
+            raise ValueError(f"naturals are non-negative, got {n}")
+        return int.__new__(cls, n)
+
+    n = property(int.__int__)  # a plain int
+
+    def __repr__(self) -> str:
+        return f"Natural(n={int.__repr__(self)})"
 
 
-@dataclass(frozen=True, slots=True)
 class Undef(Value):
-    """The single undefined value; absence of an interpretation entry."""
+    """The undefined value, absence of an interpretation entry: `Undef()`
+    is `UNDEF`, the only one."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "Undef":
+        return UNDEF
+
+    def __repr__(self) -> str:
+        return "Undef()"
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,15 +142,19 @@ class DroppedTerm(Value):
     """A term quoted into the value world (syntax as data)."""
 
     term: object  # terms.Term; untyped here to keep the layering acyclic
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # The term's hash walks it in Python; one walk serves every hash.
+        object.__setattr__(self, "_hash", hash(self.term))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-UNDEF = Undef()
-TRUE = Boolean(True)
-FALSE = Boolean(False)
-
-
-def boolean(flag: bool) -> Boolean:
-    return TRUE if flag else FALSE
+UNDEF = object.__new__(Undef)
+TRUE = object.__new__(Boolean)
+FALSE = object.__new__(Boolean)
 
 
 def _tree_key(root) -> tuple:
@@ -142,10 +180,10 @@ def value_key(v: Value) -> tuple:
     Keys only ever compare payloads within the same rank, so heterogeneous
     payload shapes across ranks are safe.
     """
-    if isinstance(v, Undef):
+    if v is UNDEF:
         return (0,)
     if isinstance(v, Boolean):
-        return (1, 1 if v.flag else 0)
+        return (1, 1 if v is TRUE else 0)
     if isinstance(v, Natural):
         return (2, v.n)
     if isinstance(v, Atom):

@@ -30,7 +30,7 @@ from rasm.terms import (
     Var,
 )
 from rasm.trees import Context, Node, Tree, XI
-from rasm.values import FALSE, TRUE, UNDEF, Atom, Multiset, Natural, TreeVal, TupleVal, value_key
+from rasm.values import FALSE, TRUE, UNDEF, Atom, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, value_key
 
 LABELS = ("a", "b", "c", "d", "e")
 ATOMS = ("red", "green", "blue", "amber")
@@ -81,6 +81,9 @@ def random_context(rng: random.Random, depth: int = 6, branch: int = 4) -> Conte
 # ------------------------------------------------------------------ values
 
 def random_value(rng: random.Random, depth: int = 2):
+    """Any variant: the four scalars at depth 0; tuples and multisets of
+    values one level shallower, small trees and contexts, and dropped terms
+    above it."""
     simple = (
         lambda: Natural(rng.randrange(6)),
         lambda: Atom(rng.choice(ATOMS)),
@@ -92,6 +95,8 @@ def random_value(rng: random.Random, depth: int = 2):
     deep = simple + (
         lambda: TupleVal(tuple(random_value(rng, depth - 1) for _ in range(rng.randrange(3)))),
         lambda: Multiset(tuple(random_value(rng, depth - 1) for _ in range(rng.randrange(3)))),
+        lambda: TreeVal(rng.choice((random_tree, random_context))(rng, depth=depth, branch=2)),
+        lambda: DroppedTerm(random_term(rng, (), depth - 1)),
     )
     return rng.choice(deep)()
 

@@ -17,7 +17,7 @@ from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm.terms import Apply, Assign, BackgroundOp, Comprehension, Forall, If, Let, Literal, Par, Var
 from rasm.trees import Tree, leaf, node
 from rasm.updates import SharedUpdate, Update, UpdateMultiset
-from rasm.values import FALSE, TRUE, UNDEF, Atom, Multiset, Natural, TreeVal, TupleVal, boolean
+from rasm.values import FALSE, TRUE, UNDEF, Atom, Boolean, Multiset, Natural, TreeVal, TupleVal
 from conftest import count_lookups
 
 
@@ -268,7 +268,7 @@ FAULTS = {
                           "comprehension guard evaluated to Natural(n=7)"),
 }
 PLACES = {
-    "if-branch": lambda x, reached: If(Literal(boolean(reached)), Assign("f", (), x), Assign("f", (), ONE)),
+    "if-branch": lambda x, reached: If(Literal(Boolean(reached)), Assign("f", (), x), Assign("f", (), ONE)),
     "let-binding": lambda x, reached: Let("y", x, Assign("f", (), Var("y") if reached else ONE)),
     "forall-body": lambda x, reached: Forall(
         "z", BackgroundOp("eq", (Var("z"), ONE)) if reached else Literal(FALSE), Assign("f", (), x)),

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 every name a module defines is read somewhere, every layer the benchmark's
-tracer wraps still exists, and the parser, the printer and the evaluator
-agree on every background operation.
+tracer wraps still exists, the parser, the printer and the evaluator
+agree on every background operation, and the scalar values and locations
+hash and compare through their builtins' C slots.
 
 Each `src/rasm/*.py` except the package `__init__` is parsed with `ast`; a
 name bound by an import counts as used when it is loaded anywhere in the
@@ -17,7 +18,9 @@ import pytest
 from rasm.evaluator import BACKGROUND_OPS
 from rasm.parser import KEYWORDS, parse_term
 from rasm.printer import print_term
+from rasm.state import Location
 from rasm.terms import INFIX, Apply, BackgroundOp
+from rasm.values import Atom, Boolean, Natural, Undef
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rasm"
@@ -218,3 +221,13 @@ def test_recursive_walks_are_listed():
         found |= _recursive_functions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found - RECURSIVE_WALKS == set(), "new recursive functions: add them to RECURSIVE_WALKS on purpose"
     assert RECURSIVE_WALKS - found == set(), "no longer recursive: take them out of RECURSIVE_WALKS"
+
+
+def test_scalars_and_locations_hash_and_compare_in_c():
+    """A `@dataclass` or a Python-level `__eq__`/`__hash__` on these classes
+    would put a Python frame back into every read, collapse and apply."""
+    assert Natural.__hash__ is int.__hash__ and Natural.__eq__ is int.__eq__
+    assert Atom.__hash__ is str.__hash__ and Atom.__eq__ is str.__eq__
+    assert Location.__hash__ is tuple.__hash__ and Location.__eq__ is tuple.__eq__
+    for singleton in (Boolean, Undef):
+        assert singleton.__eq__ is object.__eq__ and singleton.__hash__ is object.__hash__
