@@ -13,9 +13,10 @@ deliberately broken implementations can prove the checks have teeth.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import machine
 from .encoding import as_program, beta_rule
@@ -23,10 +24,10 @@ from .errors import RasmError
 from .evaluator import BACKGROUND_OPS, eval_rule, eval_term
 from .naive import naive_eval_rule
 from .printer import print_rule, print_state
-from .state import PGM_LOCATION, State, atoms_of_state, atoms_of_value, rename_state
+from .state import PGM_LOCATION, Location, State, atoms_of_state, atoms_of_value, rename_state
 from .terms import Forall, If, Import, Let, Par, PartialAssign, Rule
 from .updates import UpdateMultiset, collapse
-from .values import TreeVal
+from .values import Atom, TreeVal, TupleVal, Value
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,9 +124,128 @@ def _commutes(s: State, pi: dict, step_fn: StepFn, plain: Callable[[], State]) -
     except RasmError as e:
         return False, f"step failed on the renamed state: {e}"
     rhs = rename_state(plain(), _extend_identity(pi, plain()))
-    if lhs == rhs:
+    if lhs == rhs or _equal_up_to_fresh(lhs, rhs, _drawn(s, lhs, rhs)):
         return True, ""
     return False, "step and renaming do not commute"
+
+
+def _drawn(s: State, *successors: State) -> frozenset[str]:
+    """The reserve atoms drawn by a step from `s`: from its cursor on, up to
+    the furthest cursor among the successors."""
+    end = max(n.reserve_cursor for n in successors)
+    return frozenset(s.reserve_atom(k) for k in range(end - s.reserve_cursor))
+
+
+def _equal_up_to_fresh(a: State, b: State, fresh: frozenset[str]) -> bool:
+    """Whether some bijection of the `fresh` atoms, fixing every other atom,
+    renames `a` into `b`.
+
+    Locations are matched one to one, those whose arguments hold no fresh
+    atom first, each with the equal location of `b`; their values bind
+    fresh atoms.  The other locations are matched with `b`'s by
+    backtracking.  Atoms seen only inside multisets, trees or dropped terms
+    are tried in every arrangement, and each candidate is confirmed by
+    renaming `a`, so the answer is exact.
+    """
+    if not fresh or a.signature != b.signature or len(a.interp) != len(b.interp):
+        return False
+    sigma = _FreshMap(fresh)
+    moved: dict[tuple, list] = {}  # b's locations that hold a fresh atom, by symbol and arity
+    for loc, val in b.interp.items():
+        if sigma.holds_fresh(TupleVal(loc.args)):
+            moved.setdefault((loc.symbol, len(loc.args)), []).append((loc, val))
+
+    def candidates(loc: Location) -> list:
+        if sigma.holds_fresh(TupleVal(loc.args)):
+            return moved.get((loc.symbol, len(loc.args)), [])
+        return [(loc, b.interp[loc])] if loc in b.interp else []
+
+    entries = sorted(a.interp.items(), key=lambda e: sigma.holds_fresh(TupleVal(e[0].args)))
+    in_a, in_b = fresh & atoms_of_state(a), fresh & atoms_of_state(b)
+    for _ in sigma.matchings(entries, candidates):
+        rest = sorted(in_a - sigma.map.keys())
+        free = sorted(in_b - sigma.image)
+        if len(rest) != len(free):
+            continue
+        for arrangement in itertools.permutations(free):
+            full = {**sigma.map, **dict(zip(rest, arrangement))}
+            if rename_state(a, _extend_identity(full, a)) == b:
+                return True
+    return False
+
+
+class _FreshMap:
+    """An injective map of fresh atoms onto fresh atoms, grown by matching
+    values and shrunk again by backtracking."""
+
+    def __init__(self, fresh: frozenset[str]):
+        self.fresh = fresh
+        self.map: dict[str, str] = {}
+        self.image: set[str] = set()
+        self.trail: list[str] = []  # bound atoms, oldest first
+
+    def holds_fresh(self, v: Value) -> bool:
+        return not self.fresh.isdisjoint(atoms_of_value(v))
+
+    def undo(self, mark: int) -> None:
+        """Forget the bindings made since the trail had `mark` entries."""
+        while len(self.trail) > mark:
+            self.image.discard(self.map.pop(self.trail.pop()))
+
+    def match(self, x: Value, y: Value) -> bool:
+        """Bind fresh atoms so that the map can take `x` to `y`; False on a
+        conflict.  Tuples are matched item by item; a multiset, tree or
+        dropped term that holds a fresh atom is left to the final renaming."""
+        todo = [(x, y)]
+        while todo:
+            x, y = todo.pop()
+            if type(x) is Atom and x in self.fresh:
+                if x in self.map:
+                    if self.map[x] != y:
+                        return False
+                elif type(y) is not Atom or y not in self.fresh or y in self.image:
+                    return False
+                else:
+                    self.map[x] = y
+                    self.image.add(y)
+                    self.trail.append(x)
+            elif type(x) is TupleVal:
+                if type(y) is not TupleVal or len(x.items) != len(y.items):
+                    return False
+                todo += zip(x.items, y.items)
+            elif x != y and (type(x) is not type(y) or not self.holds_fresh(x)):
+                return False
+        return True
+
+    def matchings(self, entries: list, candidates: Callable) -> Iterator[None]:
+        """Backtrack over one-to-one assignments of `entries` to entries from
+        `candidates(location)` whose arguments and values match; yields
+        each time all are assigned, the map holding the bindings they made."""
+        used: set = set()
+        marks: list[tuple[int, object]] = []  # per assigned entry: trail length before it, its target
+        stack = [iter(candidates(entries[0][0]))] if entries else []
+        if not entries:
+            yield
+        while stack:
+            if len(marks) == len(stack):  # retract this level's previous choice
+                mark, target = marks.pop()
+                used.discard(target)
+                self.undo(mark)
+            loc, val = entries[len(stack) - 1]
+            for tloc, tval in stack[-1]:
+                mark = len(self.trail)
+                if tloc not in used and self.match(TupleVal((*loc.args, val)), TupleVal((*tloc.args, tval))):
+                    used.add(tloc)
+                    marks.append((mark, tloc))
+                    break
+                self.undo(mark)
+            else:
+                stack.pop()
+                continue
+            if len(stack) == len(entries):
+                yield
+            else:
+                stack.append(iter(candidates(entries[len(stack)][0])))
 
 
 def check_isomorphism_closure(
@@ -133,9 +253,9 @@ def check_isomorphism_closure(
 ) -> CheckReport:
     """Random atom bijections must commute with the step function.
 
-    The bijection is extended identically to reserve atoms, so programs
-    whose import draws are paired by enumeration order are outside this
-    check's reach; the bundled machines draw nothing.
+    The two successors need only agree up to a bijection of the reserve
+    atoms the step drew: a renaming can change the order in which a FORALL
+    meets its bindings, and so which binding imports which fresh atom.
     """
     fn = step_fn if step_fn is not None else machine.step
     plain = functools.cache(lambda: fn(s).next)

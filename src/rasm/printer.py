@@ -15,6 +15,7 @@ identical runs serialize identically.
 from __future__ import annotations
 
 import hashlib
+from itertools import groupby
 from typing import Iterable
 
 from .state import Location, State
@@ -83,8 +84,13 @@ def _value_text(v: Value, quote: bool) -> str:
     raise TypeError(f"not a value: {v!r}")
 
 
+# A natural or an atom in value position prints as the int or str it is.
+_SCALAR_TEXT = {Natural: int.__repr__, Atom: str.__str__}
+
+
 def print_value(v: Value) -> str:
-    return _value_text(v, quote=False)
+    text = _SCALAR_TEXT.get(type(v))
+    return text(v) if text is not None else _value_text(v, quote=False)
 
 
 # -------------------------------------------------------------------- trees
@@ -237,7 +243,7 @@ def print_rule(r: Rule, bound: frozenset[str] = _EMPTY) -> str:
 def print_location(loc: Location) -> str:
     if not loc.args:
         return loc.symbol
-    return loc.symbol + "(" + ", ".join(print_value(a) for a in loc.args) + ")"
+    return loc.symbol + "(" + ", ".join(map(print_value, loc.args)) + ")"
 
 
 def print_state(s: State) -> str:
@@ -261,10 +267,24 @@ def rule_hash(r: Rule) -> str:
     return hashlib.sha256(print_rule(r).encode("utf-8")).hexdigest()[:16]
 
 
+def _canonical_updates(us) -> list:
+    """The update set's lines in canonical order: by `Location.key`, and
+    among the updates of one location (only an inconsistent set has more
+    than one) by `value_key`.  Values are keyed only for such ties."""
+    ordered = sorted(us.updates, key=lambda u: u.location.key())
+    if us.consistent:
+        return ordered
+    out = []
+    for _loc, run in groupby(ordered, key=lambda u: u.location):
+        run = list(run)
+        out += sorted(run, key=lambda u: value_key(u.value)) if len(run) > 1 else run
+    return out
+
+
 def format_trace(reports) -> str:
     """One block per step: index, raised-rule hash, the update set in its
-    canonical order, consistency flag.  Blocks are blank-line separated;
-    output ends in a newline."""
+    canonical order (`_canonical_updates`), consistency flag.  Blocks are
+    blank-line separated; output ends in a newline."""
     blocks = []
     digests: dict[int, str] = {}  # by identity: a pgm tree raises to one Rule object
     for i, rep in enumerate(reports, 1):
@@ -272,7 +292,7 @@ def format_trace(reports) -> str:
         if digest is None:
             digest = digests[id(rep.raised_rule)] = rule_hash(rep.raised_rule)
         lines = [f"step {i}", "rule " + digest]
-        for u in rep.update_set.updates:
+        for u in _canonical_updates(rep.update_set):
             lines.append("update " + print_location(u.location) + " = " + print_value(u.value))
         lines.append("consistent " + ("true" if rep.update_set.consistent else "false"))
         blocks.append("\n".join(lines))

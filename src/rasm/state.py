@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Optional
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 from .errors import RasmError
@@ -140,7 +141,13 @@ class Location(tuple):
         return self
 
     def key(self) -> tuple:
-        return (self[0], len(self[1]), tuple(map(value_key, self[1])))
+        """Symbol, arity, then the arguments' keys in one flat tuple.  No
+        value key is a proper prefix of another, so the concatenation orders
+        as the tuple of keys would, and a sort holds one tuple per location."""
+        symbol, args = self
+        if len(args) == 1:
+            return (symbol, 1, *value_key(args[0]))
+        return (symbol, len(args), *chain.from_iterable(map(value_key, args)))
 
     def __repr__(self) -> str:
         return f"Location(symbol={self[0]!r}, args={self[1]!r})"

@@ -16,9 +16,9 @@ child tuple and leaf value, so equal nodes are the same object, equality is
 identity and the hash is the identity hash.  A node is checked and counts
 the hole leaves below it once, when it is first built; lookups and edits
 walk down the path and rebuild the spine above it in loops, without
-recursion.  Two slots hold what later layers work out from a node, once per
-node: `raised` (what `encoding` raises it to) and `tree_key` (its
-`values.value_key` payload).
+recursion.  Two slots hold what later layers work out from a node, once:
+`raised` (what `encoding` raises it to), and `tree_key`, filled only on the
+root of a tree value that has been keyed (that value's `values.value_key`).
 Leaf values are opaque here; the runtime stores `values.Value` instances.
 """
 

@@ -25,19 +25,21 @@ undecodable path counts as the root.  A shared update always names a whole
 location; an edit inside a tree value names its node only by that path
 argument.
 
-Entries are keyed by one flat tuple, location first, ordinary before
-shared, so the sorted multiset holds each location's entries in one run,
-and a shared group in its canonical fold order.  `collapse` walks them once,
-passing a lone ordinary update through as it is, and emits the update set
-in the order the trace prints; `apply_update_set` writes that set over one
-copy of the interpretation, so a step costs its update set, not the state.
+An update multiset keeps its entries in evaluation order; it is a
+multiset, so it compares and hashes without regard to that order.
+`collapse` groups the entries by location in a dict: a lone ordinary
+update passes through as it is, and only a shared group of two or more is
+sorted, by `SharedUpdate.key`, into its canonical fold order.
+`apply_update_set` writes the set over one copy of the interpretation, so a
+step costs its update set, not the state.  The one canonical order of an
+update set's lines is the trace's, and `printer.format_trace` sorts them.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from operator import methodcaller
 from typing import Callable, Iterable, Iterator
 
 from .errors import EvalError, RasmError
@@ -53,10 +55,6 @@ class Update:
     location: Location
     value: Value
 
-    def key(self) -> tuple:
-        loc = self.location  # Location.key inlined: this keys every ordinary update of a step
-        return (loc.symbol, len(loc.args), tuple(map(value_key, loc.args)), 0, value_key(self.value))
-
 
 @dataclass(frozen=True, slots=True)
 class SharedUpdate:
@@ -67,19 +65,22 @@ class SharedUpdate:
     args: tuple[Value, ...]
 
     def key(self) -> tuple:
-        return (*self.location.key(), 1, self.op, tuple(map(value_key, self.args)))
+        """Canonical fold order within one location's shared group."""
+        return (self.op, tuple(map(value_key, self.args)))
 
 
 Entry = Update | SharedUpdate
 
 
 class UpdateMultiset:
-    """Multiset of updates and shared updates, kept in canonical order."""
+    """Multiset of updates and shared updates.  `entries` holds them in the
+    order they were given, which for the evaluator is its deterministic
+    evaluation order; equality and hashing ignore that order."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Entry] = ()):
-        object.__setattr__(self, "entries", tuple(sorted(entries, key=methodcaller("key"))))
+        object.__setattr__(self, "entries", tuple(entries))
 
     def __setattr__(self, *_):
         raise AttributeError("UpdateMultiset is immutable")
@@ -96,10 +97,10 @@ class UpdateMultiset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UpdateMultiset):
             return NotImplemented
-        return self.entries == other.entries
+        return self.entries == other.entries or Counter(self.entries) == Counter(other.entries)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash(frozenset(Counter(self.entries).items()))
 
     def __repr__(self) -> str:
         return f"UpdateMultiset({list(self.entries)!r})"
@@ -107,8 +108,10 @@ class UpdateMultiset:
 
 @dataclass(frozen=True, slots=True)
 class UpdateSet:
-    """Collapsed updates, distinct and in `Update.key` order, plus the
-    consistency verdict; updates of one location are adjacent."""
+    """Collapsed updates, distinct, plus the consistency verdict.  A
+    consistent set has one update per location; an inconsistent one keeps
+    every distinct ordinary update of a clashing location.  The tuple
+    follows the multiset's entries; its order carries no meaning."""
 
     updates: tuple[Update, ...]
     consistent: bool
@@ -231,31 +234,37 @@ def collapse(s: State, um: UpdateMultiset) -> UpdateSet:
     Per location: equal ordinary duplicates merge; differing ordinary
     values clash; shared updates fold over the current value, with
     order-independence verified as described in the module docstring; a mix
-    of ordinary and shared updates on one location clashes.  A location
-    with one ordinary update costs one comparison with its neighbour.
+    of ordinary and shared updates on one location clashes.  Entries are
+    grouped by location in a dict, so no location is compared with another.
     """
-    entries, n = um.entries, len(um.entries)
+    entries = um.entries
+    groups: dict[Location, Entry | list[Entry]] = {e.location: e for e in entries}
+    if len(groups) < len(entries):  # some location has two or more entries
+        groups = {}
+        for e in entries:
+            groups.setdefault(e.location, []).append(e)
     updates: list[Update] = []
-    consistent, i = True, 0
-    while i < n:
-        e, j = entries[i], i + 1
-        while j < n and entries[j].location == e.location:
-            j += 1
-        if j == i + 1 and type(e) is Update:
-            updates.append(e)
-        elif type(e) is Update:  # ordinary entries sort before shared ones
-            distinct = list(dict.fromkeys(u for u in entries[i:j] if type(u) is Update))
-            updates += distinct
-            consistent = consistent and len(distinct) == 1 and type(entries[j - 1]) is Update
-        else:
-            folded, ok = _collapse_shared(s.value_of(e.location), entries[i:j])
-            updates.append(Update(e.location, folded))
+    consistent = True
+    for loc, g in groups.items():
+        if type(g) is list and len(g) == 1:
+            g = g[0]
+        if type(g) is Update:
+            updates.append(g)
+        elif type(g) is SharedUpdate:
+            updates.append(Update(loc, _apply_shared(s.value_of(loc), g)))
+        elif all(type(e) is SharedUpdate for e in g):
+            folded, ok = _collapse_shared(s.value_of(loc), sorted(g, key=SharedUpdate.key))
+            updates.append(Update(loc, folded))
             consistent = consistent and ok
-        i = j
+        else:
+            ordinary = [e for e in g if type(e) is Update]
+            distinct = list(dict.fromkeys(ordinary))
+            updates += distinct
+            consistent = consistent and len(distinct) == 1 and len(ordinary) == len(g)
     return UpdateSet(tuple(updates), consistent)
 
 
-def _collapse_shared(current: Value, shared: tuple[SharedUpdate, ...]) -> tuple[Value, bool]:
+def _collapse_shared(current: Value, shared: list[SharedUpdate]) -> tuple[Value, bool]:
     result = current
     for u in shared:
         result = _apply_shared(result, u)
@@ -290,15 +299,15 @@ def apply_update_set(s: State, us: UpdateSet) -> dict[Location, Value]:
 
     Undef is written like any value; `State` drops such entries.  Raises
     when the set claims consistency but two updates disagree on one
-    location; the set's key order makes such a pair adjacent.
+    location, naming the first such location in canonical order.
     """
     if not us.consistent:
         return s.interp
+    written = {u.location: u.value for u in us.updates}
+    if len(written) < len(us.updates):  # a location written twice: only hand-built sets
+        clashes = [u.location for u in us.updates if written[u.location] != u.value]
+        if clashes:
+            raise RasmError("inconsistent-update-set", f"clash at {min(clashes, key=Location.key)}")
     interp = dict(s.interp)
-    prev = None
-    for u in us.updates:
-        if prev is not None and prev.location == u.location and prev.value != u.value:
-            raise RasmError("inconsistent-update-set", f"clash at {u.location}")
-        interp[u.location] = u.value
-        prev = u
+    interp.update(written)
     return interp

@@ -13,8 +13,11 @@ is identity.  Truth values and naturals stay distinct variants:
 Only a raw `int` or `str` equals a natural or an atom; values never hold
 one, and the tree intern table keys leaves by class as well.  Multisets
 ignore insertion order but respect multiplicity; they keep their items
-sorted by the canonical total order `value_key`, which also drives
-deterministic printing and active-domain enumeration.
+sorted by the canonical total order `value_key`, which also orders the
+active domain and every printed update set.  A natural or an atom is keyed
+as the `int` or `str` it is, and a tuple, multiset or tree value by one
+flat token sequence, so that no key comparison recurses, however deep the
+value nests.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .trees import _TreeBase
+from .trees import Node, _TreeBase
 
 
 class Value:
@@ -157,44 +160,80 @@ TRUE = object.__new__(Boolean)
 FALSE = object.__new__(Boolean)
 
 
-def _tree_key(root) -> tuple:
-    """`(label, leaf value key, child keys)`, cached on each interned node
-    and built bottom-up with an explicit stack, so a tree is keyed once."""
-    todo = [root]
+# Token markers of a composite value's flat key: below every rank, close
+# below open, so that a shorter child sequence sorts first.
+_CLOSE, _OPEN = -2, -1
+
+_SCALAR_RANK = {Natural: 2, Atom: 3}
+_SINGLETON_KEY = {id(UNDEF): (0,), id(FALSE): (1, 0), id(TRUE): (1, 1)}
+
+
+def _flat_key(v: Value) -> tuple:
+    """The preorder token sequence of a composite value.
+
+    A scalar is its rank and payload, a tuple or multiset its rank, its
+    items' tokens and a close marker, and a tree value rank 6, then per
+    node an open marker, the label, the leaf value's tokens if any, the
+    children and a close marker.  Each token is compared only with one of
+    the same kind, and a shorter sequence of children or items meets a
+    close marker where the longer one goes on, so the tuples compare as
+    the nested `(rank, payload)` keys would, without recursion.  A tree
+    value's tokens are cached on its root node, once per tree value.
+    """
+    out: list = []
+    todo: list = [v]
+    pop, rank_of = todo.pop, _SCALAR_RANK.get
     while todo:
-        n = todo[-1]
-        pending = [c for c in n.children if c.tree_key is None]
-        if pending:
-            todo += pending
-            continue
-        todo.pop()
-        if n.tree_key is None:
-            val = () if n.value is None else value_key(n.value)
-            n.tree_key = (n.label, val, tuple([c.tree_key for c in n.children]))
-    return root.tree_key
+        x = pop()
+        t = type(x)
+        rank = rank_of(t)
+        if rank is not None:
+            out += (rank, x)
+        elif t is int:  # a marker
+            out.append(x)
+        elif t is TupleVal or t is Multiset:
+            out.append(4 if t is TupleVal else 5)
+            todo.append(_CLOSE)
+            todo += x.items[::-1]
+        elif t is Node:
+            out += (_OPEN, x.label)
+            todo.append(_CLOSE)
+            if x.value is not None:
+                todo.append(x.value)
+            else:
+                todo += x.children[::-1]
+        elif t is TreeVal:
+            root = x.tree.root_node
+            if root.tree_key is not None:
+                out += root.tree_key
+            else:
+                todo += ((root, len(out)), root)
+                out.append(6)
+        elif t is tuple:  # the tokens of the tree value at root x[0] start at x[1]
+            x[0].tree_key = tuple(out[x[1]:])
+        else:
+            out += value_key(x)
+    return tuple(out)
 
 
 def value_key(v: Value) -> tuple:
-    """Total order over all values: variant rank, then structural payload.
+    """Total order over all values: variant rank, then payload.
 
-    Keys only ever compare payloads within the same rank, so heterogeneous
-    payload shapes across ranks are safe.
+    A natural or an atom is keyed `(rank, v)`, so it compares as the `int`
+    or `str` it is, in C; truth values and undef have constant keys.
+    Tuples, multisets and tree values have a flat key (`_flat_key`), which
+    compares without recursion however deep the value nests.
     """
-    if v is UNDEF:
-        return (0,)
-    if isinstance(v, Boolean):
-        return (1, 1 if v is TRUE else 0)
-    if isinstance(v, Natural):
-        return (2, v.n)
-    if isinstance(v, Atom):
-        return (3, v.name)
-    if isinstance(v, TupleVal):
-        return (4, tuple(value_key(x) for x in v.items))
-    if isinstance(v, Multiset):
-        return (5, tuple(value_key(x) for x in v.items))
+    rank = _SCALAR_RANK.get(type(v))
+    if rank is not None:
+        return (rank, v)
+    key = _SINGLETON_KEY.get(id(v))
+    if key is not None:
+        return key
     if isinstance(v, TreeVal):
-        root = v.tree.root_node
-        return (6, root.tree_key or _tree_key(root))
+        return v.tree.root_node.tree_key or _flat_key(v)
+    if isinstance(v, (TupleVal, Multiset)):
+        return _flat_key(v)
     if isinstance(v, DroppedTerm):
         return (7, repr(v.term))
     raise TypeError(f"not a value: {v!r}")

@@ -302,6 +302,19 @@ def test_check_of_900_nested_ifs_passes(tmp_path, capsys):
     assert "violations 0" in capsys.readouterr().out
 
 
+def test_forall_over_5000_deep_tree_values_runs(tmp_path, capsys):
+    """The FORALL sorts its domain, which holds two 5,000-level tree values
+    that differ only at the leaf; their keys compare without recursion."""
+    def tree(v):
+        return "#" + "x⟨" * 5000 + f"y=⟨{v}⟩" + "⟩" * 5000
+    doc = put(tmp_path, "deep.rst", "\n".join([
+        "function a/0", "function b/0", "function c/0", f"init a = {tree(1)}", f"init b = {tree(2)}",
+        "program", "FORALL x WITH eq(x, 7) DO c := x ENDDO", ""]))
+    assert main(["run", doc, "--steps", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert f"init a = {tree(1)}\ninit b = {tree(2)}\n" in out and err == ""
+
+
 def test_run_bound_head_under_a_let_is_barred(tmp_path, capsys):
     # The LET's term mentions f; the IMPORT still binds f, so f is no
     # location symbol in the head below it.
@@ -417,6 +430,18 @@ def test_check_counts_a_failing_read_term_as_an_outcome(tmp_path, capsys):
     assert main(["check", doc, "--steps", "2"]) == 0
     out = capsys.readouterr().out
     assert "check bounded-exploration" in out and "\nviolation " not in out
+
+
+def test_check_matches_fresh_atoms_up_to_a_bijection(tmp_path, capsys):
+    """Renaming 'a and 'b changes which binding of the FORALL draws which
+    fresh atom; the successors agree up to a bijection of the drawn atoms,
+    which is all the isomorphism postulate asks."""
+    doc = put(tmp_path, "imp.rst", "\n".join([
+        "function g/1", "function h/1", "init g('a) = 1", "init g('b) = 1", "init g('c) = 1",
+        "program", "FORALL x WITH eq(g(x), 1) DO IMPORT y DO h(x) := y ENDDO", ""]))
+    assert main(["check", doc, "--steps", "1", "--trials", "30"]) == 0
+    out = capsys.readouterr().out
+    assert "check isomorphism-closure\ninstances 30\nviolations 0" in out
 
 
 def test_check_report_flag_overrides_path(tmp_path):

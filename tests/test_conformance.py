@@ -24,7 +24,7 @@ from rasm.machine import run, step
 from rasm.parser import parse_rule, parse_state
 from rasm.state import PGM_LOCATION, FunctionSymbol, Location, Signature, State
 from rasm.updates import Update, UpdateMultiset
-from rasm.values import Atom, Natural
+from rasm.values import Atom, Multiset, Natural, TupleVal
 from conftest import count_form_decodes, forget_raises, random_rule, random_state
 
 
@@ -153,6 +153,34 @@ def test_isomorphism_closure_steps_the_plain_state_once():
     calls.clear()
     check_isomorphism_closure(s, trials=0, seed=5, step_fn=counting)
     assert calls == []
+
+
+def test_successors_may_differ_by_a_bijection_of_the_drawn_atoms():
+    from rasm.conformance import _equal_up_to_fresh
+
+    sig = Signature((FunctionSymbol("h", 1), FunctionSymbol("k", 1), FunctionSymbol("j", 1)))
+    r0, r1, a, b = Atom("$r0"), Atom("$r1"), Atom("a"), Atom("b")
+    fresh = frozenset({r0, r1})
+
+    def state(entries):
+        return State(sig, {Location(f, (x,)): v for f, x, v in entries})
+
+    lhs = state([("h", a, r0), ("h", b, r1), ("k", r0, TupleVal((r1, Natural(1))))])
+    swapped = state([("h", a, r1), ("h", b, r0), ("k", r1, TupleVal((r0, Natural(1))))])
+    assert _equal_up_to_fresh(lhs, swapped, fresh)
+    assert not _equal_up_to_fresh(lhs, swapped, frozenset())  # no drawn atoms: only equality
+    # h(a) takes $r0 to $r1, so k($r0) must become k($r1)
+    assert not _equal_up_to_fresh(lhs, state([("h", a, r1), ("h", b, r0), ("k", r0, TupleVal((r1, Natural(1))))]), fresh)
+    assert not _equal_up_to_fresh(lhs, state([("h", a, r1), ("h", b, r0), ("k", r1, TupleVal((r0, Natural(2))))]), fresh)
+    assert not _equal_up_to_fresh(lhs, state([("h", a, r1), ("h", b, r1), ("k", r1, TupleVal((r0, Natural(1))))]), fresh)
+    # k matches either way; only j rules out the identity, so the search backtracks
+    ties = state([("k", r0, Natural(1)), ("k", r1, Natural(1)), ("j", r0, Natural(5)), ("j", r1, Natural(6))])
+    assert _equal_up_to_fresh(ties, state([("k", r0, Natural(1)), ("k", r1, Natural(1)),
+                                           ("j", r0, Natural(6)), ("j", r1, Natural(5))]), fresh)
+    # atoms seen only inside multisets are tried in every arrangement
+    bags = state([("h", a, Multiset((r0, Natural(1)))), ("h", b, Multiset((r1,)))])
+    assert _equal_up_to_fresh(bags, state([("h", a, Multiset((r1, Natural(1)))), ("h", b, Multiset((r0,)))]), fresh)
+    assert not _equal_up_to_fresh(bags, state([("h", a, Multiset((r1, Natural(2)))), ("h", b, Multiset((r0,)))]), fresh)
 
 
 # ------------------------------------------- bounded exploration

@@ -184,7 +184,6 @@ RECURSIVE_WALKS = {
     "treediff.serialize_algebra",
     "treediff.tree_diff_theta.build",
     "treediff.tree_diff_updates.walk",
-    "values.value_key",
 }
 
 

@@ -266,13 +266,19 @@ def test_apply_rejects_lying_consistency_flag():
 
 
 def test_apply_rejects_a_clash_on_a_two_argument_location():
+    """The clashing updates need not be adjacent; the error names the first
+    clashing location in canonical order, and equal duplicates are fine."""
     from rasm.updates import UpdateSet
 
     h = Location("h", (Natural(1), Atom("red")))
-    bad = UpdateSet((Update(F, Natural(0)), Update(G1, UNDEF), Update(h, Natural(1)), Update(h, Natural(2))), True)
-    assert bad.updates == tuple(sorted(bad.updates, key=Update.key))  # key order: the clash is adjacent
-    with pytest.raises(RasmError, match="inconsistent-update-set"):
+    bad = UpdateSet((Update(h, Natural(1)), Update(F, Natural(0)), Update(G1, Natural(5)),
+                     Update(h, Natural(2)), Update(G1, Natural(5)), Update(G1, Natural(6))), True)
+    with pytest.raises(RasmError) as exc:
         apply_update_set(base_state(), bad)
+    assert exc.value.code == "inconsistent-update-set"
+    assert exc.value.message == f"clash at {G1}"  # g(1) before h(1, red), though written after it
+    fine = UpdateSet((Update(G1, Natural(5)), Update(F, Natural(0)), Update(G1, Natural(5))), True)
+    assert apply_update_set(base_state(), fine) == {G1: Natural(5), F: Natural(0)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -381,10 +387,10 @@ def test_collapse_verdict_is_sound_on_mixed_groups():
 
 
 def _grouping_collapse(s, um):
-    """Collapse as a dict grouping by location, each shared group re-sorted
-    before its fold: the algorithm the single-walk `collapse` replaced.
-    Each group's verdict comes from `_collapse_shared`, which has its own
-    oracle above."""
+    """Collapse as a plain dict grouping by location, every group split
+    into ordinary and shared updates and each shared group sorted before
+    its fold, with no fast path for lone updates.  Each group's verdict
+    comes from `_collapse_shared`, which has its own oracle above."""
     from rasm.updates import _collapse_shared
 
     groups = {}
@@ -410,8 +416,8 @@ def _grouping_collapse(s, um):
 def test_collapse_agrees_with_dict_grouping(data):
     """Random multisets over several locations, mixing duplicate ordinary
     updates, clashes, ordinary/shared mixes, munion and tree operations:
-    the single walk gives the grouping algorithm's set and verdict, and
-    emits the set distinct and in `Update.key` order."""
+    collapse gives the plain grouping's set and verdict, and emits the set
+    distinct."""
     import random as _random
 
     from conftest import random_tree
@@ -446,33 +452,34 @@ def test_collapse_agrees_with_dict_grouping(data):
 
     us = collapse(s, um)
     assert (frozenset(us.updates), us.consistent) == _grouping_collapse(s, um)
-    assert us.updates == tuple(sorted(set(us.updates), key=Update.key))
+    assert len(set(us.updates)) == len(us.updates)
 
 
 def _groupby_collapse(s, um):
-    """The collapse that the one-pass walk replaced: `itertools.groupby` over
-    the sorted multiset, every run materialised and filtered."""
-    from rasm.updates import UpdateSet, _collapse_shared
+    """Collapse by sorting: `itertools.groupby` over the entries sorted by
+    location, each run materialised and filtered, a shared run folded in
+    `SharedUpdate.key` order."""
+    from rasm.updates import _collapse_shared
 
-    updates, consistent = [], True
-    for loc, run in itertools.groupby(um, key=lambda e: e.location):
+    updates, consistent = set(), True
+    ordered = sorted(um, key=lambda e: e.location.key())
+    for loc, run in itertools.groupby(ordered, key=lambda e: e.location):
         entries = tuple(run)
         ordinary = [e for e in entries if isinstance(e, Update)]
         if ordinary:
-            distinct = list(dict.fromkeys(ordinary))
-            updates += distinct
-            if len(distinct) > 1 or len(ordinary) < len(entries):
+            updates.update(ordinary)
+            if len(set(ordinary)) > 1 or len(ordinary) < len(entries):
                 consistent = False
         else:
-            folded, ok = _collapse_shared(s.value_of(loc), entries)
-            updates.append(Update(loc, folded))
+            folded, ok = _collapse_shared(s.value_of(loc), sorted(entries, key=SharedUpdate.key))
+            updates.add(Update(loc, folded))
             consistent = consistent and ok
-    return UpdateSet(tuple(updates), consistent)
+    return frozenset(updates), consistent
 
 
 def test_collapse_agrees_with_the_groupby_collapse_on_random_machines():
-    """2,000 random machines, partial updates included: the one-pass walk
-    emits the same updates, in the same order, with the same verdict."""
+    """2,000 random machines, partial updates included: grouping by a dict
+    gives the same update set and verdict as grouping a sorted multiset."""
     import random as _random
 
     from conftest import random_machine
@@ -487,8 +494,60 @@ def test_collapse_agrees_with_the_groupby_collapse_on_random_machines():
         except RasmError:
             continue
         us = collapse(s, um)
-        assert us == _groupby_collapse(s, um), rule
+        assert (frozenset(us.updates), us.consistent) == _groupby_collapse(s, um), rule
+        assert len(set(us.updates)) == len(us.updates), rule
         compared += 1
         inconsistent += not us.consistent
         shared += any(isinstance(e, SharedUpdate) for e in um)
     assert compared > 1500 and inconsistent > 50 and shared > 100, (compared, inconsistent, shared)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_collapse_and_trace_do_not_depend_on_the_order_of_entries(data):
+    """Ordinary duplicates and clashes, shared groups of 2-8 and
+    ordinary/shared mixes on one location: shuffling the multiset changes
+    neither the update set, nor the verdict, nor the trace text."""
+    import random as _random
+
+    from conftest import random_tree
+    from rasm.machine import StepReport
+    from rasm.printer import format_trace
+    from rasm.terms import Par
+
+    rng = _random.Random(data.draw(st.integers(0, 10**6)))
+    t = random_tree(rng, depth=3, branch=3)
+    paths = [p for p, _n in t.iter_nodes()]
+    pairs = [Location("g", (TupleVal((Natural(1), Atom("red"))),)), Location("g", (TupleVal((Natural(1),)),))]
+    locs = [F, G1, Location("g", (Natural(0),)), Location("g", (Atom("red"),)), *pairs]
+    s = base_state(f=TreeVal(t))
+    s = State(s.signature, {**s.interp, G1: mset(0), pairs[0]: mset(1)}, s.universe)
+    pool = (Natural(0), Natural(1), Atom("red"), mset(2), TupleVal((Natural(1), Atom("red"))), TreeVal(t), UNDEF)
+
+    def shared(loc):
+        if loc != F or rng.random() < 0.3:
+            return SharedUpdate(loc, "munion", (mset(rng.randrange(3)),))
+        arg = TreeVal(Tree(leaf(rng.choice("pq"))))
+        kind = rng.choice(("subst_at", "extend_at", "right_extend", "subst_tt"))
+        if kind in ("subst_at", "extend_at"):
+            return SharedUpdate(loc, kind, (path_val(*rng.choice(paths)), arg))
+        return SharedUpdate(loc, kind, (arg,))
+
+    entries = []
+    for loc in rng.sample(locs, rng.randrange(1, len(locs) + 1)):
+        shape = rng.choice(("ordinary", "shared", "mix"))
+        if shape != "shared":
+            entries += [Update(loc, rng.choice(pool)) for _ in range(rng.randrange(1, 4))]
+        if shape != "ordinary":
+            entries += [shared(loc) for _ in range(rng.randrange(2, 9) if shape == "shared" else 1)]
+        if rng.random() < 0.3:
+            entries.append(entries[-1])  # an exact duplicate
+
+    def outcome(order):
+        us = collapse(s, UpdateMultiset(order))
+        return frozenset(us.updates), us.consistent, format_trace([StepReport(s, s, Par(()), us)])
+
+    want = outcome(entries)
+    for _ in range(3):
+        rng.shuffle(entries)
+        assert outcome(entries) == want

@@ -8,13 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rasm
-from conftest import random_value
+from conftest import ATOMS, LABELS, random_value
 from rasm.evaluator import eval_term
 from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm.terms import Apply, Literal
-from rasm.trees import Tree, leaf, node
+from rasm.trees import Node, Tree, leaf, node
 from rasm.values import (
     FALSE,
     TRUE,
@@ -59,6 +61,88 @@ def test_value_key_total_order():
     assert sorted(keys, key=value_key) == keys
     for v in vals:
         assert value_key(v) == value_key(v)
+
+
+def nested_key(v):
+    """The reference order: rank, then the payload as nested tuples."""
+    if v is UNDEF:
+        return (0,)
+    if isinstance(v, Boolean):
+        return (1, 1 if v is TRUE else 0)
+    if isinstance(v, Natural):
+        return (2, v.n)
+    if isinstance(v, Atom):
+        return (3, v.name)
+    if isinstance(v, TupleVal):
+        return (4, tuple(nested_key(x) for x in v.items))
+    if isinstance(v, Multiset):
+        return (5, tuple(nested_key(x) for x in v.items))
+    if isinstance(v, TreeVal):
+        return (6, _nested_node_key(v.tree.root_node))
+    return (7, repr(v.term))
+
+
+def _nested_node_key(n):
+    value = () if n.value is None else nested_key(n.value)
+    return (n.label, value, tuple(_nested_node_key(c) for c in n.children))
+
+
+def _trees(leaf_values):
+    leaves = st.builds(lambda label, value: Node(label, (), value),
+                       st.sampled_from(LABELS), st.none() | leaf_values)
+    return st.recursive(leaves, lambda kids: st.builds(
+        lambda label, children: Node(label, tuple(children)), st.sampled_from(LABELS),
+        st.lists(kids, min_size=1, max_size=3)), max_leaves=6).map(lambda n: TreeVal(Tree(n)))
+
+
+VALUES = st.recursive(
+    st.one_of(st.integers(0, 4).map(Natural), st.sampled_from(ATOMS).map(Atom),
+              st.sampled_from((TRUE, FALSE, UNDEF, DroppedTerm(Apply("f")), DroppedTerm(Literal(Natural(0)))))),
+    lambda inner: st.one_of(st.lists(inner, max_size=3).map(lambda xs: TupleVal(tuple(xs))),
+                            st.lists(inner, max_size=3).map(Multiset), _trees(inner)),
+    max_leaves=12,
+)
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(VALUES, min_size=2, max_size=8), st.integers(0, 10**6))
+def test_flat_key_orders_as_the_nested_reference_key(drawn, seed):
+    """Tree leaves that hold tuples, multisets and trees included, and the
+    generator's contexts and dropped terms beside them; and the keys of
+    locations whose arguments are such values."""
+    rng = random.Random(seed)
+    vals = drawn + [random_value(rng, depth=rng.randrange(4)) for _ in range(4)]
+    for v in vals:
+        for w in vals:
+            assert _sign(value_key(v), value_key(w)) == _sign(nested_key(v), nested_key(w)), (v, w)
+    # A location's key concatenates its arguments' keys.
+    locs = [Location("f", args) for args in ((), (vals[0],), *zip(vals, reversed(vals)))]
+    for a in locs:
+        for b in locs:
+            nested = [(x.symbol, len(x.args), tuple(map(nested_key, x.args))) for x in (a, b)]
+            assert _sign(a.key(), b.key()) == _sign(*nested), (a, b)
+
+
+def _chain(depth, bottom):
+    n = Node("y", (), Natural(bottom))
+    for _ in range(depth):
+        n = Node("x", (n,))
+    return n
+
+
+def test_5000_deep_values_sort_without_recursion():
+    a, b = TreeVal(Tree(_chain(5000, 1))), TreeVal(Tree(_chain(5000, 2)))
+    assert sorted([b, a], key=value_key) == [a, b]
+    assert value_key(a) is a.tree.root_node.tree_key  # cached on the root only
+    assert _chain(4999, 1).tree_key is None
+    s, t = TupleVal((Natural(1),)), TupleVal((Natural(2),))
+    for _ in range(5000):
+        s, t = TupleVal((s,)), TupleVal((t,))
+    assert sorted([t, s], key=value_key) == [s, t]
 
 
 def test_value_key_separates_kinds():
@@ -180,22 +264,53 @@ ENDPAR
 """
 
 
+# Step 1 folds a shared group of four munions on `bag`; steps 2 and 3 clash
+# on every k(x), each written in the reverse of its canonical order.
+CLASHING = """\
+universe red green blue 0 1 2
+function n/0
+function bag/0
+function k/1
+function u/1
+init n = 0
+init bag = {||}
+init u(red) = true
+init u(green) = true
+init u(blue) = true
+init u(2) = true
+program
+PAR
+n := n + 1
+FORALL x WITH u(x) DO bag <<= munion({| x, (x, n) |}) ENDDO
+bag <<= munion({| 'red |})
+IF lt(0, n) THEN FORALL x WITH u(x) DO PAR k(x) := (x, n) k(x) := n ENDPAR ENDDO ENDIF
+ENDPAR
+"""
+
+
 def test_trace_does_not_depend_on_the_hash_seed(tmp_path):
     """Atoms hash as strings under PYTHONHASHSEED and truth values by
-    identity; no trace or final state may depend on either."""
-    doc = tmp_path / "mixed.rst"
-    doc.write_text(MIXED, encoding="utf-8")
+    identity, and collapse groups a step's updates in a dict; no trace or
+    final state may depend on any of them."""
     src = str(Path(rasm.__file__).resolve().parent.parent)
     code = "import sys; from rasm.cli import main; sys.exit(main(sys.argv[1:]))"
-    outputs = []
-    for seed in ("1", "2"):
-        trace = tmp_path / f"seed{seed}.trace"
-        done = subprocess.run(
-            [sys.executable, "-c", code, "run", str(doc), "--steps", "3", "--trace", str(trace)],
-            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
-            capture_output=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append((trace.read_bytes(), done.stdout))
-    assert outputs[0] == outputs[1]
-    assert b"update seen(true) = (true, 0, undef)" in outputs[0][0]
+    traces = {}
+    for name, text in (("mixed", MIXED), ("clashing", CLASHING)):
+        doc = tmp_path / f"{name}.rst"
+        doc.write_text(text, encoding="utf-8")
+        outputs = []
+        for seed in ("1", "2"):
+            trace = tmp_path / f"{name}{seed}.trace"
+            done = subprocess.run(
+                [sys.executable, "-c", code, "run", str(doc), "--steps", "3", "--trace", str(trace)],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append((trace.read_bytes(), done.stdout))
+        assert outputs[0] == outputs[1], name
+        traces[name] = outputs[0][0]
+    assert b"update seen(true) = (true, 0, undef)" in traces["mixed"]
+    assert b"update bag = {| 2, blue, green, red, red, (2, 0), (blue, 0), (green, 0), (red, 0) |}" in traces["clashing"]
+    assert traces["clashing"].count(b"update k(red) = 1\nupdate k(red) = (red, 1)\n") == 2
+    assert traces["clashing"].count(b"consistent false") == 2
