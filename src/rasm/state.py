@@ -320,11 +320,24 @@ def rename_value(v: Value, pi: Mapping[str, str]) -> Value:
     return v
 
 
-def _rename_node(n: Node, pi: Mapping[str, str]) -> Node:
-    if n.is_leaf:
-        val = None if n.value is None else rename_value(n.value, pi)
-        return Node(n.label, (), val)
-    return Node(n.label, tuple(_rename_node(c, pi) for c in n.children))
+def _rename_node(root: Node, pi: Mapping[str, str]) -> Node:
+    """`root` rebuilt with its leaf values renamed, children before their
+    parent, from an explicit stack: no recursion, however deep the tree."""
+    built: list[Node] = []
+    todo: list[tuple[Node, bool]] = [(root, False)]
+    while todo:
+        n, children_built = todo.pop()
+        if n.is_leaf:
+            built.append(Node(n.label, (), None if n.value is None else rename_value(n.value, pi)))
+        elif children_built:
+            k = len(n.children)
+            kids = tuple(built[-k:])
+            del built[-k:]
+            built.append(Node(n.label, kids))
+        else:
+            todo.append((n, True))
+            todo.extend((c, False) for c in reversed(n.children))
+    return built[0]
 
 
 def rename_term(t: T.Term, pi: Mapping[str, str]) -> T.Term:

@@ -315,6 +315,18 @@ def test_forall_over_5000_deep_tree_values_runs(tmp_path, capsys):
     assert f"init a = {tree(1)}\ninit b = {tree(2)}\n" in out and err == ""
 
 
+def test_check_renames_600_and_5000_deep_tree_values(tmp_path, capsys):
+    """The isomorphism check renames the atoms at the leaves of both trees."""
+    def tree(v, depth):
+        return "#" + "x⟨" * depth + f"y=⟨{v}⟩" + "⟩" * depth
+    doc = put(tmp_path, "deep.rst", "\n".join([
+        "function a/0", "function b/0", "function c/0", "init a = " + tree("'p", 600),
+        "init b = " + tree("'q", 5000), "program", "c := 1", ""]))
+    assert main(["check", doc, "--steps", "1", "--trials", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert "violations 0" in out and "violations 1" not in out and err == ""
+
+
 def test_run_bound_head_under_a_let_is_barred(tmp_path, capsys):
     # The LET's term mentions f; the IMPORT still binds f, so f is no
     # location symbol in the head below it.

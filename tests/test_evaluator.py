@@ -12,6 +12,7 @@ import pytest
 from rasm import evaluator
 from rasm.errors import EvalError
 from rasm.evaluator import BACKGROUND_OPS, eval_rule, eval_rule_with_cursor, eval_term
+from rasm.naive import naive_eval_rule
 from rasm.parser import parse_rule, parse_term
 from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm.terms import Apply, Assign, BackgroundOp, Comprehension, Forall, If, Let, Literal, Par, Var
@@ -386,3 +387,73 @@ def test_unchanged_sub_rules_are_not_compiled_again(monkeypatch):
     um = eval_rule(s, {}, Par((a, b, c)))
     assert compiled == [c]
     assert len(um.entries) == 3
+
+
+# ------------------------------------------- closure shapes against the oracle
+
+def outcome(evaluate, s, env, r):
+    """The update set `r` yields, or the code of the error it raises."""
+    try:
+        got = evaluate(s, env, r)
+    except EvalError as e:
+        return e.code
+    return frozenset(got.entries) if isinstance(got, UpdateMultiset) else got[0]
+
+
+# The values an operand takes; None: the operand raises.
+SHAPE_VALUES = (Natural(0), Natural(3), UNDEF, Atom("a"), TRUE, FALSE, TupleVal((Natural(1),)), None)
+MISSING = Apply("missing", (ONE,))
+
+
+def shape_operand(kind, side, v):
+    """An operand of `kind` on `side` (0 or 1) that evaluates to `v`, as
+    (term, stored entries, environment, LET bindings around the rule)."""
+    if kind == "literal":
+        return Literal(v), {}, {}, []
+    if kind == "nullary read":
+        name = f"c{side}"
+        return (Apply(name, ()) if v is not None else Apply("missing", ()),
+                {Location(name): v} if v not in (None, UNDEF) else {}, {}, [])
+    if kind == "unary read":
+        loc = Location("g", (Natural(side),))
+        return (Apply("g", (Literal(Natural(side)),)) if v is not None else MISSING,
+                {loc: v} if v not in (None, UNDEF) else {}, {}, [])
+    if kind == "forall variable":  # bound in the environment, as FORALL binds it
+        return Var(f"x{side}"), {}, {} if v is None else {f"x{side}": v}, []
+    assert kind == "let variable"
+    return Var(f"y{side}"), {}, {}, [(f"y{side}", MISSING if v is None else Literal(v))]
+
+
+@pytest.mark.parametrize("op", sorted(n for n, o in BACKGROUND_OPS.items() if o.arity in (2, None)))
+def test_binary_shapes_agree_with_the_oracle(op):
+    kinds = ("literal", "nullary read", "unary read", "forall variable", "let variable")
+    sig = Signature((FunctionSymbol("r", 0), FunctionSymbol("c0", 0), FunctionSymbol("c1", 0),
+                     FunctionSymbol("g", 1)))
+    for left_kind, right_kind in itertools.product(kinds, repeat=2):
+        for lv, rv in itertools.product(SHAPE_VALUES, repeat=2):
+            if (left_kind == "literal" and lv is None) or (right_kind == "literal" and rv is None):
+                continue
+            left, right = shape_operand(left_kind, 0, lv), shape_operand(right_kind, 1, rv)
+            rule = Assign("r", (), BackgroundOp(op, (left[0], right[0])))
+            for name, binding in left[3] + right[3]:
+                rule = Let(name, binding, rule)
+            s = State(sig, {**left[1], **right[1]}, frozenset())
+            env = {**left[2], **right[2]}
+            assert outcome(eval_rule, s, env, rule) == outcome(naive_eval_rule, s, env, rule), (
+                op, left_kind, lv, right_kind, rv)
+
+
+def test_one_rule_object_under_a_forall_and_a_let_of_its_variable():
+    # One Assign object keeps one closure: x is a value under the FORALL and
+    # in the environment, a LET binding under the LET, and unbound alone.
+    a = Assign("g", (Var("x"),), BackgroundOp("add", (Var("x"), Apply("g", (Var("x"),)))))
+    both = Par((Forall("x", BackgroundOp("lt", (Var("x"), Literal(Natural(2)))), a), Let("x", Apply("f", ()), a)))
+    s = small_state(f=Natural(2))
+    s = State(s.signature, {**s.interp, Location("g", (Natural(0),)): Natural(10),
+                            Location("g", (Natural(2),)): Natural(20)}, s.universe)
+    for r, env in ((a, {"x": Natural(2)}), (both, {}), (a, {}), (both, {"x": Natural(7)})):
+        assert outcome(eval_rule, s, env, r) == outcome(naive_eval_rule, s, env, r), (r, env)
+    assert outcome(eval_rule, s, {}, both) == frozenset((
+        Update(Location("g", (Natural(0),)), Natural(10)), Update(Location("g", (Natural(1),)), UNDEF),
+        Update(Location("g", (Natural(2),)), Natural(22))))
+    assert outcome(eval_rule, s, {}, a) == "unbound-variable"

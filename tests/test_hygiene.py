@@ -176,7 +176,6 @@ RECURSIVE_WALKS = {
     "state._collect_values",
     "state._term_literals",
     "state.rename_value",
-    "state._rename_node",
     "state.rename_term",
     "terms.free_vars",
     "terms.subst_term",
