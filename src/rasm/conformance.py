@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import machine
-from .encoding import as_program, beta_rule
+from .encoding import FORM_OF, as_program, beta_rule
 from .errors import RasmError
 from .evaluator import BACKGROUND_OPS, eval_rule, eval_term
 from .naive import naive_eval_rule
 from .printer import print_rule, print_state
 from .state import PGM_LOCATION, Location, State, atoms_of_state, atoms_of_value, rename_state
-from .terms import Forall, If, Import, Let, Par, PartialAssign, Rule
+from .terms import PartialAssign, Rule
 from .updates import UpdateMultiset, collapse
 from .values import Atom, TreeVal, TupleVal, Value
 
@@ -76,14 +76,16 @@ def combine_reports(reports: Sequence[CheckReport]) -> CheckReport:
 
 
 def rule_has_partial_assign(r: Rule) -> bool:
-    if isinstance(r, PartialAssign):
-        return True
-    if isinstance(r, If):
-        return rule_has_partial_assign(r.then_branch) or rule_has_partial_assign(r.else_branch)
-    if isinstance(r, Par):
-        return any(rule_has_partial_assign(c) for c in r.rules)
-    if isinstance(r, (Forall, Let, Import)):
-        return rule_has_partial_assign(r.body)
+    """Whether `r` holds a partial assignment.  Its sub-rules are the fields
+    of kind `rule` or `rules` in its `encoding.FORMS` row."""
+    todo = [r]
+    while todo:
+        r = todo.pop()
+        if type(r) is PartialAssign:
+            return True
+        for name, kind in FORM_OF[type(r)][1]:
+            if kind in ("rule", "rules"):
+                todo += getattr(r, name) if kind == "rules" else [getattr(r, name)]
     return False
 
 

@@ -54,7 +54,7 @@ FORMS: dict[str, tuple[type, tuple[tuple[str, str], ...]]] = {
     "let": (T.Let, (("var", "binder"), ("binding", "term"), ("body", "rule"))),
     "import": (T.Import, (("var", "binder"), ("body", "rule"))),
 }
-_FORM_OF = {cls: (label, fields) for label, (cls, fields) in FORMS.items()}
+FORM_OF = {cls: (label, fields) for label, (cls, fields) in FORMS.items()}
 
 
 # ----------------------------------------------------------------- leaves
@@ -64,16 +64,12 @@ def _bad(msg: str, path: Path) -> EncodingError:
 
 
 def _is_term(x: object) -> bool:
-    todo = [x]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, (T.Apply, T.BackgroundOp)):
-            todo += x.args
-        elif isinstance(x, Comprehension) and all(isinstance(b, str) for b in x.binders):
-            todo += (x.head, x.guard)
-        elif not (isinstance(x, T.Var) or isinstance(x, T.Literal) and isinstance(x.value, Value)):
-            return False
-    return True
+    return all(
+        type(t) in T.CHILDREN
+        and (type(t) is not T.Literal or isinstance(t.value, Value))
+        and (type(t) is not Comprehension or all(isinstance(b, str) for b in t.binders))
+        for t, _bound in T.subterms(x)
+    )
 
 
 def _leaf_value(n: Node, label: str, path: Path) -> Value:
@@ -161,7 +157,7 @@ def _drop_rule(r: Rule) -> Node:
     todo = [r]
     while todo:
         r = todo.pop()
-        label, fields = _FORM_OF[type(r)]
+        label, fields = FORM_OF[type(r)]
         leaves, subs = [], []
         for name, kind in fields:
             v = getattr(r, name)

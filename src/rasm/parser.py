@@ -255,7 +255,7 @@ class _Parser:
             finally:
                 del self.bound[len(self.bound) - len(binders) :]
             self.expect("|}")
-            return T.Comprehension(_rebind(head, frozenset(binders)), tuple(binders), guard)
+            return T.Comprehension(T.map_term(head, frozenset(binders), _promote), tuple(binders), guard)
         parts = [head]
         while self.take(","):
             parts.append(self.term())
@@ -439,19 +439,15 @@ def _mk_mset(parts: tuple[Term, ...]) -> Term:
     return T.BackgroundOp("mset", parts)
 
 
-def _rebind(t: Term, binders: frozenset[str]) -> Term:
-    """Comprehension heads parse before their binders are known; promote
-    bare nullary applications of binder names to variables."""
-    if isinstance(t, T.Apply):
-        if not t.args and t.func in binders:
-            return T.Var(t.func)
-        return T.Apply(t.func, tuple(_rebind(a, binders) for a in t.args))
-    if isinstance(t, T.BackgroundOp):
-        return T.BackgroundOp(t.op, tuple(_rebind(a, binders) for a in t.args))
-    if isinstance(t, T.Comprehension):
-        inner = binders - frozenset(t.binders)
-        return T.Comprehension(_rebind(t.head, inner), t.binders, _rebind(t.guard, inner))
-    return t
+def _promote(x: Term, names: frozenset[str]) -> tuple[Term, object]:
+    """`map_term`'s visit for a comprehension head, which parses before its
+    binders are known: a bare nullary application of a binder name becomes
+    that variable, unless a comprehension inside binds the name again."""
+    if type(x) is T.Apply and not x.args and x.func in names:
+        return T.Var(x.func), None
+    if type(x) is T.Comprehension:
+        return x, names - frozenset(x.binders)
+    return x, names
 
 
 _Out = TypeVar("_Out")

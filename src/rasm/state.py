@@ -6,9 +6,10 @@ location is the tuple ``(symbol, args)`` itself, so the mapping can be read
 with a bare tuple, and locations and values hash and compare in C.  The
 distinguished nullary symbol ``pgm`` holds the machine's self-representation.
 
-`rename_state` applies a bijection on atoms pointwise to every location and
-value, including values quoted inside dropped terms; it is the workhorse
-behind the isomorphism-commutation check.
+`_PARTS` gives each composite value's parts; the value walks read it.
+`_values_in` is the fold, behind the active domain and the atoms of a
+value or state, and `rename_value` the map, which `rename_state` applies
+to every location and value for the isomorphism-commutation check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, is_not, itemgetter
 
 from .errors import RasmError
 from .trees import Node
@@ -204,11 +205,7 @@ class State:
         """Every value occurring in the interpretation (recursively) plus the
         declared universe, in canonical order.  Quantifiers range over this."""
         if self._domain is None:
-            seen: set[Value] = set(self.universe)
-            for loc, val in self.interp.items():
-                for a in loc.args:
-                    _collect_values(a, seen)
-                _collect_values(val, seen)
+            seen = _values_in(_occurring(self)) | self.universe
             object.__setattr__(self, "_domain", tuple(sorted(seen, key=value_key)))
         return self._domain
 
@@ -256,101 +253,110 @@ class State:
         return f"State({self.signature!r}, {{{entries}{more}}})"
 
 
-def _collect_values(v: Value, out: set) -> None:
-    out.add(v)
-    if isinstance(v, TupleVal):
-        for x in v.items:
-            _collect_values(x, out)
-    elif isinstance(v, Multiset):
-        for x in v.items:
-            _collect_values(x, out)
-    elif isinstance(v, TreeVal):
-        todo = [v.tree.root_node]
-        while todo:
-            n = todo.pop()
-            if n.value is not None:
-                _collect_values(n.value, out)
-            todo.extend(n.children)
-    elif isinstance(v, DroppedTerm):
-        for lit in _term_literals(v.term):
-            _collect_values(lit, out)
+# ------------------------------------------------------- the one value walk
+
+def _leaf_values(v: TreeVal) -> list[Value]:
+    out, todo = [], [v.tree.root_node]
+    while todo:
+        n = todo.pop()
+        if n.value is not None:
+            out.append(n.value)
+        else:
+            todo += reversed(n.children)
+    return out
 
 
-def _term_literals(t: T.Term) -> Iterator[Value]:
-    if isinstance(t, T.Literal):
-        yield t.value
-    elif isinstance(t, (T.Apply, T.BackgroundOp)):
-        for a in t.args:
-            yield from _term_literals(a)
-    elif isinstance(t, T.Comprehension):
-        yield from _term_literals(t.head)
-        yield from _term_literals(t.guard)
+def _with_leaf_values(v: TreeVal, values: list[Value]) -> TreeVal:
+    new, built, todo = iter(values), [], [(v.tree.root_node, None)]
+    while todo:
+        n, k = todo.pop()
+        if k is not None:  # its children are the last k built
+            built[len(built) - k :] = [Node(n.label, tuple(built[len(built) - k :]))]
+        elif n.children:
+            todo.append((n, len(n.children)))
+            todo += [(c, None) for c in reversed(n.children)]
+        else:
+            built.append(n if n.value is None else Node(n.label, (), next(new)))
+    return TreeVal(type(v.tree)(built[0]))
+
+
+def _literals(t: T.Term) -> list[Value]:
+    return [x.value for x, _bound in T.subterms(t) if type(x) is T.Literal]
+
+
+def _next_literal(x: T.Term, new: Iterator[Value]) -> tuple[T.Term, object]:
+    if type(x) is not T.Literal:
+        return x, new
+    v = next(new)
+    return (x if v is x.value else T.Literal(v)), None
+
+
+# Each composite value's parts, in order (a tree's leaf values and a dropped
+# term's literals in preorder), and the value rebuilt from new parts.
+_PARTS = {
+    TupleVal: (attrgetter("items"), lambda v, new: TupleVal(tuple(new))),
+    Multiset: (attrgetter("items"), lambda v, new: Multiset(new)),
+    TreeVal: (_leaf_values, _with_leaf_values),
+    DroppedTerm: (
+        lambda v: _literals(v.term),
+        lambda v, new: DroppedTerm(T.map_term(v.term, iter(new), _next_literal)),
+    ),
+}
+
+
+def _values_in(roots: Iterable[Value]) -> set[Value]:
+    """The fold: `roots` and every value inside them.  A scalar is never
+    pushed, and a composite is entered once however often it occurs."""
+    seen = set(roots)
+    todo = [v for v in seen if type(v) in _PARTS]
+    while todo:
+        v = todo.pop()
+        for x in _PARTS[type(v)][0](v):
+            if type(x) not in _PARTS:
+                seen.add(x)
+            elif x not in seen:
+                seen.add(x)
+                todo.append(x)
+    return seen
+
+
+def _occurring(s: State) -> Iterator[Value]:
+    return chain(chain.from_iterable(map(itemgetter(1), s.interp)), s.interp.values())
 
 
 # ------------------------------------------------------------- atom renaming
 
 def atoms_of_value(v: Value) -> frozenset[str]:
-    found: set[Value] = set()
-    _collect_values(v, found)
-    return frozenset(x.name for x in found if isinstance(x, Atom))
+    return frozenset(x.name for x in _values_in((v,)) if type(x) is Atom)
 
 
 def atoms_of_state(s: State) -> frozenset[str]:
-    found: set[Value] = set()
-    for loc, val in s.interp.items():
-        for a in loc.args:
-            _collect_values(a, found)
-        _collect_values(val, found)
-    for v in s.universe:
-        _collect_values(v, found)
-    return frozenset(x.name for x in found if isinstance(x, Atom))
+    return frozenset(x.name for x in _values_in(chain(_occurring(s), s.universe)) if type(x) is Atom)
 
 
 def rename_value(v: Value, pi: Mapping[str, str]) -> Value:
-    if isinstance(v, Atom):
-        return Atom(pi.get(v.name, v.name))
-    if isinstance(v, TupleVal):
-        return TupleVal(tuple(rename_value(x, pi) for x in v.items))
-    if isinstance(v, Multiset):
-        return Multiset(rename_value(x, pi) for x in v.items)
-    if isinstance(v, TreeVal):
-        return TreeVal(type(v.tree)(_rename_node(v.tree.root_node, pi)))
-    if isinstance(v, DroppedTerm):
-        return DroppedTerm(rename_term(v.term, pi))
-    return v
-
-
-def _rename_node(root: Node, pi: Mapping[str, str]) -> Node:
-    """`root` rebuilt with its leaf values renamed, children before their
-    parent, from an explicit stack: no recursion, however deep the tree."""
-    built: list[Node] = []
-    todo: list[tuple[Node, bool]] = [(root, False)]
+    """The map: `v` with its atoms renamed by `pi`.  A scalar is renamed in
+    place, and a composite whose parts all come back unchanged is kept."""
+    if type(v) not in _PARTS:
+        return v if (n := pi.get(v)) is None or n == v else Atom(n)
+    built, todo = [], [(v, None, 0)]
     while todo:
-        n, children_built = todo.pop()
-        if n.is_leaf:
-            built.append(Node(n.label, (), None if n.value is None else rename_value(n.value, pi)))
-        elif children_built:
-            k = len(n.children)
-            kids = tuple(built[-k:])
-            del built[-k:]
-            built.append(Node(n.label, kids))
-        else:
-            todo.append((n, True))
-            todo.extend((c, False) for c in reversed(n.children))
+        x, parts, k = todo.pop()
+        if parts is None:
+            parts = _PARTS[type(x)][0](x)
+            inner = [p for p in parts if type(p) in _PARTS]
+            todo.append((x, parts, len(inner)))
+            todo += [(p, None, 0) for p in reversed(inner)]
+            continue
+        done = iter(built[len(built) - k :])  # the composite parts, built
+        new = [next(done) if type(p) in _PARTS else p if (n := pi.get(p)) is None or n == p else Atom(n) for p in parts]
+        built[len(built) - k :] = [_PARTS[type(x)][1](x, new) if any(map(is_not, new, parts)) else x]
     return built[0]
 
 
 def rename_term(t: T.Term, pi: Mapping[str, str]) -> T.Term:
     """Rename atoms inside literals; variables and symbol names are not atoms."""
-    if isinstance(t, T.Literal):
-        return T.Literal(rename_value(t.value, pi))
-    if isinstance(t, T.Apply):
-        return T.Apply(t.func, tuple(rename_term(a, pi) for a in t.args))
-    if isinstance(t, T.BackgroundOp):
-        return T.BackgroundOp(t.op, tuple(rename_term(a, pi) for a in t.args))
-    if isinstance(t, T.Comprehension):
-        return T.Comprehension(rename_term(t.head, pi), t.binders, rename_term(t.guard, pi))
-    return t
+    return T.map_term(t, iter([rename_value(v, pi) for v in _literals(t)]), _next_literal)
 
 
 def rename_state(s: State, pi: Mapping[str, str]) -> State:

@@ -7,14 +7,20 @@ comparable for free.
 Variables are explicit (`Var`), distinct from nullary function application:
 a bare identifier in surface syntax becomes a `Var` only where an enclosing
 FORALL/LET/IMPORT or comprehension binds it.  The evaluator binds all of
-them in its environment, a LET variable to its term read in the LET's scope;
-substitution works on terms only, for the read terms `encoding.beta_rule`
-builds.
+them in its environment, a LET variable to its term read in the LET's scope.
+
+`CHILDREN` gives each term form's children; every generic walk over terms
+reads it.  `subterms` is the fold and `map_term` the map, both with an
+explicit stack, so terms of any depth go through them.  Free variables,
+binder renaming and capture-avoiding substitution (for the read terms
+`encoding.beta_rule` builds) are written on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, is_
+from typing import Callable, Iterator
 
 from .values import Value
 
@@ -140,65 +146,125 @@ class Import(Rule):
 SKIP = Par(())  # the do-nothing rule
 
 
-# ------------------------------------------------------------ free variables
+# ------------------------------------------------------------ the one walk
+
+# Each term form's children, in order, and the form rebuilt from new ones.
+# A comprehension binds its `binders` over both; no other term binds.
+CHILDREN = {
+    Var: None,
+    Literal: None,
+    Apply: (attrgetter("args"), lambda x, new: Apply(x.func, tuple(new))),
+    BackgroundOp: (attrgetter("args"), lambda x, new: BackgroundOp(x.op, tuple(new))),
+    Comprehension: (attrgetter("head", "guard"), lambda x, new: Comprehension(new[0], x.binders, new[1])),
+}
+
+
+def subterms(t: Term) -> Iterator[tuple[Term, frozenset[str]]]:
+    """The fold: every node of `t` in preorder, with the names bound around
+    it.  Nothing is entered before the consumer asks for the next node."""
+    todo = [(t, frozenset())]
+    while todo:
+        x, bound = todo.pop()
+        yield x, bound
+        row = CHILDREN.get(type(x))
+        if row:
+            if type(x) is Comprehension:
+                bound = bound.union(x.binders)
+            for c in reversed(row[0](x)):
+                todo.append((c, bound))
+
+
+def map_term(t: Term, scope: object, visit: Callable[[Term, object], tuple[Term, object]]) -> Term:
+    """The map: `visit(x, scope)` gives each node's replacement `y` and the
+    scope of `y`'s children, in preorder; with None as that scope, `y` is
+    not entered.  A node whose children all come back unchanged is kept."""
+    built, todo = [], [(t, scope, None)]
+    while todo:
+        x, scope, old = todo.pop()
+        if old is not None:  # x's children are the last len(old) built
+            new = built[len(built) - len(old) :]
+            del built[len(built) - len(old) :]
+            built.append(x if all(map(is_, new, old)) else CHILDREN[type(x)][1](x, new))
+            continue
+        x, scope = visit(x, scope)
+        row = CHILDREN.get(type(x))
+        if scope is None or not row:
+            built.append(x)
+        else:
+            old = row[0](x)
+            todo.append((x, None, old))
+            todo += [(c, scope, None) for c in reversed(old)]
+    return built[0]
+
 
 def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Literal):
-        return frozenset()
-    if isinstance(t, (Apply, BackgroundOp)):
-        out: frozenset[str] = frozenset()
-        for a in t.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(t, Comprehension):
-        return (free_vars(t.head) | free_vars(t.guard)) - frozenset(t.binders)
-    raise TypeError(f"not a term: {t!r}")
+    return frozenset(x.name for x, bound in subterms(t) if type(x) is Var and x.name not in bound)
 
 
-def _fresh(base: str, avoid: frozenset[str]) -> str:
-    i = 1
-    while f"{base}_{i}" in avoid:
-        i += 1
-    return f"{base}_{i}"
+def _fresh_binders(
+    binders: tuple[str, ...], avoid: frozenset[str], free: Callable[[], frozenset[str]]
+) -> tuple[tuple[str, ...], dict[str, Term] | None]:
+    """`binders` with those in `avoid` renamed, and that renaming (None if
+    none is).  A new name `b_i` avoids `avoid`, the binders, the body's
+    free variables `free()` and the names chosen before it."""
+    clash = [b for b in dict.fromkeys(binders) if b in avoid]
+    if not clash:
+        return binders, None
+    taken, names = avoid | frozenset(binders) | free(), {}
+    for b in clash:
+        i = 1
+        while f"{b}_{i}" in taken:
+            i += 1
+        names[b] = f"{b}_{i}"
+        taken |= {names[b]}
+    return tuple(names.get(b, b) for b in binders), {b: Var(n) for b, n in names.items()}
 
 
 def rename_binders(c: Comprehension, avoid: frozenset[str]) -> Comprehension:
     """`c` with every binder in `avoid` renamed, so that a term whose free
-    variables lie in `avoid` can be put under it without capture.  A new
-    name avoids `avoid`, the other binders and the free variables of the
-    head and the guard."""
-    clash = [b for b in dict.fromkeys(c.binders) if b in avoid]
-    if not clash:
+    variables lie in `avoid` can be put under it without capture."""
+    binders, renamed = _fresh_binders(c.binders, avoid, lambda: free_vars(c.head) | free_vars(c.guard))
+    if renamed is None:
         return c
-    taken = avoid | frozenset(c.binders) | free_vars(c.head) | free_vars(c.guard)
-    names = {}
-    for b in clash:
-        names[b] = _fresh(b, taken)
-        taken |= {names[b]}
-    renamed = {b: Var(n) for b, n in names.items()}
-    binders = tuple(names.get(b, b) for b in c.binders)
     return Comprehension(subst_term(c.head, renamed), binders, subst_term(c.guard, renamed))
+
+
+def _substitute(x: Term, steps: tuple[dict[str, Term], ...]) -> tuple[Term, object]:
+    """`subst_term`'s visit.  The scope is the substitutions still to apply,
+    in turn: binder renamings, then the mapping, the one step that maps to
+    terms other than variables.  A comprehension takes its binders out of
+    each step and, where a step would bring in a name a binder captures,
+    renames that binder by a step just before it."""
+    if type(x) is Var:
+        for m in steps:
+            x = m.get(x.name, x)
+            if type(x) is not Var:
+                break
+        return x, None
+    if type(x) is not Comprehension:
+        return x, steps
+    binders, inner_steps = x.binders, []
+
+    def free() -> frozenset[str]:  # of the head and guard, after the steps so far
+        out = free_vars(x.head) | free_vars(x.guard)
+        for m in inner_steps:
+            hit = m.keys() & out
+            out = (out - hit).union(*(free_vars(m[k]) for k in hit))
+        return out
+
+    for m in steps:
+        inner = {k: v for k, v in m.items() if k not in binders}
+        if inner:
+            # Naming the keys only keeps a new binder off a replaced variable.
+            avoid = frozenset(inner).union(*map(free_vars, inner.values()))
+            binders, renamed = _fresh_binders(binders, avoid, free)
+            inner_steps += [renamed, inner] if renamed else [inner]
+    if binders is not x.binders:
+        x = Comprehension(x.head, binders, x.guard)
+    return x, tuple(inner_steps) or None
 
 
 def subst_term(t: Term, mapping: dict[str, Term]) -> Term:
     """Substitute terms for free variables, renaming binders that would
     capture a free variable of a replacement."""
-    if not mapping:
-        return t
-    if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    if isinstance(t, Literal):
-        return t
-    if isinstance(t, Apply):
-        return Apply(t.func, tuple(subst_term(a, mapping) for a in t.args))
-    if isinstance(t, BackgroundOp):
-        return BackgroundOp(t.op, tuple(subst_term(a, mapping) for a in t.args))
-    if isinstance(t, Comprehension):
-        inner = {k: v for k, v in mapping.items() if k not in t.binders}
-        # The keys are not binders here: naming them only keeps a renamed
-        # binder off a variable that is being replaced.
-        t = rename_binders(t, frozenset(inner).union(*map(free_vars, inner.values())))
-        return Comprehension(subst_term(t.head, inner), t.binders, subst_term(t.guard, inner))
-    raise TypeError(f"not a term: {t!r}")
+    return map_term(t, (mapping,), _substitute) if mapping else t

@@ -46,6 +46,15 @@ def test_renamed_binder_avoids_the_mapping_keys():
     assert out == Comprehension(BackgroundOp("add", (Var("x_2"), Var("x"))), ("x_2",), Literal(TRUE))
 
 
+def test_a_renamed_binder_may_take_a_name_an_outer_renaming_freed():
+    # Substituting q_1 for w renames the outer binder q_1 to q_1_1, so the
+    # inner binder q, which y's replacement would capture, can become q_1.
+    inner = Comprehension(BackgroundOp("tuple", (Var("q_1"), Var("q"), Var("y"))), ("w", "q"), Literal(TRUE))
+    out = subst_term(Comprehension(inner, ("q_1",), Var("w")), {"w": Var("q_1"), "y": Var("q")})
+    head = BackgroundOp("tuple", (Var("q_1_1"), Var("q_1"), Var("q")))
+    assert out == Comprehension(Comprehension(head, ("w", "q_1"), Literal(TRUE)), ("q_1_1",), Var("q_1"))
+
+
 def test_rename_binders_renames_only_clashing_binders():
     t = Comprehension(BackgroundOp("tuple", (Var("a"), Var("b"))), ("a", "b"), Var("c"))
     assert rename_binders(t, frozenset({"c"})) is t

@@ -1,0 +1,360 @@
+"""The one walk over terms (`terms.subterms`, `terms.map_term`) and over
+values (`state._values_in`, `state.rename_value`): stack-safe on deep
+input, and in agreement with the recursive walks they replaced.
+
+The reference walks below are the recursive originals, kept here only as
+oracles.  Deep results are checked with the fold, not with `==`: dataclass
+`__eq__`, `__hash__` and `repr` still recurse once per level.
+"""
+
+import random
+
+import pytest
+
+from rasm import encoding
+from rasm.conformance import rule_has_partial_assign
+from rasm.parser import _promote
+from rasm.state import (
+    Location,
+    State,
+    _literals,
+    atoms_of_state,
+    atoms_of_value,
+    rename_state,
+    rename_term,
+    rename_value,
+)
+from rasm.terms import (
+    Apply,
+    BackgroundOp,
+    Comprehension,
+    Forall,
+    If,
+    Import,
+    Let,
+    Literal,
+    Par,
+    PartialAssign,
+    Var,
+    free_vars,
+    map_term,
+    rename_binders,
+    subst_term,
+    subterms,
+)
+from rasm.trees import Node
+from rasm.values import Atom, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, value_key
+
+from conftest import (
+    ATOMS,
+    _pool_term,
+    random_machine,
+    random_rule,
+    random_rule_reusing_names,
+    random_term,
+    random_value,
+)
+
+# ------------------------------------------------------ deep terms, no parser
+
+
+def _add_chain(depth):
+    t = Literal(Atom("red"))
+    for i in range(depth):
+        t = BackgroundOp("add", (t, Var("x") if i % 2 else Literal(Natural(i))))
+    return t
+
+
+def _comprehension_chain(depth, clash_at):
+    """`depth` nested comprehensions over a free `y`.  Each binds `q`, except
+    the one `clash_at` levels above the bottom, which binds `b`."""
+    c = BackgroundOp("tuple", (Var("y"), Var("q")))
+    for i in range(depth):
+        binder = "b" if i == clash_at else "q"
+        c = Comprehension(BackgroundOp("tuple", (c, Var(binder), Var("y"))), (binder,), Literal(Natural(i)))
+    return c
+
+
+def _forms(t):
+    return [type(x).__name__ for x, _ in subterms(t)]
+
+
+def test_deep_add_chain_goes_through_every_term_walk():
+    t = _add_chain(5000)
+    assert free_vars(t) == {"x"}
+    out = subst_term(t, {"x": Literal(Natural(7))})
+    assert _forms(out) == ["Literal" if f == "Var" else f for f in _forms(t)]
+    assert free_vars(out) == frozenset()
+    renamed = rename_term(t, {"red": "blue"})
+    assert _literals(renamed) == [Atom("blue")] + _literals(t)[1:]
+    assert len(_literals(t)) == 2501
+
+
+def test_deep_comprehension_chain_renames_a_binder_far_down():
+    t = _comprehension_chain(3000, clash_at=5)
+    assert free_vars(t) == {"y"}
+    out = subst_term(t, {"y": Var("b")})
+    assert free_vars(out) == {"b"}
+    binders = [x.binders for x, _ in subterms(out) if type(x) is Comprehension]
+    assert binders.count(("b_1",)) == 1 and ("b",) not in binders
+    assert binders[-6] == ("b_1",)  # preorder: the sixth from the bottom
+    under = [(x.name, bound) for x, bound in subterms(out) if type(x) is Var]
+    assert all(name in bound for name, bound in under if name != "b")
+    assert _forms(out) == _forms(t)
+    assert subst_term(t, {}) is t
+    assert len(_literals(rename_term(t, {"a": "b"}))) == 3000
+
+
+# ---------------------------------------------- the recursive originals
+
+
+def ref_free_vars(t):
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    if isinstance(t, Literal):
+        return frozenset()
+    if isinstance(t, (Apply, BackgroundOp)):
+        out = frozenset()
+        for a in t.args:
+            out |= ref_free_vars(a)
+        return out
+    if isinstance(t, Comprehension):
+        return (ref_free_vars(t.head) | ref_free_vars(t.guard)) - frozenset(t.binders)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _ref_fresh(base, avoid):
+    i = 1
+    while f"{base}_{i}" in avoid:
+        i += 1
+    return f"{base}_{i}"
+
+
+def ref_rename_binders(c, avoid):
+    clash = [b for b in dict.fromkeys(c.binders) if b in avoid]
+    if not clash:
+        return c
+    taken = avoid | frozenset(c.binders) | ref_free_vars(c.head) | ref_free_vars(c.guard)
+    names = {}
+    for b in clash:
+        names[b] = _ref_fresh(b, taken)
+        taken |= {names[b]}
+    renamed = {b: Var(n) for b, n in names.items()}
+    binders = tuple(names.get(b, b) for b in c.binders)
+    return Comprehension(ref_subst_term(c.head, renamed), binders, ref_subst_term(c.guard, renamed))
+
+
+def ref_subst_term(t, mapping):
+    if not mapping:
+        return t
+    if isinstance(t, Var):
+        return mapping.get(t.name, t)
+    if isinstance(t, Literal):
+        return t
+    if isinstance(t, Apply):
+        return Apply(t.func, tuple(ref_subst_term(a, mapping) for a in t.args))
+    if isinstance(t, BackgroundOp):
+        return BackgroundOp(t.op, tuple(ref_subst_term(a, mapping) for a in t.args))
+    if isinstance(t, Comprehension):
+        inner = {k: v for k, v in mapping.items() if k not in t.binders}
+        t = ref_rename_binders(t, frozenset(inner).union(*map(ref_free_vars, inner.values())))
+        return Comprehension(ref_subst_term(t.head, inner), t.binders, ref_subst_term(t.guard, inner))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def ref_rebind(t, binders):
+    if isinstance(t, Apply):
+        if not t.args and t.func in binders:
+            return Var(t.func)
+        return Apply(t.func, tuple(ref_rebind(a, binders) for a in t.args))
+    if isinstance(t, BackgroundOp):
+        return BackgroundOp(t.op, tuple(ref_rebind(a, binders) for a in t.args))
+    if isinstance(t, Comprehension):
+        inner = binders - frozenset(t.binders)
+        return Comprehension(ref_rebind(t.head, inner), t.binders, ref_rebind(t.guard, inner))
+    return t
+
+
+def ref_rename_value(v, pi):
+    if isinstance(v, Atom):
+        return Atom(pi.get(v.name, v.name))
+    if isinstance(v, TupleVal):
+        return TupleVal(tuple(ref_rename_value(x, pi) for x in v.items))
+    if isinstance(v, Multiset):
+        return Multiset(ref_rename_value(x, pi) for x in v.items)
+    if isinstance(v, TreeVal):
+        return TreeVal(type(v.tree)(_ref_rename_node(v.tree.root_node, pi)))
+    if isinstance(v, DroppedTerm):
+        return DroppedTerm(ref_rename_term(v.term, pi))
+    return v
+
+
+def _ref_rename_node(n, pi):
+    value = None if n.value is None else ref_rename_value(n.value, pi)
+    return Node(n.label, tuple(_ref_rename_node(c, pi) for c in n.children), value)
+
+
+def ref_rename_term(t, pi):
+    if isinstance(t, Literal):
+        return Literal(ref_rename_value(t.value, pi))
+    if isinstance(t, Apply):
+        return Apply(t.func, tuple(ref_rename_term(a, pi) for a in t.args))
+    if isinstance(t, BackgroundOp):
+        return BackgroundOp(t.op, tuple(ref_rename_term(a, pi) for a in t.args))
+    if isinstance(t, Comprehension):
+        return Comprehension(ref_rename_term(t.head, pi), t.binders, ref_rename_term(t.guard, pi))
+    return t
+
+
+def ref_collect_values(v, out):
+    out.add(v)
+    if isinstance(v, (TupleVal, Multiset)):
+        for x in v.items:
+            ref_collect_values(x, out)
+    elif isinstance(v, TreeVal):
+        for _path, n in v.tree.iter_nodes():
+            if n.value is not None:
+                ref_collect_values(n.value, out)
+    elif isinstance(v, DroppedTerm):
+        for lit in _ref_term_literals(v.term):
+            ref_collect_values(lit, out)
+
+
+def _ref_term_literals(t):
+    if isinstance(t, Literal):
+        yield t.value
+    elif isinstance(t, (Apply, BackgroundOp)):
+        for a in t.args:
+            yield from _ref_term_literals(a)
+    elif isinstance(t, Comprehension):
+        yield from _ref_term_literals(t.head)
+        yield from _ref_term_literals(t.guard)
+
+
+def ref_rule_has_partial_assign(r):
+    if isinstance(r, PartialAssign):
+        return True
+    if isinstance(r, If):
+        return ref_rule_has_partial_assign(r.then_branch) or ref_rule_has_partial_assign(r.else_branch)
+    if isinstance(r, Par):
+        return any(ref_rule_has_partial_assign(c) for c in r.rules)
+    if isinstance(r, (Forall, Let, Import)):
+        return ref_rule_has_partial_assign(r.body)
+    return False
+
+
+# ------------------------------------------------------------- agreement
+
+NAMES = ("x", "y", "f", "g", "q0", "q1", "x_1", "y_1", "q0_1")
+
+
+def _nodes(x):
+    """Every term node and value inside `x`, in preorder."""
+    out, todo = [], [x]
+    while todo:
+        x = todo.pop()
+        out.append(x)
+        if isinstance(x, (Apply, BackgroundOp)):
+            todo += reversed(x.args)
+        elif isinstance(x, Comprehension):
+            todo += (x.guard, x.head)
+        elif isinstance(x, Literal):
+            todo.append(x.value)
+        elif isinstance(x, (TupleVal, Multiset)):
+            todo += reversed(x.items)
+        elif isinstance(x, TreeVal):
+            todo += reversed([n.value for _p, n in x.tree.iter_nodes() if n.value is not None])
+        elif isinstance(x, DroppedTerm):
+            todo.append(x.term)
+    return out
+
+
+def _agree(ref, new, *inputs):
+    """Equal results, and the very object wherever the reference returned a
+    node of its input."""
+    assert new == ref
+    given = {id(x) for i in inputs for x in _nodes(i)}
+    for a, b in zip(_nodes(ref), _nodes(new), strict=True):
+        assert b is a or id(a) not in given
+
+
+def _term(rng):
+    if rng.random() < 0.5:
+        return random_term(rng, NAMES[:4], rng.randrange(4))
+    return _pool_term(rng, NAMES[:4], rng.randrange(5))
+
+
+def _as_applications(t):
+    """`t` with every variable spelt as a nullary application, as the parser
+    sees a comprehension head."""
+    return map_term(t, (), lambda x, s: (Apply(x.name), None) if type(x) is Var else (x, s))
+
+
+def _rename(rng):
+    pi = {a: rng.choice(ATOMS) for a in rng.sample(ATOMS, rng.randrange(len(ATOMS) + 1))}
+    return pi if rng.random() < 0.8 else {a: a for a in ATOMS}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_term_walks_agree_with_the_recursive_originals(seed):
+    rng = random.Random(seed)
+    for _ in range(500):
+        t = _term(rng)
+        assert free_vars(t) == ref_free_vars(t)
+        keys = rng.sample(NAMES, rng.randrange(4))
+        mapping = {k: _term(rng) if rng.random() < 0.6 else Var(rng.choice(NAMES)) for k in keys}
+        _agree(ref_subst_term(t, mapping), subst_term(t, mapping), t, *mapping.values())
+        if type(t) is Comprehension:
+            avoid = frozenset(rng.sample(NAMES, rng.randrange(5)))
+            _agree(ref_rename_binders(t, avoid), rename_binders(t, avoid), t)
+        names = frozenset(rng.sample(NAMES, rng.randrange(5)))
+        spelt = _as_applications(t)
+        _agree(ref_rebind(spelt, names), map_term(spelt, names, _promote), spelt)
+        pi = _rename(rng)
+        _agree(ref_rename_term(t, pi), rename_term(t, pi), t)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_value_walks_agree_with_the_recursive_originals(seed):
+    rng = random.Random(seed)
+    for _ in range(500):
+        v = random_value(rng, rng.randrange(4))
+        pi = _rename(rng)
+        _agree(ref_rename_value(v, pi), rename_value(v, pi), v)
+        found = set()
+        ref_collect_values(v, found)
+        assert atoms_of_value(v) == frozenset(x.name for x in found if isinstance(x, Atom))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_state_and_rule_walks_agree_with_the_recursive_originals(seed, monkeypatch):
+    rng = random.Random(seed)
+    for _ in range(120):
+        base, rule = random_machine(rng)
+        extra = {Location("g", (random_value(rng, 2),)): random_value(rng, 3) for _ in range(rng.randrange(3))}
+        s = State(base.signature, {**base.interp, **extra}, [random_value(rng, 2) for _ in range(rng.randrange(3))])
+        seen, every = set(s.universe), set()
+        for loc, val in s.interp.items():
+            for a in (*loc.args, val):
+                ref_collect_values(a, seen)
+                ref_collect_values(a, every)
+        for v in s.universe:
+            ref_collect_values(v, every)
+        assert s.active_domain() == tuple(sorted(seen, key=value_key))
+        assert atoms_of_state(s) == frozenset(x.name for x in every if isinstance(x, Atom))
+        atoms = sorted(atoms_of_state(s))
+        pi = dict(zip(atoms, rng.sample(atoms, len(atoms))))
+        renamed = rename_state(s, pi)
+        assert renamed.interp == {
+            Location(loc.symbol, tuple(ref_rename_value(a, pi) for a in loc.args)): ref_rename_value(val, pi)
+            for loc, val in s.interp.items()
+        }
+        assert rule_has_partial_assign(rule) == ref_rule_has_partial_assign(rule)
+    for _ in range(100):
+        r = random_rule_reusing_names(rng) if rng.random() < 0.5 else random_rule(rng, allow_partial=True)
+        got = encoding.beta_rule(r)
+        with monkeypatch.context() as m:
+            m.setattr(encoding, "free_vars", ref_free_vars)
+            m.setattr(encoding, "rename_binders", ref_rename_binders)
+            m.setattr(encoding, "subst_term", ref_subst_term)
+            assert got == encoding.beta_rule(r)
