@@ -47,7 +47,7 @@ from .printer import (
     rule_hash,
 )
 from .state import FunctionSymbol, Location, Signature, State, rename_state
-from .treediff import eval_algebra, serialize_algebra, tree_diff_theta, tree_diff_updates
+from .treediff import tree_diff_rule, tree_diff_updates
 from .trees import Context, Hedge, Tree
 from .updates import SharedUpdate, Update, UpdateMultiset, UpdateSet, collapse
 from .values import (

@@ -2,18 +2,18 @@
 
 Subcommands:
   run    load a state document, iterate the step function, emit a trace
-  diff   reconciliation term between two program-tree files
+  diff   the rule that rewrites one program-tree file into another
   check  behavioural postulate checks over a run
   fmt    reprint a file in canonical form
 
 Exit codes: 0 success, 1 runtime failure (or an inconsistent step under
---strict, or a diff whose reconciliation term fails verification), 2 syntax
+--strict, or a diff whose rule fails verification), 2 syntax
 error (non-UTF-8 input included) or a usage error such as a negative count,
 3 malformed program tree, 4 postulate violation, 5 attempted signature
 shrinkage.  Input nested too deeply for Python's recursion limit is a runtime
 failure (1).  `diff` reports unreadable input, a missing file included, as 3:
 its contract is "both files hold program trees" and it does not distinguish
-why one does not.
+why one does not; a context (a tree with a hole leaf) is not a tree.
 """
 
 from __future__ import annotations
@@ -34,11 +34,16 @@ from .conformance import (
     rule_has_partial_assign,
 )
 from .conformance import check_initial_agreement
+from .encoding import as_program
 from .errors import DiffError, EncodingError, MachineError, ParseError, RasmError
+from .evaluator import eval_rule
 from .parser import parse_rule, parse_state, parse_tree
 from .printer import format_trace, print_rule, print_state, print_tree
-from .state import State
-from .treediff import eval_algebra, serialize_algebra, tree_diff_theta
+from .state import PGM_LOCATION, State
+from .treediff import tree_diff_rule
+from .trees import Context
+from .updates import apply_update_set, collapse
+from .values import TreeVal
 
 ISO_TRIALS = 20  # bijections tried per `check` invocation; tests go higher
 
@@ -122,9 +127,16 @@ def _cmd_diff(args) -> int:
     except (ParseError, OSError) as e:
         print(f"diff: {e}", file=sys.stderr)
         return 3
-    theta = tree_diff_theta(a, b)
-    print("theta " + serialize_algebra(theta))
-    verdict = eval_algebra(theta, a) == b
+    for path, t in ((args.a, a), (args.b, b)):
+        if isinstance(t, Context):
+            print(f"diff: {path} holds a context (a tree with a hole leaf), not a tree", file=sys.stderr)
+            return 3
+    rule = tree_diff_rule(a, b)
+    print(print_rule(rule))
+    # Verify along a self-rewriting step's path: pgm holds a, the rule runs.
+    s = State(as_program(a).signature, {PGM_LOCATION: TreeVal(a)})
+    us = collapse(s, eval_rule(s, {}, rule))
+    verdict = us.consistent and apply_update_set(s, us).get(PGM_LOCATION) == TreeVal(b)
     print("verdict " + ("equal" if verdict else "different"))
     return 0 if verdict else 1
 
@@ -172,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="an inconsistent update set stops the run with exit 1")
     run.set_defaults(fn=_cmd_run)
 
-    diff = sub.add_parser("diff", help="reconciliation term between two program trees")
+    diff = sub.add_parser("diff", help="the rule that rewrites one program tree into another")
     diff.add_argument("a")
     diff.add_argument("b")
     diff.set_defaults(fn=_cmd_diff)

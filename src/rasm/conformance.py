@@ -90,11 +90,12 @@ def rule_has_partial_assign(r: Rule) -> bool:
 
 
 StepFn = Callable[[State], object]  # anything with a .next state
+Plain = Callable[[], tuple[State, frozenset[str]]]  # the un-renamed successor and its atoms, made once per check
 
 
 # ---------------------------------------------------- isomorphism closure
 
-def _movable_atoms(s: State) -> list[str]:
+def _movable_atoms(s: State, atoms: frozenset[str]) -> list[str]:
     # Renaming a symbol-name atom would detach the encoded program from the
     # signature, and the reserve namespace is the step function's own.  Atoms
     # spelled into the stored program are syntax rather than data: a machine
@@ -104,7 +105,7 @@ def _movable_atoms(s: State) -> list[str]:
     in_program = atoms_of_value(s.value_of(PGM_LOCATION))
     return sorted(
         a
-        for a in atoms_of_state(s)
+        for a in atoms
         if a not in names
         and a not in in_program
         and not a.startswith("$")
@@ -112,20 +113,17 @@ def _movable_atoms(s: State) -> list[str]:
     )
 
 
-def _extend_identity(pi: dict, s: State) -> dict:
-    out = dict(pi)
-    for a in atoms_of_state(s):
-        out.setdefault(a, a)
-    return out
+def _extend_identity(pi: dict, atoms: frozenset[str]) -> dict:
+    return {a: a for a in atoms} | pi
 
 
-def _commutes(s: State, pi: dict, step_fn: StepFn, plain: Callable[[], State]) -> tuple[bool, str]:
-    # `plain()` is the un-renamed successor, stepped once per check.
+def _commutes(s: State, atoms: frozenset[str], pi: dict, step_fn: StepFn, plain: Plain) -> tuple[bool, str]:
     try:
-        lhs = step_fn(rename_state(s, _extend_identity(pi, s))).next
+        lhs = step_fn(rename_state(s, _extend_identity(pi, atoms))).next
     except RasmError as e:
         return False, f"step failed on the renamed state: {e}"
-    rhs = rename_state(plain(), _extend_identity(pi, plain()))
+    nxt, nxt_atoms = plain()
+    rhs = rename_state(nxt, _extend_identity(pi, nxt_atoms))
     if lhs == rhs or _equal_up_to_fresh(lhs, rhs, _drawn(s, lhs, rhs)):
         return True, ""
     return False, "step and renaming do not commute"
@@ -163,7 +161,8 @@ def _equal_up_to_fresh(a: State, b: State, fresh: frozenset[str]) -> bool:
         return [(loc, b.interp[loc])] if loc in b.interp else []
 
     entries = sorted(a.interp.items(), key=lambda e: sigma.holds_fresh(TupleVal(e[0].args)))
-    in_a, in_b = fresh & atoms_of_state(a), fresh & atoms_of_state(b)
+    atoms_a = atoms_of_state(a)
+    in_a, in_b = fresh & atoms_a, fresh & atoms_of_state(b)
     for _ in sigma.matchings(entries, candidates):
         rest = sorted(in_a - sigma.map.keys())
         free = sorted(in_b - sigma.image)
@@ -171,7 +170,7 @@ def _equal_up_to_fresh(a: State, b: State, fresh: frozenset[str]) -> bool:
             continue
         for arrangement in itertools.permutations(free):
             full = {**sigma.map, **dict(zip(rest, arrangement))}
-            if rename_state(a, _extend_identity(full, a)) == b:
+            if rename_state(a, _extend_identity(full, atoms_a)) == b:
                 return True
     return False
 
@@ -260,9 +259,16 @@ def check_isomorphism_closure(
     meets its bindings, and so which binding imports which fresh atom.
     """
     fn = step_fn if step_fn is not None else machine.step
-    plain = functools.cache(lambda: fn(s).next)
+
+    @functools.cache
+    def plain() -> tuple[State, frozenset[str]]:
+        nxt = fn(s).next
+        return nxt, atoms_of_state(nxt)
+
     rng = random.Random(seed)
-    movable = _movable_atoms(s)
+    atoms = atoms_of_state(s)
+    taken = atoms | {sym.name for sym in s.signature}
+    movable = _movable_atoms(s, atoms)
     violations: list[Violation] = []
     notes: list[str] = []
     if not movable:
@@ -270,29 +276,28 @@ def check_isomorphism_closure(
     for trial in range(trials):
         if movable and rng.random() < 0.3:
             # Map a slice of the atoms onto fresh spellings.
-            taken = set(atoms_of_state(s)) | {sym.name for sym in s.signature}
             sub = [a for a in movable if rng.random() < 0.5] or movable[:1]
             pi = {a: f"iso{trial}_{i}" for i, a in enumerate(sub) if f"iso{trial}_{i}" not in taken}
         else:
             image = movable[:]
             rng.shuffle(image)
             pi = dict(zip(movable, image))
-        ok, why = _commutes(s, pi, fn, plain)
+        ok, why = _commutes(s, atoms, pi, fn, plain)
         if ok:
             continue
-        violations.append(_minimize_iso(s, pi, fn, plain, why))
+        violations.append(_minimize_iso(s, atoms, pi, fn, plain, why))
         break
     return CheckReport("isomorphism-closure", trials, tuple(violations), tuple(notes))
 
 
-def _minimize_iso(s: State, pi: dict, fn: StepFn, plain: Callable[[], State], why: str) -> Violation:
+def _minimize_iso(s: State, atoms: frozenset[str], pi: dict, fn: StepFn, plain: Plain, why: str) -> Violation:
     # A single transposition that already breaks commutation is a far more
     # readable witness than a full shuffle.
     moved = sorted(a for a, b in pi.items() if a != b)
     for i, a in enumerate(moved):
         for b in moved[i + 1 :]:
             tau = {a: b, b: a}
-            ok, tau_why = _commutes(s, tau, fn, plain)
+            ok, tau_why = _commutes(s, atoms, tau, fn, plain)
             if not ok:
                 return Violation(
                     f"{tau_why}; witness swaps {a!r} and {b!r}",

@@ -39,7 +39,7 @@ class MachineError(RasmError):
 
 
 class DiffError(RasmError):
-    """Tree difference failure (signature-shrunk, not a program tree)."""
+    """Tree difference failure: the new tree's signature drops an old symbol (signature-shrunk)."""
 
 
 class ParseError(RasmError):

@@ -27,7 +27,7 @@ from rasm.naive import naive_eval_rule
 from rasm.parser import parse_rule, parse_state
 from rasm.printer import format_trace, print_rule
 from rasm.state import FunctionSymbol, Location, PGM_LOCATION, Signature, State
-from rasm.treediff import eval_algebra, tree_diff_theta, tree_diff_updates
+from rasm.treediff import tree_diff_rule, tree_diff_updates
 from rasm.trees import (
     XI,
     concat_hedges,
@@ -248,9 +248,9 @@ def test_reflection_demos():
 # ----------------------------------------------------------- tree diffing
 
 def test_tree_diff_reconciliation():
-    """300 random program-tree pairs, 1-5 edits apart: the reconciliation
-    term evaluates to the target and its updates collapse to a single
-    root-level replacement."""
+    """300 random program-tree pairs, 1-5 edits apart: the diff rule prints
+    and parses back to itself and, run on the old tree, collapses to the
+    single root-level replacement by the target, as its updates do."""
     rng = random.Random(8080)
     sig = Signature(
         (FunctionSymbol("pgm", 0), FunctionSymbol("f", 0), FunctionSymbol("g", 1))
@@ -258,9 +258,13 @@ def test_tree_diff_reconciliation():
     failures = []
     for i in range(300):
         t1, t2 = random_program_pair(rng)
-        if eval_algebra(tree_diff_theta(t1, t2), t1) != t2:
-            failures.append(("theta-misses-target", i))
         s = State(sig, {Location("pgm"): TreeVal(t1)})
+        rule = tree_diff_rule(t1, t2)
+        us = collapse(s, eval_rule(s, {}, rule))
+        if parse_rule(print_rule(rule)) != rule or not us.consistent or us.updates != (
+            Update(Location("pgm"), TreeVal(t2)),
+        ):
+            failures.append(("rule-misses-target", i))
         us = collapse(s, tree_diff_updates(t1, t2))
         if not us.consistent or us.updates != (Update(Location("pgm"), TreeVal(t2)),):
             failures.append(("updates-miss-target", i))

@@ -13,7 +13,7 @@ from rasm.conformance import CheckReport, Violation
 from rasm.parser import parse_rule, parse_state, parse_tree
 from rasm.printer import print_rule, print_state, print_tree
 from rasm.state import PGM, Location
-from rasm.treediff import SubtreeRef
+from rasm.terms import Par
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -278,6 +278,14 @@ def test_deeply_nested_rule_runs_and_prints(tmp_path, capsys):
         assert text.count("if⟨") == depth
         assert main(["fmt", put(tmp_path, "canon.rst", text)]) == 0
         assert capsys.readouterr().out == text
+        # the diff of two such trees, differing in the innermost assignment,
+        # is one flat PAR however deep the edit sits
+        trees = [put(tmp_path, f"{v}.tree", print_tree(parse_state(
+            f"function f/0\nprogram\n{rule.replace('f := 1', f'f := {v}')}\n").value_of(Location(PGM)).tree))
+            for v in (1, 2)]
+        assert main(["diff"] + trees) == 0, depth
+        out = capsys.readouterr().out
+        assert out.startswith("PAR pgm <<= subst_at((1, 0, ") and out.endswith(" ENDPAR\nverdict equal\n")
 
 
 @pytest.mark.parametrize("argv,rule", [
@@ -365,16 +373,17 @@ def test_diff_identical_trees(tmp_path, capsys):
     rc = main(["diff", put(tmp_path, "a.tree", TREE_A), put(tmp_path, "b.tree", TREE_A)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "theta subtree@root\n" in out
-    assert "verdict equal\n" in out
+    assert out == "PAR ENDPAR\nverdict equal\n"
 
 
 def test_diff_rule_change_reuses_signature(tmp_path, capsys):
     rc = main(["diff", put(tmp_path, "a.tree", TREE_A), put(tmp_path, "b.tree", TREE_B)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.startswith("theta label_hedge(pgm, subtree@0")
-    assert "verdict equal\n" in out
+    text, verdict = out.split("\n", 1)
+    assert verdict == "verdict equal\n"
+    assert text.startswith("PAR pgm <<= subst_at((1, ") and text.endswith(" ENDPAR")
+    assert len(parse_rule(text).rules) == 1  # one edit, under the rule child; the signature is kept
 
 
 def test_diff_unreadable_input_exits_3(tmp_path, capsys):
@@ -404,6 +413,15 @@ def test_diff_non_program_tree_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_diff_of_a_context_exits_3(tmp_path, capsys, side):
+    files = [put(tmp_path, "a.tree", TREE_A), put(tmp_path, "b.tree", TREE_B)]
+    files[side] = put(tmp_path, "c.tree", TREE_A.replace("term=⟨()⟩", "^"))
+    assert main(["diff"] + files) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"diff: {files[side]} holds a context (a tree with a hole leaf), not a tree\n"
+
+
 def test_diff_signature_shrink_exits_5(tmp_path, capsys):
     rc = main(["diff", put(tmp_path, "a.tree", TREE_A),
                put(tmp_path, "b.tree", TREE_SHRUNK)])
@@ -412,11 +430,20 @@ def test_diff_signature_shrink_exits_5(tmp_path, capsys):
 
 
 def test_diff_failed_verification_exits_1(tmp_path, capsys, monkeypatch):
-    # A theta that ignores the target cannot verify; the driver must say so.
-    monkeypatch.setattr("rasm.cli.tree_diff_theta", lambda a, b: SubtreeRef(()))
+    # A rule that ignores the target cannot verify; the driver must say so.
+    monkeypatch.setattr("rasm.cli.tree_diff_rule", lambda a, b: Par(()))
     rc = main(["diff", put(tmp_path, "a.tree", TREE_A), put(tmp_path, "b.tree", TREE_B)])
     assert rc == 1
     assert "verdict different\n" in capsys.readouterr().out
+
+
+def test_diff_inconsistent_rule_exits_1(tmp_path, capsys, monkeypatch):
+    # Two edits of one node clash, so the step stutters and pgm keeps the
+    # old tree; that it equals the new one does not make the rule verify.
+    clash = parse_rule("PAR " + " ".join(f"pgm <<= subst_at((1, 0, 2), #term=⟨⟦{v}⟧⟩)" for v in (7, 8)) + " ENDPAR")
+    monkeypatch.setattr("rasm.cli.tree_diff_rule", lambda a, b: clash)
+    assert main(["diff", put(tmp_path, "a.tree", TREE_A), put(tmp_path, "b.tree", TREE_A)]) == 1
+    assert capsys.readouterr().out.endswith("verdict different\n")
 
 
 # -------------------------------------------------------------------- check

@@ -172,10 +172,6 @@ RECURSIVE_WALKS = {
     "printer._value_text",
     "printer._term_text",
     "printer.print_rule",
-    "treediff.eval_algebra",
-    "treediff.serialize_algebra",
-    "treediff.tree_diff_theta.build",
-    "treediff.tree_diff_updates.walk",
 }
 
 

@@ -1,4 +1,4 @@
-"""Diffing self-representation trees: algebra expressions and shared updates."""
+"""Diffing self-representation trees: shared updates and the rule that writes them."""
 
 import random
 
@@ -8,20 +8,12 @@ from rasm.encoding import drop_program
 from rasm.errors import DiffError
 from rasm.evaluator import eval_rule
 from rasm.parser import parse_rule
+from rasm.printer import print_rule
 from rasm.state import FunctionSymbol, Location, PGM, Signature, State
 from rasm.terms import Literal, Par, PartialAssign
-from rasm.treediff import (
-    ExtendRight,
-    Rebuild,
-    SubtreeRef,
-    TreeLiteral,
-    eval_algebra,
-    serialize_algebra,
-    tree_diff_theta,
-    tree_diff_updates,
-)
-from rasm.updates import Update, collapse
-from rasm.values import Natural, TreeVal
+from rasm.treediff import tree_diff_rule, tree_diff_updates
+from rasm.updates import Update, apply_update_set, collapse
+from rasm.values import Natural, TreeVal, TupleVal
 from conftest import random_program_pair
 
 
@@ -33,69 +25,46 @@ def prog(rule_text, *extra_syms):
     return drop_program(sig, parse_rule(rule_text))
 
 
-def test_identical_trees_diff_to_root_reference():
+def test_identical_trees_diff_to_the_empty_rule():
     t = prog("f := 1")
-    theta = tree_diff_theta(t, t)
-    assert theta == SubtreeRef(())
+    assert tree_diff_rule(t, t) == Par(())
     assert len(tree_diff_updates(t, t)) == 0
 
 
 def test_rule_change_reuses_signature_subtree():
+    # the signature is child 0 of the root; no edit reaches into it
     t1 = prog("f := 1")
     t2 = prog("f := 2")
-    theta = tree_diff_theta(t1, t2)
-    assert isinstance(theta, Rebuild)
-    sig_part = theta.parts[0]
-    assert sig_part == SubtreeRef((0,))  # signature unchanged, referenced
-    assert eval_algebra(theta, t1) == t2
+    rule = tree_diff_rule(t1, t2)
+    assert rule.rules and all(r.operands[0].value.items[0] == Natural(1) for r in rule.rules)
 
 
-def test_theta_evaluates_to_target_on_random_pairs():
+def test_rule_evaluates_to_target_on_random_pairs():
+    """The rule runs as a self-rewriting step would: pgm holds the old tree."""
     rng = random.Random(67)
+    sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0), FunctionSymbol("g", 1)))
     for _ in range(100):
         t1, t2 = random_program_pair(rng)
-        theta = tree_diff_theta(t1, t2)
-        assert eval_algebra(theta, t1) == t2
+        s = State(sig, {Location(PGM): TreeVal(t1)})
+        us = collapse(s, eval_rule(s, {}, tree_diff_rule(t1, t2)))
+        assert us.consistent
+        assert apply_update_set(s, us)[Location(PGM)] == TreeVal(t2)
 
 
 def test_signature_growth_is_one_right_extension():
     t1 = prog("f := 1")
     t2 = prog("f := 1", ("g", 1))
-    theta = tree_diff_theta(t1, t2)
-    assert isinstance(theta, Rebuild)
-    ext = theta.parts[0]
-    assert isinstance(ext, ExtendRight)
-    assert ext.base == SubtreeRef((0,))
-    assert len(ext.extras) == 1 and isinstance(ext.extras[0], TreeLiteral)
-    assert eval_algebra(theta, t1) == t2
-
-
-def test_reuse_prefers_topmost_leftmost():
-    # two identical subrules: references must point at the first occurrence
-    t1 = prog("PAR f := 9 f := 9 ENDPAR")
-    t2 = prog("PAR f := 9 f := 8 ENDPAR")
-    theta = tree_diff_theta(t1, t2)
-    refs = []
-
-    def walk(e):
-        if isinstance(e, SubtreeRef):
-            refs.append(e.path)
-        elif isinstance(e, (Rebuild, ExtendRight)):
-            parts = e.parts if isinstance(e, Rebuild) else (e.base,) + e.extras
-            for p in parts:
-                walk(p)
-
-    walk(theta)
-    first_update = (1, 0, 0)
-    assert any(p == first_update for p in refs)
-    assert all(p != (1, 0, 1) for p in refs), "reference skipped the leftmost copy"
+    (r,) = tree_diff_rule(t1, t2).rules
+    assert r.op == "extend_at"
+    assert r.operands[0] == Literal(TupleVal((Natural(0),)))
+    assert len(r.operands) == 2 and isinstance(r.operands[1].value, TreeVal)
 
 
 def test_diff_rejects_signature_shrink():
     t1 = prog("f := 1", ("g", 1))
     t2 = prog("f := 1")
     with pytest.raises(DiffError, match="signature-shrunk"):
-        tree_diff_theta(t1, t2)
+        tree_diff_rule(t1, t2)
     with pytest.raises(DiffError, match="signature-shrunk"):
         tree_diff_updates(t1, t2)
 
@@ -105,7 +74,7 @@ def test_diff_requires_program_trees():
     from rasm.trees import Tree, leaf
 
     with pytest.raises(EncodingError):
-        tree_diff_theta(Tree(leaf("x")), Tree(leaf("x")))
+        tree_diff_rule(Tree(leaf("x")), Tree(leaf("x")))
 
 
 def test_updates_collapse_to_single_root_update():
@@ -130,6 +99,8 @@ def test_many_disjoint_edits_collapse_to_the_new_tree(k):
     t2 = prog("PAR " + " ".join(f"f := {i + 100}" for i in range(k)) + " ENDPAR")
     um = tree_diff_updates(t1, t2)
     assert len(um) == k
+    paths = [u.args[0].items for u in um]
+    assert paths == sorted(paths)  # preorder, as the rule prints them
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
     us = collapse(State(sig, {Location(PGM): TreeVal(t1)}), um)
     assert us.consistent
@@ -174,7 +145,8 @@ def test_updates_reach_target_on_random_pairs():
 
 
 def test_differ_updates_are_rule_updates():
-    """Every differ update is one a rule `pgm <<= op(literal args)` yields."""
+    """Every differ update is one a rule `pgm <<= op(literal args)` yields,
+    and the diff rule is exactly those rules, printed so it parses back."""
     rng = random.Random(72)
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0), FunctionSymbol("g", 1)))
     for _ in range(100):
@@ -182,15 +154,15 @@ def test_differ_updates_are_rule_updates():
         um = tree_diff_updates(t1, t2)
         s = State(sig, {Location(PGM): TreeVal(t1)})
         rule = Par(tuple(PartialAssign(PGM, (), u.op, tuple(map(Literal, u.args))) for u in um))
+        assert tree_diff_rule(t1, t2) == rule
         assert eval_rule(s, {}, rule) == um
+        assert parse_rule(print_rule(rule)) == rule
 
 
-def test_serialize_forms():
+def test_rule_prints_as_one_flat_par():
     t1 = prog("f := 1")
     t2 = prog("f := 2")
-    assert serialize_algebra(SubtreeRef(())) == "subtree@root"
-    assert serialize_algebra(SubtreeRef((1, 0))) == "subtree@1.0"
-    text = serialize_algebra(tree_diff_theta(t1, t2))
-    assert text.startswith("label_hedge(pgm, subtree@0, ")
-    lit = serialize_algebra(TreeLiteral(t2))
-    assert lit.startswith("#pgm⟨")
+    assert print_rule(tree_diff_rule(t1, t1)) == "PAR ENDPAR"
+    text = print_rule(tree_diff_rule(t1, t2))
+    assert text.startswith("PAR pgm <<= subst_at((1, 0, ") and text.endswith(") ENDPAR")
+    assert text.count("<<=") == 1
