@@ -430,7 +430,7 @@ def test_diff_signature_shrink_exits_5(tmp_path, capsys):
 
 
 def test_diff_failed_verification_exits_1(tmp_path, capsys, monkeypatch):
-    # A rule that ignores the target cannot verify; the driver must say so.
+    # A rule that ignores the target cannot verify; `diff` must say so.
     monkeypatch.setattr("rasm.cli.tree_diff_rule", lambda a, b: Par(()))
     rc = main(["diff", put(tmp_path, "a.tree", TREE_A), put(tmp_path, "b.tree", TREE_B)])
     assert rc == 1
