@@ -34,7 +34,7 @@ from .errors import (
     RasmError,
     TreeAlgebraError,
 )
-from .evaluator import eval_comprehension, eval_rule, eval_term
+from .evaluator import eval_rule, eval_term
 from .machine import StepReport, run, step, validate_initial
 from .parser import parse_rule, parse_state, parse_term, parse_tree, parse_value
 from .printer import (
@@ -48,7 +48,7 @@ from .printer import (
 )
 from .state import FunctionSymbol, Location, Signature, State, rename_state
 from .treediff import tree_diff_rule, tree_diff_updates
-from .trees import Context, Hedge, Tree
+from .trees import Context, Tree
 from .updates import SharedUpdate, Update, UpdateMultiset, UpdateSet, collapse
 from .values import (
     FALSE,

@@ -53,12 +53,13 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .errors import EvalError, TreeAlgebraError
 from .state import Location, Signature, State
 from . import terms as T
-from .trees import subtree
+from .trees import Context, Tree, concat_hedges, context_at, label_hedge, subst_cc, subst_ct, subtree
 from .updates import COLLAPSE_OPS, SharedUpdate, Update, UpdateMultiset, _as_path, _tree_arg
 from .values import (
     FALSE,
     TRUE,
     UNDEF,
+    Atom,
     Boolean,
     Multiset,
     Natural,
@@ -116,17 +117,6 @@ def _op_proj(args: list[Value]) -> Value:
     return UNDEF
 
 
-def _op_subtree_at(args: list[Value]) -> Value:
-    # Same tree and path decoding as the collapse side.
-    t, p = _tree_arg(args[0]), _as_path(args[1])
-    if t is None or p is None:
-        return UNDEF
-    try:
-        return TreeVal(subtree(t, p))
-    except TreeAlgebraError:
-        return UNDEF
-
-
 def _collapse_as_term_op(name: str) -> Callable[[list[Value]], Value]:
     op = COLLAPSE_OPS[name]
 
@@ -159,6 +149,35 @@ def _binary(raw: Callable, wrap: Callable, naturals: bool) -> _BgOp:
     return _BgOp(2, fn, True, raw, wrap, naturals)
 
 
+def _tree_op(fn: Callable, *decoders: Callable[[Value], object]) -> _BgOp:
+    """A `trees` operation over its arguments, each decoded by its decoder
+    into a tree or a context (`_tree_arg`), a path (`_as_path`), a label
+    (an atom) or a hedge (a tuple of tree values).  A tree or context it
+    returns is a tree value, a hedge a tuple of them; an argument that does
+    not decode, or a `TreeAlgebraError`, gives undef, so the operation is
+    total."""
+    def run(args: list[Value]) -> Value:
+        decoded = [decode(a) for decode, a in zip(decoders, args)]
+        if None in decoded:
+            return UNDEF
+        try:
+            out = fn(*decoded)
+        except TreeAlgebraError:
+            return UNDEF
+        return TupleVal(tuple(map(TreeVal, out))) if type(out) is tuple else TreeVal(out)
+    return _BgOp(len(decoders), run)
+
+
+def _hedge_arg(v: Value) -> tuple[Tree, ...] | None:
+    trees = tuple(map(_tree_arg, v.items)) if isinstance(v, TupleVal) else (None,)
+    return None if None in trees else trees
+
+
+def _label_arg(v: Value) -> str | None:
+    return v.name if isinstance(v, Atom) else None
+
+
+_context_arg = partial(_tree_arg, kind=Context)
 _truth = (FALSE, TRUE).__getitem__  # a bool as a truth value, with no Python frame
 _natural = partial(int.__new__, Natural)  # raw results on naturals are >= 0: no range check
 
@@ -179,7 +198,12 @@ BACKGROUND_OPS: dict[str, _BgOp] = {
     "mul": _binary(operator.mul, _natural, True),
     "sub": _binary(lambda a, b: a - b if a > b else 0, _natural, True),  # monus, naturals only
     "proj": _BgOp(2, _op_proj),
-    "subtree_at": _BgOp(2, _op_subtree_at),
+    "subtree_at": _tree_op(subtree, _tree_arg, _as_path),
+    "context_at": _tree_op(context_at, _tree_arg, _as_path, _as_path),
+    "subst_cc": _tree_op(subst_cc, _context_arg, _context_arg),
+    "subst_ct": _tree_op(subst_ct, _context_arg, _tree_arg),
+    "label_hedge": _tree_op(label_hedge, _label_arg, _hedge_arg),
+    "concat_hedges": _tree_op(concat_hedges, _hedge_arg, _hedge_arg),
     # Collapse operators double as term operators: first argument plays the
     # role of the current value.
     "munion": _BgOp(None, _collapse_as_term_op("munion"), total=False),
@@ -206,16 +230,6 @@ def _compiled(t: T.Term, sig: Signature) -> TermFn:
 
 def eval_term(s: State, env: Env, t: T.Term) -> Value:
     return _compiled(t, s.signature)(s, env)
-
-
-def eval_comprehension(s: State, env: Env, mc: T.Comprehension) -> Multiset:
-    """Multiset of head values over all satisfying binder assignments.
-
-    Binders range over the active domain in canonical order; an empty binder
-    tuple quantifies over the single empty assignment.  Multiplicities count
-    assignments, so duplicate head values accumulate.
-    """
-    return _compiled(mc, s.signature)(s, env)
 
 
 def _raiser(code: str, message: str, head: str | None = None) -> Callable:

@@ -6,6 +6,12 @@ with the hole marker ``^`` (rendered that way in canonical text); substituting
 a tree for the hole turns it back into a tree.  A hedge is a finite sequence
 of trees (possibly empty).
 
+The operations at the end of this module are the background tree algebra a
+rule reaches through `evaluator.BACKGROUND_OPS`: the selectors `subtree` (as
+`subtree_at`) and `context_at`, the substitutions `subst_cc` and `subst_ct`,
+and the hedge operations `label_hedge` and `concat_hedges`.  `subst_tt` is
+the one rewrite behind the tree collapse operators of `updates`.
+
 A node is named by its path: the tuple of child indexes leading to it from
 the root, which is ``()``.  Paths are the only node address; there are no
 node ids.  Every operation returns a new tree and leaves its inputs alone,
@@ -180,26 +186,17 @@ class Context(_TreeBase):
         return tuple(path)
 
 
-HOLE = Context(Node(XI))  # the trivial context
-
-Hedge = tuple[Tree, ...]
-
-
-def _splice(root: Node, path: Path, items: tuple[Node, ...]) -> Node:
-    """`root` with the node at `path` replaced by `items`, spliced in place.
+def _splice(root: Node, path: Path, new: Node) -> Node:
+    """`root` with the node at `path` replaced by `new`.
 
     The path is checked on the way down and the spine above it is rebuilt
-    bottom-up in a loop, so depth costs no recursion.  Only one item can
-    replace the root.
+    bottom-up in a loop, so depth costs no recursion.
     """
     spine = _spine(root, path)
-    if not path and len(items) != 1:
-        code = "empty-hedge-at-root" if not items else "hedge-at-root"
-        raise TreeAlgebraError(code, f"cannot splice {len(items)} trees at the root")
     for parent, i in zip(reversed(spine[:-1]), reversed(path)):
         kids = parent.children
-        items = (Node(parent.label, kids[:i] + items + kids[i + 1:], parent.value),)
-    return items[0]
+        new = Node(parent.label, kids[:i] + (new,) + kids[i + 1:], parent.value)
+    return new
 
 
 # ---------------------------------------------------------------- selectors
@@ -221,36 +218,27 @@ def context_at(t: _TreeBase, p1: Path, p2: Path) -> Context:
     """
     if len(p2) <= len(p1) or p2[: len(p1)] != p1:
         raise TreeAlgebraError("not-an-ancestor", f"node {p1} is not a strict ancestor of {p2}")
-    return Context(_splice(t.at(p1), p2[len(p1):], (Node(XI),)))
+    return Context(_splice(t.at(p1), p2[len(p1):], Node(XI)))
 
 
 # ------------------------------------------------------------ substitutions
 
 def subst_tt(t1: Tree, path: Path, t2: Tree) -> Tree:
     """t1 with the largest subtree at `path` replaced by t2."""
-    return Tree(_splice(t1.root_node, path, (t2.root_node,)))
-
-
-def subst_tc(t1: Tree, path: Path, c: Context = HOLE) -> Context:
-    """t1 with the subtree at `path` replaced by the context c.
-
-    With the trivial context this punches a hole at `path`; the general form
-    is the shortcut composition through the trivial-hole intermediate.
-    """
-    return subst_cc(Context(_splice(t1.root_node, path, (Node(XI),))), c)
+    return Tree(_splice(t1.root_node, path, t2.root_node))
 
 
 def subst_cc(c1: Context, c2: Context) -> Context:
     """c1 with its hole replaced by c2 (context composition)."""
-    return Context(_splice(c1.root_node, c1.hole, (c2.root_node,)))
+    return Context(_splice(c1.root_node, c1.hole, c2.root_node))
 
 
 def subst_ct(c: Context, t: Tree) -> Tree:
     """c with its hole replaced by t; no hole remains."""
-    return Tree(_splice(c.root_node, c.hole, (t.root_node,)))
+    return Tree(_splice(c.root_node, c.hole, t.root_node))
 
 
-# ---------------------------------------------------------------- operators
+# ------------------------------------------------------------------ hedges
 
 def label_hedge(a: str, h: Sequence[Tree]) -> Tree:
     """A new root labelled `a` over the hedge's trees (empty hedge: a leaf)."""
@@ -259,42 +247,5 @@ def label_hedge(a: str, h: Sequence[Tree]) -> Tree:
     return Tree(Node(a, tuple(t.root_node for t in h)))
 
 
-def label_context(a: str, c: Context) -> Context:
-    """A new root labelled `a` over the context."""
-    if a == XI:
-        raise TreeAlgebraError("xi-label-forbidden", "the hole label cannot label a new root")
-    return Context(Node(a, (c.root_node,)))
-
-
-def left_extend(h: Sequence[Tree], c: Context) -> Context:
-    """Prepend the hedge's trees to the root children of c."""
-    root = c.root_node
-    if root.label == XI:
-        raise TreeAlgebraError("trivial-context-not-extendable", "cannot extend the trivial context")
-    return Context(Node(root.label, tuple(t.root_node for t in h) + root.children, root.value))
-
-
-def right_extend(h: Sequence[Tree], c: Context) -> Context:
-    """Append the hedge's trees to the root children of c."""
-    root = c.root_node
-    if root.label == XI:
-        raise TreeAlgebraError("trivial-context-not-extendable", "cannot extend the trivial context")
-    return Context(Node(root.label, root.children + tuple(t.root_node for t in h), root.value))
-
-
-def concat_hedges(h1: Sequence[Tree], h2: Sequence[Tree]) -> Hedge:
+def concat_hedges(h1: Sequence[Tree], h2: Sequence[Tree]) -> tuple[Tree, ...]:
     return tuple(h1) + tuple(h2)
-
-
-def inject_hedge(c: Context, h: Sequence[Tree]) -> Tree:
-    """Replace the hole by the hedge's trees spliced at the hole position.
-
-    An empty (or multi-tree) hedge needs the hole to sit below the root: the
-    result must still be a single non-empty tree.
-    """
-    return Tree(_splice(c.root_node, c.hole, tuple(t.root_node for t in h)))
-
-
-def inject_context(c1: Context, c2: Context) -> Context:
-    """Replace c1's hole by the context c2 (alias of composition)."""
-    return subst_cc(c1, c2)

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import EvalError, RasmError
 from .state import Location, State
-from .trees import Node, Tree, TreeAlgebraError, subst_tt
+from .trees import Context, Node, Tree, TreeAlgebraError, subst_tt
 from .values import UNDEF, Multiset, Natural, TreeVal, TupleVal, Value, value_key
 
 
@@ -139,8 +139,9 @@ def _as_path(v: Value) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _tree_arg(v: Value) -> Tree | None:
-    if isinstance(v, TreeVal) and isinstance(v.tree, Tree):
+def _tree_arg(v: Value, kind: type = Tree) -> Tree | Context | None:
+    # `kind=Context` decodes a context instead of a tree.
+    if isinstance(v, TreeVal) and isinstance(v.tree, kind):
         return v.tree
     return None
 

@@ -21,7 +21,7 @@ from rasm.conformance import (
 )
 from rasm.encoding import as_program, drop_rule, raise_rule
 from rasm.errors import MachineError, RasmError
-from rasm.evaluator import eval_rule
+from rasm.evaluator import eval_rule, eval_term
 from rasm.machine import run, step
 from rasm.naive import naive_eval_rule
 from rasm.parser import parse_rule, parse_state
@@ -43,7 +43,7 @@ from rasm.updates import (
     _apply_shared,
     collapse,
 )
-from rasm.values import Atom, Multiset, Natural, TreeVal
+from rasm.values import Atom, Multiset, Natural, TreeVal, TupleVal
 from conftest import (
     random_context,
     random_program_pair,
@@ -53,7 +53,7 @@ from conftest import (
 )
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
-DEMO_STEPS = (("increment", 10), ("self_rewrite", 2), ("grow_signature", 2))
+DEMO_STEPS = (("increment", 10), ("self_rewrite", 2), ("grow_signature", 2), ("move_subrule", 2))
 
 
 def gate(name, failures):
@@ -71,12 +71,37 @@ def _xi_count(n):
     return int(n.label == XI) + sum(_xi_count(c) for c in n.children)
 
 
+def _lit(x):
+    """A tree or context, or a tuple of naturals or of trees (a path or a
+    hedge), as a literal term; a term stays as it is."""
+    if isinstance(x, T.Term):
+        return x
+    if isinstance(x, tuple):
+        return T.Literal(TupleVal(tuple(Natural(i) if isinstance(i, int) else TreeVal(i) for i in x)))
+    return T.Literal(TreeVal(x))
+
+
+def _op(name, *args):
+    return T.BackgroundOp(name, tuple(map(_lit, args)))
+
+
+def _holes(v):
+    return _xi_count(v.tree.root_node) if isinstance(v, TreeVal) else None
+
+
 def test_tree_algebra_laws():
     """1,000 random trees/contexts (depth <= 6, branching <= 4), under 10 s:
     decomposition identity, composition associativity, concat monoid laws,
-    and hole-count invariants."""
+    and hole-count invariants, each checked directly and again through
+    `eval_term`, as a rule reaches them, on background-operation terms over
+    literal tree values."""
     rng = random.Random(2026)
     failures = []
+    s = State(Signature(()), {})
+
+    def ev(term):
+        return eval_term(s, {}, term)
+
     t0 = time.monotonic()
     for i in range(1000):
         t = random_tree(rng)
@@ -87,9 +112,14 @@ def test_tree_algebra_laws():
             p = rng.choice(below)
             if subst_ct(context_at(t, (), p), subtree(t, p)) != t:
                 failures.append(("decomposition", i))
+            if ev(_op("subst_ct", _op("context_at", t, (), p), _op("subtree_at", t, p))) != TreeVal(t):
+                failures.append(("decomposition-by-rule", i))
 
         if subst_cc(subst_cc(c1, c2), c3) != subst_cc(c1, subst_cc(c2, c3)):
             failures.append(("composition-associativity", i))
+        left = ev(_op("subst_cc", _op("subst_cc", c1, c2), c3))
+        if left != ev(_op("subst_cc", c1, _op("subst_cc", c2, c3))) or left != TreeVal(subst_cc(c1, subst_cc(c2, c3))):
+            failures.append(("composition-associativity-by-rule", i))
 
         h1 = tuple(random_tree(rng, depth=2) for _ in range(rng.randrange(3)))
         h2 = tuple(random_tree(rng, depth=2) for _ in range(rng.randrange(3)))
@@ -98,6 +128,11 @@ def test_tree_algebra_laws():
             failures.append(("concat-identity", i))
         if concat_hedges(concat_hedges(h1, h2), h3) != concat_hedges(h1, concat_hedges(h2, h3)):
             failures.append(("concat-associativity", i))
+        if ev(_op("concat_hedges", h1, ())) != _lit(h1).value or ev(_op("concat_hedges", (), h1)) != _lit(h1).value:
+            failures.append(("concat-identity-by-rule", i))
+        left = ev(_op("concat_hedges", _op("concat_hedges", h1, h2), h3))
+        if left != ev(_op("concat_hedges", h1, _op("concat_hedges", h2, h3))) or left != _lit(h1 + h2 + h3).value:
+            failures.append(("concat-associativity-by-rule", i))
 
         if _xi_count(t.root_node) != 0:
             failures.append(("tree-has-a-hole", i))
@@ -107,6 +142,10 @@ def test_tree_algebra_laws():
             failures.append(("composition-hole-count", i))
         if _xi_count(subst_ct(c1, t).root_node) != 0:
             failures.append(("plugged-hole-count", i))
+        if _holes(ev(_op("subst_cc", c1, c2))) != 1:
+            failures.append(("composition-hole-count-by-rule", i))
+        if _holes(ev(_op("subst_ct", c1, t))) != 0:
+            failures.append(("plugged-hole-count-by-rule", i))
     elapsed = time.monotonic() - t0
     if elapsed >= 10.0:
         failures.append(("over-time-budget", elapsed))
@@ -214,8 +253,9 @@ def test_collapse_permutation_fold():
 # --------------------------------------------------------- reflection demos
 
 def test_reflection_demos():
-    """The three checked-in demos against their hand-evaluated traces:
-    static increment, self-rewrite, signature growth."""
+    """The four checked-in demos against their hand-evaluated traces:
+    static increment, self-rewrite, signature growth, and a subrule moved
+    by an assignment to pgm built from the tree algebra."""
     failures = []
 
     def traced(name, steps):
@@ -242,6 +282,13 @@ def test_reflection_demos():
         failures.append(("grow_signature", "g-not-assigned"))
     if final.signature.lookup("g") is None:
         failures.append(("grow_signature", "g-not-in-signature"))
+
+    reps = traced("move_subrule", 2)
+    if reps[-1].next.value_of(Location("g")) != Natural(2):
+        failures.append(("move_subrule", "g-not-2"))
+    moved = reps[0].next.value_of(PGM_LOCATION)
+    if as_program(moved.tree).rule != parse_rule("PAR f := 1 g := f + 1 ENDPAR"):
+        failures.append(("move_subrule", "rule-not-moved"))
     gate("reflection-demos", failures)
 
 

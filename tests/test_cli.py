@@ -49,6 +49,7 @@ def put(tmp_path, name, text):
     ("increment", 10),
     ("self_rewrite", 2),
     ("grow_signature", 2),
+    ("move_subrule", 2),
 ])
 def test_run_reproduces_golden_trace(tmp_path, name, steps):
     out = tmp_path / "got.trace"

@@ -16,7 +16,7 @@ from rasm.naive import naive_eval_rule
 from rasm.parser import parse_rule, parse_term
 from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm.terms import Apply, Assign, BackgroundOp, Comprehension, Forall, If, Let, Literal, Par, Var
-from rasm.trees import Tree, leaf, node
+from rasm.trees import XI, Context, Node, Tree, leaf, node
 from rasm.updates import SharedUpdate, Update, UpdateMultiset
 from rasm.values import FALSE, TRUE, UNDEF, Atom, Boolean, Multiset, Natural, TreeVal, TupleVal
 from conftest import count_lookups
@@ -301,9 +301,9 @@ def relational_state(p=(), value=TRUE):
 def test_operations_marked_total_never_raise():
     # Narrowing skips bindings unevaluated, so a guard operation marked
     # total must return a value, possibly undef, on any arguments.
-    tree = TreeVal(Tree(node("r", leaf("a"))))
-    sample = (UNDEF, TRUE, FALSE, Natural(0), Natural(1), Atom("a"),
-              TupleVal((Natural(0),)), TupleVal(()), Multiset((Natural(1),)), tree)
+    tree, context = TreeVal(Tree(node("r", leaf("a")))), TreeVal(Context(node("r", Node(XI))))
+    sample = (UNDEF, TRUE, FALSE, Natural(0), Natural(1), Atom("a"), TupleVal((Natural(0),)),
+              TupleVal(()), Multiset((Natural(1),)), tree, context, TupleVal((tree, tree)))
     for name, op in BACKGROUND_OPS.items():
         if op.total:
             for n in (op.arity,) if op.arity is not None else range(3):

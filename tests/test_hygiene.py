@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is used in that module,
-every name a module defines is read somewhere, every layer the benchmark's
+every name a module defines is read somewhere, every tree operation is
+imported by another module of the package, every layer the benchmark's
 tracer wraps still exists, the parser, the printer and the evaluator
 agree on every background operation, and the scalar values and locations
 hash and compare through their builtins' C slots.
@@ -106,6 +107,21 @@ def test_every_defined_name_is_read():
             if name not in loaded and (path.stem, name) not in imported_from and name not in attributes:
                 unread.append(f"{path.stem}.{name} (line {line})")
     assert not unread, f"names defined but never read: {', '.join(sorted(unread))}"
+
+
+def test_every_tree_operation_is_imported_by_another_module():
+    """Stricter than the test above, which counts tests as readers: every
+    public function of `trees.py` is imported by another module of the
+    package, so that a rule reaches it, and none lives only for tests."""
+    tree = ast.parse((SRC / "trees.py").read_text(encoding="utf-8"))
+    public = {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    imported = set()
+    for path in MODULES:
+        if path.name != "trees.py":
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(n, ast.ImportFrom) and n.module == "trees":
+                    imported |= {a.name for a in n.names}
+    assert not public - imported, f"trees.py functions no other module imports: {sorted(public - imported)}"
 
 
 def test_every_bench_layer_has_a_site():

@@ -15,7 +15,7 @@ from rasm.machine import DEFAULT_MAX_STEPS, StepReport, run, step, validate_init
 from rasm.parser import parse_rule, parse_state
 from rasm.state import FunctionSymbol, Location, PGM_LOCATION, Signature, State
 from rasm.terms import Assign, Literal, Par
-from rasm.trees import leaf, node, subst_tc, subst_tt
+from rasm.trees import XI, Context, Node, context_at, leaf, node, subst_tt
 from rasm.updates import collapse
 from rasm.values import UNDEF, Natural, TreeVal, TupleVal
 from conftest import forget_raises, random_machine, random_rule, random_state
@@ -80,7 +80,8 @@ def test_context_valued_pgm_is_a_malformed_program_tree():
     s = make_state("f := 1")
     t = s.value_of(PGM_LOCATION).tree
     for p, _n in t.iter_nodes():  # a hole anywhere, the signature and rule included
-        punched = State(s.signature, {**s.interp, PGM_LOCATION: TreeVal(subst_tc(t, p))})
+        c = context_at(t, (), p) if p else Context(Node(XI))  # at the root, the bare hole
+        punched = State(s.signature, {**s.interp, PGM_LOCATION: TreeVal(c)})
         with pytest.raises(EncodingError, match="malformed-program-tree"):
             step(punched)
 

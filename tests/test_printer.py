@@ -16,7 +16,7 @@ from rasm.printer import (
     rule_hash,
 )
 from rasm.state import Location
-from rasm.trees import Context, HOLE, Tree, leaf, node
+from rasm.trees import XI, Context, Node, Tree, leaf, node
 from rasm.values import UNDEF, Atom, Multiset, Natural, TupleVal
 
 
@@ -40,8 +40,8 @@ def test_multiset_prints_canonically_sorted():
 def test_tree_forms():
     assert print_tree(Tree(leaf("a"))) == "a"
     assert print_tree(Tree(node("a", leaf("b"), leaf("c", Natural(1))))) == "a⟨b c=⟨1⟩⟩"
-    assert print_tree(Context(HOLE.root_node)) == "^"
-    assert print_tree(Context(node("a", HOLE.root_node))) == "a⟨^⟩"
+    assert print_tree(Context(Node(XI))) == "^"
+    assert print_tree(Context(node("a", Node(XI)))) == "a⟨^⟩"
 
 
 def test_term_precedence_minimal_parens():

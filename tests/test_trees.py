@@ -1,4 +1,4 @@
-"""Tree algebra: selectors, substitutions, operators, and their laws.
+"""Tree algebra: selectors, substitutions, hedge operations, and their laws.
 
 Structural results are cross-checked against naive oracles that work on
 plain nested tuples, written here from the definitions and sharing no code
@@ -20,28 +20,23 @@ from rasm.parser import parse_tree
 from rasm.printer import print_tree
 from rasm.state import PGM_LOCATION, State, atoms_of_state, rename_state
 from rasm.trees import (
-    HOLE,
     XI,
     Context,
     Node,
     Tree,
     concat_hedges,
     context_at,
-    inject_context,
-    inject_hedge,
-    label_context,
     label_hedge,
     leaf,
-    left_extend,
     node,
-    right_extend,
     subst_cc,
     subst_ct,
-    subst_tc,
     subst_tt,
     subtree,
 )
 from rasm.values import TRUE, Natural, TreeVal
+
+TRIVIAL = Context(Node(XI))  # the trivial context, a bare hole
 
 # ------------------------------------------------------------ naive oracle
 # Shape: (label, value, (child, ...)); built by recursion only.
@@ -154,28 +149,18 @@ def test_context_at_requires_strict_ancestor():
     assert shape(context_at(t, (0,), (0, 0)).root_node) == ("b", None, ((XI, None, ()),))
 
 
-def test_subst_tc_trivial_and_general_agree():
-    # The general form is defined as composition through the punched hole.
-    rng = random.Random(15)
-    for _ in range(100):
-        t = random_tree(rng, depth=4)
-        p = rng.choice(_all_paths(t))
-        c = random_context(rng, depth=3)
-        assert subst_tc(t, p, c) == subst_cc(subst_tc(t, p, HOLE), c)
-
-
 def test_subst_cc_identities_and_associativity():
     rng = random.Random(16)
     for _ in range(100):
         c1, c2, c3 = (random_context(rng, depth=3) for _ in range(3))
-        assert subst_cc(HOLE, c1) == c1
-        assert subst_cc(c1, HOLE) == c1
+        assert subst_cc(TRIVIAL, c1) == c1
+        assert subst_cc(c1, TRIVIAL) == c1
         assert subst_cc(subst_cc(c1, c2), c3) == subst_cc(c1, subst_cc(c2, c3))
 
 
 def test_subst_ct_trivial_context():
     t = Tree(node("a", leaf("b", 3)))
-    assert subst_ct(HOLE, t) == t
+    assert subst_ct(TRIVIAL, t) == t
 
 
 def test_label_hedge():
@@ -186,53 +171,11 @@ def test_label_hedge():
         label_hedge(XI, (t1,))
 
 
-def test_label_context():
-    c = label_context("a", HOLE)
-    assert shape(c.root_node) == ("a", None, ((XI, None, ()),))
-    assert shape(label_context("b", c).root_node) == ("b", None, (("a", None, ((XI, None, ()),)),))
-    with pytest.raises(TreeAlgebraError, match="xi-label-forbidden"):
-        label_context(XI, HOLE)
-
-
-def test_left_right_extend():
-    t1, t2 = Tree(leaf("p")), Tree(leaf("q"))
-    c = Context(node("a", leaf("u"), Node(XI)))
-    assert shape(left_extend((t1,), c).root_node) == ("a", None, (("p", None, ()), ("u", None, ()), (XI, None, ())))
-    assert shape(right_extend((t1, t2), c).root_node) == (
-        "a", None, (("u", None, ()), (XI, None, ()), ("p", None, ()), ("q", None, ())))
-    assert left_extend((), c) == c
-    assert right_extend((), c) == c
-    with pytest.raises(TreeAlgebraError, match="trivial-context-not-extendable"):
-        left_extend((t1,), HOLE)
-
-
 def test_concat_hedges():
     t1, t2, t3 = (Tree(leaf(x)) for x in "abc")
     assert concat_hedges((), (t1,)) == (t1,)
     assert concat_hedges((t1,), ()) == (t1,)
     assert concat_hedges((t1,), (t2, t3)) == (t1, t2, t3)
-
-
-def test_inject_hedge():
-    c = Context(node("a", leaf("b"), Node(XI)))
-    t1, t2 = Tree(leaf("p")), Tree(leaf("q"))
-    assert shape(inject_hedge(c, (t1, t2)).root_node) == (
-        "a", None, (("b", None, ()), ("p", None, ()), ("q", None, ())))
-    # zero-tree splice removes the hole position entirely
-    assert shape(inject_hedge(c, ()).root_node) == ("a", None, (("b", None, ()),))
-    assert inject_hedge(HOLE, (t1,)) == t1
-    with pytest.raises(TreeAlgebraError, match="empty-hedge-at-root"):
-        inject_hedge(HOLE, ())
-    with pytest.raises(TreeAlgebraError, match="hedge-at-root"):
-        inject_hedge(HOLE, (t1, t2))
-
-
-def test_inject_context_is_composition():
-    rng = random.Random(17)
-    for _ in range(50):
-        c1, c2 = random_context(rng, depth=3), random_context(rng, depth=3)
-        assert inject_context(c1, c2) == subst_cc(c1, c2)
-        assert inject_context(c1, HOLE) == c1
 
 
 def test_trees_equal_is_order_sensitive():
@@ -366,8 +309,10 @@ def test_depth_5000_chain_is_edited_without_recursion():
     assert c.hole == bottom
     assert context_at(t, (0,) * 10, bottom).hole == bottom[10:]
     assert subst_ct(c, Tree(leaf("z"))).at(bottom).label == "z"
-    assert subst_tc(t, bottom).hole == bottom
-    assert inject_hedge(c, ()).at(bottom[1:]).is_leaf
+    assert subst_ct(c, t).at(bottom + bottom).value == 1
+    assert subst_cc(c, Context(node("b", Node(XI)))).hole == bottom + (0,)
+    assert subst_cc(Context(node("b", Node(XI))), c).hole == (0,) + bottom
+    assert label_hedge("w", (t, t)).at((1,) + bottom).value == 1
 
 
 # ------------------------------------------------------ hash-consed nodes
