@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import machine
-from .encoding import FORM_OF, as_program, beta_rule
+from .encoding import as_program, beta_rule, subrules
 from .errors import RasmError
 from .evaluator import BACKGROUND_OPS, eval_rule, eval_term
 from .naive import naive_eval_rule
@@ -76,17 +76,7 @@ def combine_reports(reports: Sequence[CheckReport]) -> CheckReport:
 
 
 def rule_has_partial_assign(r: Rule) -> bool:
-    """Whether `r` holds a partial assignment.  Its sub-rules are the fields
-    of kind `rule` or `rules` in its `encoding.FORMS` row."""
-    todo = [r]
-    while todo:
-        r = todo.pop()
-        if type(r) is PartialAssign:
-            return True
-        for name, kind in FORM_OF[type(r)][1]:
-            if kind in ("rule", "rules"):
-                todo += getattr(r, name) if kind == "rules" else [getattr(r, name)]
-    return False
+    return any(type(x) is PartialAssign for x in subrules(r))
 
 
 StepFn = Callable[[State], object]  # anything with a .next state

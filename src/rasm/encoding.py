@@ -14,8 +14,9 @@ syntactically broken terms, only unraisable ones.  Sub-rules are always
 wrapped in a rule⟨...⟩ node, which makes "the rule under this node" one
 uniform selection everywhere.
 
-Drop and raise are two loops over that table with explicit stacks; neither
-recurses, so a rule of any nesting depth round-trips.  Raising is partial:
+Drop and raise are two loops over that table with explicit stacks, drop
+through `subrules`, the one walk over a rule's sub-rules; neither recurses,
+so a rule of any nesting depth round-trips.  Raising is partial:
 anything that does not match the grammar is a malformed-encoding error
 carrying the path of the offending node, never a guess.  Nodes are checked
 in preorder, so the error names the first fault in document order.  Each
@@ -23,20 +24,24 @@ interned node keeps what it raised to in its `raised` slot, written only by
 a raise that succeeded: a rewrite of pgm re-raises only the spine it
 rebuilt, and every error keeps its path.
 
-`beta_rule` computes the read set of a rule: one multiset comprehension per
-potential update source.  Two states that agree on pgm and on the values of
-all these terms are guaranteed to produce the same update multiset; the
-bounded-exploration check exercises exactly this.
+`beta_rule` computes the read set of a rule: one closed multiset
+comprehension per potential update source.  Two states that agree on pgm
+and on the values of all these terms are guaranteed to produce the same
+update multiset; the bounded-exploration check exercises exactly this.  It
+is one loop from the root down whose bound names occur nowhere in the rule,
+so nothing is renamed and the read set grows linearly with the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 from .errors import EncodingError, RasmError
 from .state import PGM, FunctionSymbol, Signature
 from . import terms as T
-from .terms import Comprehension, Rule, Term, free_vars, rename_binders, subst_term
+from .terms import Comprehension, Rule, Term, free_vars, map_term, subterms
 from .trees import Node, Path, Tree, leaf, node
 from .values import TRUE, Atom, DroppedTerm, Natural, TupleVal, Value
 
@@ -68,7 +73,7 @@ def _is_term(x: object) -> bool:
         type(t) in T.CHILDREN
         and (type(t) is not T.Literal or isinstance(t.value, Value))
         and (type(t) is not Comprehension or all(isinstance(b, str) for b in t.binders))
-        for t, _bound in T.subterms(x)
+        for t, _bound in subterms(x)
     )
 
 
@@ -149,25 +154,34 @@ _RAISE = {
 
 # -------------------------------------------------------- drop and raise
 
+def subrules(r: Rule) -> Iterator[Rule]:
+    """`r` and every rule under it, in preorder, through the fields of kind
+    `rule` and `rules` in each one's `FORMS` row."""
+    todo = [r]
+    while todo:
+        r = todo.pop()
+        yield r
+        for name, kind in reversed(FORM_OF[type(r)][1]):
+            if kind in ("rule", "rules"):
+                todo += reversed(getattr(r, name)) if kind == "rules" else [getattr(r, name)]
+
+
 def _drop_rule(r: Rule) -> Node:
     """`r` encoded, inside its rule⟨...⟩ wrapper.  The rules are listed in
     preorder and built in reverse, so the wrapped sub-rules of each are
     finished first and pop off `built` in child order."""
     order = []  # (label, leaves, sub-rule count), in preorder
-    todo = [r]
-    while todo:
-        r = todo.pop()
-        label, fields = FORM_OF[type(r)]
-        leaves, subs = [], []
+    for x in subrules(r):
+        label, fields = FORM_OF[type(x)]
+        leaves, k = [], 0
         for name, kind in fields:
-            v = getattr(r, name)
+            v = getattr(x, name)
             if kind in _LEAF_KINDS:
                 leaf_label, encode, _decode = _LEAF_KINDS[kind]
                 leaves.append(leaf(leaf_label, encode(v)))
             else:
-                subs += [v] if kind == "rule" else v
-        order.append((label, leaves, len(subs)))
-        todo += reversed(subs)
+                k += 1 if kind == "rule" else len(v)
+        order.append((label, leaves, k))
     built: list[Node] = []
     for label, leaves, k in reversed(order):
         rules = [built.pop() for _ in range(k)]
@@ -306,91 +320,105 @@ def as_program(t: Tree) -> Program:
 
 # ------------------------------------------------------------------- beta
 
-def _neg(t: Term) -> Term:
-    return T.BackgroundOp("not", (t,))
+def _names(r: Rule) -> set[str]:
+    """Every name spelt in `r`: its symbols, variables and binders."""
+    out = set()
+    for x in subrules(r):
+        for name, kind in FORM_OF[type(x)][1]:
+            v = getattr(x, name)
+            if kind in ("func", "binder"):
+                out.add(v)
+            elif kind in ("term", "bool", "terms"):
+                for u in v if kind == "terms" else (v,):
+                    for t, _bound in subterms(u):
+                        if type(t) is Comprehension:
+                            out.update(t.binders)
+                        elif type(t) in (T.Var, T.Apply):
+                            out.add(t.name if type(t) is T.Var else t.func)
+    return out
 
 
-def _and(a: Term, b: Term) -> Term:
-    # `true` is the neutral guard; folding it away keeps read terms legible.
-    if a == _TRUE:
-        return b
-    if b == _TRUE:
-        return a
-    return T.BackgroundOp("and", (a, b))
-
-
-def _comp(head: Term) -> Comprehension:
-    return Comprehension(head, (), _TRUE)
-
-
-def _conjoin(entries: tuple[Comprehension, ...], extra: Term) -> tuple[Comprehension, ...]:
-    # Binders of an entry must not capture the free variables of the guard
-    # being pushed in from outside.
-    avoid = free_vars(extra)
-    out = []
-    for e in entries:
-        e = rename_binders(e, avoid)
-        out.append(Comprehension(e.head, e.binders, _and(e.guard, extra)))
-    return tuple(out)
-
-
-def _beta(r: Rule) -> tuple[Comprehension, ...]:
-    if isinstance(r, T.Assign):
-        head: Term
-        if r.args:
-            head = T.BackgroundOp("tuple", (r.rhs,) + r.args)
-        else:
-            head = r.rhs
-        return (_comp(head),)
-    if isinstance(r, T.PartialAssign):
-        folded = T.BackgroundOp(r.op, (T.Apply(r.func, r.args),) + r.operands)
-        if r.args:
-            head = T.BackgroundOp("tuple", r.args + (folded,))
-        else:
-            head = folded
-        return (_comp(head),)
-    if isinstance(r, T.If):
-        return (
-            (_comp(r.cond),)
-            + _conjoin(_beta(r.then_branch), r.cond)
-            + _conjoin(_beta(r.else_branch), _neg(r.cond))
-        )
-    if isinstance(r, T.Par):
-        out: tuple[Comprehension, ...] = ()
-        for x in r.rules:
-            out = out + _beta(x)
-        return out
-    if isinstance(r, T.Forall):
-        avoid = free_vars(r.guard) | {r.var}
-        out = ()
-        for e in _beta(r.body):
-            e = rename_binders(e, avoid)
-            for g in (r.guard, _neg(r.guard)):
-                out = out + (Comprehension(e.head, (r.var,) + e.binders, _and(e.guard, g)),)
-        return out
-    if isinstance(r, T.Let):
-        bound = {r.var: r.binding}
-        return (_comp(r.binding),) + tuple(subst_term(e, bound) for e in _beta(r.body))
-    if isinstance(r, T.Import):
-        # The fresh atom is drawn, not read: an entry that reads the
-        # variable ranges over it here, where nothing outside can capture it.
-        return tuple(
-            Comprehension(e.head, (r.var,) + e.binders, e.guard) if r.var in free_vars(e) else e
-            for e in _beta(r.body)
-        )
-    raise TypeError(f"not a rule: {r!r}")
+_Read = tuple[Term, frozenset[str]]  # a term of the read set, and its free variables
 
 
 def beta_rule(r: Rule) -> tuple[Comprehension, ...]:
-    """Read-set comprehensions of a rule, all closed.
+    """Read-set comprehensions of a rule, all closed: one per IF condition,
+    LET binding and update, and under a FORALL each one twice, under its
+    guard and under the guard's negation.
 
-    The free variables of the rule itself are turned into extra binders
-    so every entry evaluates under the empty environment.
+    One walk from the root down.  Each FORALL and IMPORT variable and each
+    free variable of `r` gets a name `x_i` that occurs nowhere in `r`, so no
+    comprehension of `r` captures it and nothing is renamed.  A work item
+    carries the rule, what its variables stand for (`sigma`), the binders
+    above it (a FORALL's ranges over every entry, an IMPORT's over those
+    that read it) and the path's conditions, innermost first.  An entry's
+    guard is one `and` over them, read in the order nested `and`s read them.
     """
+    names: set[str] = set()  # those of r, collected on the first fresh name, and the fresh ones
+    outside: dict[str, _Read] = {}  # the free variables of r
+
+    def fresh(name: str) -> _Read:
+        if not names:
+            names.update(_names(r))
+        n = next(f"{name}_{i}" for i in count(1) if f"{name}_{i}" not in names)
+        names.add(n)
+        return T.Var(n), frozenset((n,))
+
+    def read(t: Term, sigma: dict[str, _Read]) -> _Read:
+        """`t` with each free variable replaced by the term it stands for."""
+        free = free_vars(t)
+        if not free:
+            return t, frozenset()
+        for v in free:
+            if v not in sigma and v not in outside:
+                outside[v] = fresh(v)
+        to = {v: sigma.get(v) or outside[v] for v in free}
+
+        def visit(x: Term, bound: frozenset[str]) -> tuple[Term, object]:
+            if type(x) is T.Var and x.name not in bound:
+                return to[x.name][0], None
+            return x, bound.union(x.binders) if type(x) is Comprehension else bound
+
+        return map_term(t, frozenset(), visit), frozenset().union(*(f for _t, f in to.values()))
+
+    def split(conds: tuple[Term, ...], free: frozenset[str], c: _Read) -> list:
+        """The path's conditions and their free variables, under `not c` and under `c`."""
+        free = free | c[1]
+        no = (T.BackgroundOp("not", (c[0],)),) + conds
+        # `true` is the neutral condition; dropping it keeps read terms legible.
+        return [(no, free), (conds if c[0] == _TRUE else (c[0],) + conds, free)]
+
     out = []
-    for e in _beta(r):
-        residual = tuple(sorted(free_vars(e)))
-        if residual:
-            e = Comprehension(e.head, residual + e.binders, e.guard)
-        out.append(e)
+    todo = [(r, {}, (), (), frozenset())]  # rule, sigma, binders above, conditions and their free variables
+    while todo:
+        r, sigma, above, conds, free = todo.pop()
+        head = None
+        if isinstance(r, T.Assign):
+            head = read(T.BackgroundOp("tuple", (r.rhs,) + r.args) if r.args else r.rhs, sigma)
+        elif isinstance(r, T.PartialAssign):
+            folded = T.BackgroundOp(r.op, (T.Apply(r.func, r.args),) + r.operands)
+            head = read(T.BackgroundOp("tuple", r.args + (folded,)) if r.args else folded, sigma)
+        elif isinstance(r, T.If):
+            head = read(r.cond, sigma)
+            todo += [(x, sigma, above, *p) for x, p in zip((r.else_branch, r.then_branch), split(conds, free, head))]
+        elif isinstance(r, T.Par):
+            todo += [(x, sigma, above, conds, free) for x in reversed(r.rules)]
+        elif isinstance(r, T.Forall):
+            v = fresh(r.var)
+            inner = {**sigma, r.var: v}
+            todo += [(r.body, inner, above + ((v[0].name, True),), *p) for p in split(conds, free, read(r.guard, inner))]
+        elif isinstance(r, T.Let):
+            head = read(r.binding, sigma)
+            todo.append((r.body, {**sigma, r.var: head}, above, conds, free))
+        elif isinstance(r, T.Import):
+            v = fresh(r.var)
+            todo.append((r.body, {**sigma, r.var: v}, above + ((v[0].name, False),), conds, free))
+        else:
+            raise TypeError(f"not a rule: {r!r}")
+        if head is not None:
+            reads = head[1] | free
+            binders = tuple(t.name for _v, (t, _f) in sorted(outside.items()) if t.name in reads)
+            binders += tuple(n for n, always in above if always or n in reads)
+            guard = T.BackgroundOp("and", conds) if len(conds) > 1 else conds[0] if conds else _TRUE
+            out.append(Comprehension(head[0], binders, guard))
     return tuple(out)

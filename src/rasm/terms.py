@@ -11,9 +11,9 @@ them in its environment, a LET variable to its term read in the LET's scope.
 
 `CHILDREN` gives each term form's children; every generic walk over terms
 reads it.  `subterms` is the fold and `map_term` the map, both with an
-explicit stack, so terms of any depth go through them.  Free variables,
-binder renaming and capture-avoiding substitution (for the read terms
-`encoding.beta_rule` builds) are written on them.
+explicit stack, so terms of any depth go through them.  `free_vars` is the
+fold; `encoding.beta_rule` substitutes with the map, capture-free by fresh
+names.
 """
 
 from __future__ import annotations
@@ -199,72 +199,3 @@ def map_term(t: Term, scope: object, visit: Callable[[Term, object], tuple[Term,
 
 def free_vars(t: Term) -> frozenset[str]:
     return frozenset(x.name for x, bound in subterms(t) if type(x) is Var and x.name not in bound)
-
-
-def _fresh_binders(
-    binders: tuple[str, ...], avoid: frozenset[str], free: Callable[[], frozenset[str]]
-) -> tuple[tuple[str, ...], dict[str, Term] | None]:
-    """`binders` with those in `avoid` renamed, and that renaming (None if
-    none is).  A new name `b_i` avoids `avoid`, the binders, the body's
-    free variables `free()` and the names chosen before it."""
-    clash = [b for b in dict.fromkeys(binders) if b in avoid]
-    if not clash:
-        return binders, None
-    taken, names = avoid | frozenset(binders) | free(), {}
-    for b in clash:
-        i = 1
-        while f"{b}_{i}" in taken:
-            i += 1
-        names[b] = f"{b}_{i}"
-        taken |= {names[b]}
-    return tuple(names.get(b, b) for b in binders), {b: Var(n) for b, n in names.items()}
-
-
-def rename_binders(c: Comprehension, avoid: frozenset[str]) -> Comprehension:
-    """`c` with every binder in `avoid` renamed, so that a term whose free
-    variables lie in `avoid` can be put under it without capture."""
-    binders, renamed = _fresh_binders(c.binders, avoid, lambda: free_vars(c.head) | free_vars(c.guard))
-    if renamed is None:
-        return c
-    return Comprehension(subst_term(c.head, renamed), binders, subst_term(c.guard, renamed))
-
-
-def _substitute(x: Term, steps: tuple[dict[str, Term], ...]) -> tuple[Term, object]:
-    """`subst_term`'s visit.  The scope is the substitutions still to apply,
-    in turn: binder renamings, then the mapping, the one step that maps to
-    terms other than variables.  A comprehension takes its binders out of
-    each step and, where a step would bring in a name a binder captures,
-    renames that binder by a step just before it."""
-    if type(x) is Var:
-        for m in steps:
-            x = m.get(x.name, x)
-            if type(x) is not Var:
-                break
-        return x, None
-    if type(x) is not Comprehension:
-        return x, steps
-    binders, inner_steps = x.binders, []
-
-    def free() -> frozenset[str]:  # of the head and guard, after the steps so far
-        out = free_vars(x.head) | free_vars(x.guard)
-        for m in inner_steps:
-            hit = m.keys() & out
-            out = (out - hit).union(*(free_vars(m[k]) for k in hit))
-        return out
-
-    for m in steps:
-        inner = {k: v for k, v in m.items() if k not in binders}
-        if inner:
-            # Naming the keys only keeps a new binder off a replaced variable.
-            avoid = frozenset(inner).union(*map(free_vars, inner.values()))
-            binders, renamed = _fresh_binders(binders, avoid, free)
-            inner_steps += [renamed, inner] if renamed else [inner]
-    if binders is not x.binders:
-        x = Comprehension(x.head, binders, x.guard)
-    return x, tuple(inner_steps) or None
-
-
-def subst_term(t: Term, mapping: dict[str, Term]) -> Term:
-    """Substitute terms for free variables, renaming binders that would
-    capture a free variable of a replacement."""
-    return map_term(t, (mapping,), _substitute) if mapping else t

@@ -238,6 +238,12 @@ def random_machine(rng: random.Random) -> tuple[State, Rule]:
     return State(base.signature, interp, base.universe), rule
 
 
+def nested_if_else(n: int) -> str:
+    """`n` nested `IF eq(f, i) THEN ... ELSE g := i ENDIF`, `f := 1` innermost."""
+    return "".join(f"IF eq(f, {i}) THEN " for i in range(n)) + "f := 1" + "".join(
+        f" ELSE g := {i} ENDIF" for i in reversed(range(n)))
+
+
 # ------------------------------------------------------ raise memos
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from rasm.parser import parse_rule, parse_state, parse_tree
 from rasm.printer import print_rule, print_state, print_tree
 from rasm.state import PGM, Location
 from rasm.terms import Par
+from conftest import nested_if_else
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -307,6 +308,15 @@ def test_check_of_900_nested_ifs_passes(tmp_path, capsys):
     # walked node by node; `run` handles the same depth.
     rule = "IF f = 0 THEN " * 900 + "f := 1" + " ENDIF" * 900
     doc = put(tmp_path, "deep.rst", "function f/0\ninit f = 0\nprogram\n" + rule + "\n")
+    assert main(["check", doc, "--steps", "1", "--trials", "1"]) == 0
+    assert "violations 0" in capsys.readouterr().out
+
+
+def test_check_of_600_nested_if_elses_passes(tmp_path, capsys):
+    # Each read term's guard is one flat `and` over the path's conditions,
+    # so no read term is deeper than the rule.
+    doc = put(tmp_path, "deep.rst", "function f/0\nfunction g/0\ninit f = 0\ninit g = 0\nprogram\n"
+              + nested_if_else(600) + "\n")
     assert main(["check", doc, "--steps", "1", "--trials", "1"]) == 0
     assert "violations 0" in capsys.readouterr().out
 

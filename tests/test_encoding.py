@@ -31,7 +31,7 @@ from rasm.terms import Comprehension, free_vars
 from rasm.trees import Tree, leaf, node, subst_tt, subtree
 from rasm.updates import COLLAPSE_OPS
 from rasm.values import TRUE, Atom, DroppedTerm, Natural, TreeVal, TupleVal, value_key
-from conftest import count_form_decodes, forget_raises, random_rule
+from conftest import count_form_decodes, forget_raises, nested_if_else, random_rule
 
 
 def rt(text):
@@ -208,9 +208,18 @@ def test_beta_forall_adds_binder_and_guard_split():
     entries = beta_rule(parse_rule("FORALL x WITH x < 2 DO g(x) := f ENDDO"))
     texts = [comp_text(e) for e in entries]
     assert texts == [
-        "{| (f, x) | x : x < 2 |}",
-        "{| (f, x) | x : not x < 2 |}",
+        "{| (f, x_1) | x_1 : x_1 < 2 |}",
+        "{| (f, x_1) | x_1 : not x_1 < 2 |}",
     ]
+
+
+def test_beta_guard_is_one_and_over_the_path_innermost_first():
+    # Innermost first is the order nested two-way `and`s read the conditions
+    # in, so an entry that raises raises the same error; `true` is dropped.
+    r = parse_rule("FORALL x WITH x < 2 DO IF f = 0 THEN IF true THEN IF g(x) = 1 THEN h(x, x) := 1 ENDIF ENDIF ENDIF ENDDO")
+    *_, e = beta_rule(r)
+    assert comp_text(e) == "{| (1, x_1, x_1) | x_1 : g(x_1) = 1 and f = 0 and not x_1 < 2 |}"
+    assert e.guard.op == "and" and len(e.guard.args) == 3
 
 
 def test_beta_let_reads_binding_then_substitutes():
@@ -221,7 +230,7 @@ def test_beta_let_reads_binding_then_substitutes():
 
 def test_beta_import_closes_the_drawn_name():
     (e,) = beta_rule(parse_rule("IMPORT a DO g(a) := f"))
-    assert e.binders == ("a",)
+    assert e.binders == ("a_1",)
     assert free_vars(e) == frozenset()
 
 
@@ -230,14 +239,14 @@ def test_beta_import_variable_is_not_under_an_enclosing_guard():
     # term ranges over it on its own, and p constrains only the forall's.
     r = parse_rule("FORALL x WITH p(x) DO IMPORT x DO q(x) := 1 ENDDO")
     texts = [comp_text(e) for e in beta_rule(r)]
-    assert texts == ["{| (1, x_1) | x, x_1 : p(x) |}", "{| (1, x_1) | x, x_1 : not p(x) |}"]
+    assert texts == ["{| (1, x_2) | x_1, x_2 : p(x_1) |}", "{| (1, x_3) | x_1, x_3 : not p(x_1) |}"]
 
 
 def test_beta_let_does_not_capture_an_import_variable():
     # The let's x is a free name of the rule; the import's x is another.
     r = parse_rule("LET y = ?x IN IMPORT x DO g(x) := y")
     texts = [comp_text(e) for e in beta_rule(r)]
-    assert texts == ["{| x | x : true |}", "{| (x, x_1) | x, x_1 : true |}"]
+    assert texts == ["{| x_1 | x_1 : true |}", "{| (x_1, x_2) | x_1, x_2 : true |}"]
 
 
 def test_beta_partial_assign_reads_current_value():
@@ -261,6 +270,17 @@ def test_beta_forall_avoids_capturing_outer_binder():
     entries = beta_rule(r)
     for e in entries:
         assert len(set(e.binders)) == len(e.binders), comp_text(e)
+
+
+def test_beta_term_nodes_grow_linearly_with_if_nesting():
+    # Entries share the path's conditions, and each guard is one flat `and`
+    # over them, so the distinct nodes grow with n, not n squared.
+    def nodes(n):
+        entries = beta_rule(parse_rule(nested_if_else(n)))
+        assert len(entries) == 2 * n + 1
+        return len({id(x) for e in entries for x, _bound in T.subterms(e)})
+
+    assert nodes(400) <= 4.5 * nodes(100)
 
 
 # ------------------------------------------------------------ raise memos

@@ -1,9 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
-every name a module defines is read somewhere, every tree operation is
-imported by another module of the package, every layer the benchmark's
-tracer wraps still exists, the parser, the printer and the evaluator
-agree on every background operation, and the scalar values and locations
-hash and compare through their builtins' C slots.
+every name a module defines is read somewhere, every tree operation and
+term walk is imported by another module of the package, every layer the
+benchmark's tracer wraps still exists, the parser, the printer and the
+evaluator agree on every background operation, and the scalar values and
+locations hash and compare through their builtins' C slots.
 
 Each `src/rasm/*.py` except the package `__init__` is parsed with `ast`; a
 name bound by an import counts as used when it is loaded anywhere in the
@@ -112,16 +112,18 @@ def test_every_defined_name_is_read():
 def test_every_tree_operation_is_imported_by_another_module():
     """Stricter than the test above, which counts tests as readers: every
     public function of `trees.py` is imported by another module of the
-    package, so that a rule reaches it, and none lives only for tests."""
-    tree = ast.parse((SRC / "trees.py").read_text(encoding="utf-8"))
-    public = {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
-    imported = set()
-    for path in MODULES:
-        if path.name != "trees.py":
-            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(n, ast.ImportFrom) and n.module == "trees":
-                    imported |= {a.name for a in n.names}
-    assert not public - imported, f"trees.py functions no other module imports: {sorted(public - imported)}"
+    package, so that a rule reaches it, and none lives only for tests.  The
+    term walks of `terms.py` are held to the same bar."""
+    for module in ("trees", "terms"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        public = {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+        imported = set()
+        for path in MODULES:
+            if path.stem != module:
+                for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(n, ast.ImportFrom) and n.module == module:
+                        imported |= {a.name for a in n.names}
+        assert not public - imported, f"{module}.py functions no other module imports: {sorted(public - imported)}"
 
 
 def test_every_bench_layer_has_a_site():
@@ -176,7 +178,6 @@ def test_every_background_op_parses_back_from_its_printed_text(op):
 # recurse one frame per nesting level when they run, which this name scan
 # cannot see; test_deeply_nested_rule_runs_and_prints (900 IFs) guards that.
 RECURSIVE_WALKS = {
-    "encoding._beta",
     "evaluator._compile_rule",
     "evaluator._compile_term",
     "naive.naive_eval_term",

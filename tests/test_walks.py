@@ -1,6 +1,7 @@
-"""The one walk over terms (`terms.subterms`, `terms.map_term`) and over
-values (`state._values_in`, `state.rename_value`): stack-safe on deep
-input, and in agreement with the recursive walks they replaced.
+"""The one walk over terms (`terms.subterms`, `terms.map_term`), over
+values (`state._values_in`, `state.rename_value`) and over rules
+(`encoding.beta_rule`): stack-safe on deep input, and in agreement with the
+recursive walks they replaced.
 
 The reference walks below are the recursive originals, kept here only as
 oracles.  Deep results are checked with the fold, not with `==`: dataclass
@@ -8,11 +9,13 @@ oracles.  Deep results are checked with the fold, not with `==`: dataclass
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from rasm import encoding
-from rasm.conformance import rule_has_partial_assign
+from rasm.conformance import _outcome, rule_has_partial_assign
+from rasm.evaluator import eval_term
 from rasm.parser import _promote
 from rasm.state import (
     Location,
@@ -26,6 +29,7 @@ from rasm.state import (
 )
 from rasm.terms import (
     Apply,
+    Assign,
     BackgroundOp,
     Comprehension,
     Forall,
@@ -38,12 +42,10 @@ from rasm.terms import (
     Var,
     free_vars,
     map_term,
-    rename_binders,
-    subst_term,
     subterms,
 )
 from rasm.trees import Node
-from rasm.values import Atom, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, value_key
+from rasm.values import TRUE, Atom, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, value_key
 
 from conftest import (
     ATOMS,
@@ -51,6 +53,7 @@ from conftest import (
     random_machine,
     random_rule,
     random_rule_reusing_names,
+    random_state,
     random_term,
     random_value,
 )
@@ -82,26 +85,27 @@ def _forms(t):
 def test_deep_add_chain_goes_through_every_term_walk():
     t = _add_chain(5000)
     assert free_vars(t) == {"x"}
-    out = subst_term(t, {"x": Literal(Natural(7))})
-    assert _forms(out) == ["Literal" if f == "Var" else f for f in _forms(t)]
-    assert free_vars(out) == frozenset()
     renamed = rename_term(t, {"red": "blue"})
     assert _literals(renamed) == [Atom("blue")] + _literals(t)[1:]
     assert len(_literals(t)) == 2501
 
 
-def test_deep_comprehension_chain_renames_a_binder_far_down():
+def test_let_over_a_deep_comprehension_chain_reads_without_capture():
+    """`b` is free in the rule, so the update's read term binds it under a
+    fresh name, which the `b` the chain binds far down cannot capture."""
     t = _comprehension_chain(3000, clash_at=5)
     assert free_vars(t) == {"y"}
-    out = subst_term(t, {"y": Var("b")})
-    assert free_vars(out) == {"b"}
-    binders = [x.binders for x, _ in subterms(out) if type(x) is Comprehension]
-    assert binders.count(("b_1",)) == 1 and ("b",) not in binders
-    assert binders[-6] == ("b_1",)  # preorder: the sixth from the bottom
-    under = [(x.name, bound) for x, bound in subterms(out) if type(x) is Var]
-    assert all(name in bound for name, bound in under if name != "b")
-    assert _forms(out) == _forms(t)
-    assert subst_term(t, {}) is t
+    binding, update = encoding.beta_rule(Let("y", Var("b"), Assign("f", (), t)))
+    assert (binding.head, binding.binders) == (Var("b_1"), ("b_1",))
+    assert update.binders == ("b_1",) and free_vars(update) == frozenset()
+    binders = [x.binders for x, _ in subterms(update.head) if type(x) is Comprehension]
+    assert binders == [x.binders for x, _ in subterms(t) if type(x) is Comprehension]
+    assert binders[-6] == ("b",)  # preorder: the sixth from the bottom, not renamed
+    under = [(x.name, bound) for x, bound in subterms(update.head) if type(x) is Var]
+    assert all(name in bound for name, bound in under if name != "b_1")
+    assert all("b_1" not in bound for name, bound in under if name == "b_1")
+    assert sum(name == "b_1" for name, _ in under) == sum(type(x) is Var and x.name == "y" for x, _ in subterms(t))
+    assert _forms(update.head) == _forms(t)
     assert len(_literals(rename_term(t, {"a": "b"}))) == 3000
 
 
@@ -160,6 +164,71 @@ def ref_subst_term(t, mapping):
         t = ref_rename_binders(t, frozenset(inner).union(*map(ref_free_vars, inner.values())))
         return Comprehension(ref_subst_term(t.head, inner), t.binders, ref_subst_term(t.guard, inner))
     raise TypeError(f"not a term: {t!r}")
+
+
+_TRUE = Literal(TRUE)
+
+
+def _ref_and(a, b):
+    if a == _TRUE:
+        return b
+    if b == _TRUE:
+        return a
+    return BackgroundOp("and", (a, b))
+
+
+def _ref_comp(head):
+    return Comprehension(head, (), _TRUE)
+
+
+def ref_conjoin(entries, extra):
+    avoid = ref_free_vars(extra)
+    out = []
+    for e in entries:
+        e = ref_rename_binders(e, avoid)
+        out.append(Comprehension(e.head, e.binders, _ref_and(e.guard, extra)))
+    return tuple(out)
+
+
+def ref_beta(r):
+    if isinstance(r, Assign):
+        return (_ref_comp(BackgroundOp("tuple", (r.rhs,) + r.args) if r.args else r.rhs),)
+    if isinstance(r, PartialAssign):
+        folded = BackgroundOp(r.op, (Apply(r.func, r.args),) + r.operands)
+        return (_ref_comp(BackgroundOp("tuple", r.args + (folded,)) if r.args else folded),)
+    if isinstance(r, If):
+        return (
+            (_ref_comp(r.cond),)
+            + ref_conjoin(ref_beta(r.then_branch), r.cond)
+            + ref_conjoin(ref_beta(r.else_branch), BackgroundOp("not", (r.cond,)))
+        )
+    if isinstance(r, Par):
+        return tuple(e for x in r.rules for e in ref_beta(x))
+    if isinstance(r, Forall):
+        avoid = ref_free_vars(r.guard) | {r.var}
+        out = ()
+        for e in ref_beta(r.body):
+            e = ref_rename_binders(e, avoid)
+            for g in (r.guard, BackgroundOp("not", (r.guard,))):
+                out = out + (Comprehension(e.head, (r.var,) + e.binders, _ref_and(e.guard, g)),)
+        return out
+    if isinstance(r, Let):
+        bound = {r.var: r.binding}
+        return (_ref_comp(r.binding),) + tuple(ref_subst_term(e, bound) for e in ref_beta(r.body))
+    if isinstance(r, Import):
+        return tuple(
+            Comprehension(e.head, (r.var,) + e.binders, e.guard) if r.var in ref_free_vars(e) else e
+            for e in ref_beta(r.body)
+        )
+    raise TypeError(f"not a rule: {r!r}")
+
+
+def ref_beta_rule(r):
+    out = []
+    for e in ref_beta(r):
+        residual = tuple(sorted(ref_free_vars(e)))
+        out.append(Comprehension(e.head, residual + e.binders, e.guard) if residual else e)
+    return tuple(out)
 
 
 def ref_rebind(t, binders):
@@ -301,12 +370,6 @@ def test_term_walks_agree_with_the_recursive_originals(seed):
     for _ in range(500):
         t = _term(rng)
         assert free_vars(t) == ref_free_vars(t)
-        keys = rng.sample(NAMES, rng.randrange(4))
-        mapping = {k: _term(rng) if rng.random() < 0.6 else Var(rng.choice(NAMES)) for k in keys}
-        _agree(ref_subst_term(t, mapping), subst_term(t, mapping), t, *mapping.values())
-        if type(t) is Comprehension:
-            avoid = frozenset(rng.sample(NAMES, rng.randrange(5)))
-            _agree(ref_rename_binders(t, avoid), rename_binders(t, avoid), t)
         names = frozenset(rng.sample(NAMES, rng.randrange(5)))
         spelt = _as_applications(t)
         _agree(ref_rebind(spelt, names), map_term(spelt, names, _promote), spelt)
@@ -327,7 +390,7 @@ def test_value_walks_agree_with_the_recursive_originals(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_state_and_rule_walks_agree_with_the_recursive_originals(seed, monkeypatch):
+def test_state_and_rule_walks_agree_with_the_recursive_originals(seed):
     rng = random.Random(seed)
     for _ in range(120):
         base, rule = random_machine(rng)
@@ -352,9 +415,19 @@ def test_state_and_rule_walks_agree_with_the_recursive_originals(seed, monkeypat
         assert rule_has_partial_assign(rule) == ref_rule_has_partial_assign(rule)
     for _ in range(100):
         r = random_rule_reusing_names(rng) if rng.random() < 0.5 else random_rule(rng, allow_partial=True)
-        got = encoding.beta_rule(r)
-        with monkeypatch.context() as m:
-            m.setattr(encoding, "free_vars", ref_free_vars)
-            m.setattr(encoding, "rename_binders", ref_rename_binders)
-            m.setattr(encoding, "subst_term", ref_subst_term)
-            assert got == encoding.beta_rule(r)
+        ref, got = ref_beta_rule(r), encoding.beta_rule(r)
+        assert len(got) == len(ref)
+        assert all(free_vars(e) == frozenset() for e in got)
+        # `random_machine`'s pgm tree puts some 30 values in the active
+        # domain, too many for entries with four binders to enumerate.
+        s = random_state(rng)
+        loc = rng.choice([*s.interp, Location("f")])
+        changed = State(s.signature, {**s.interp, loc: rng.choice(s.active_domain())}, s.universe)
+        for state in (s, changed):
+            assert Counter(_outcomes(state, got)) == Counter(_outcomes(state, ref))
+        # the bounded-exploration precondition: every entry agrees
+        assert (_outcomes(s, got) == _outcomes(changed, got)) == (_outcomes(s, ref) == _outcomes(changed, ref))
+
+
+def _outcomes(s, entries):
+    return [_outcome(eval_term, s, {}, e) for e in entries]
