@@ -355,7 +355,7 @@ def beta_rule(r: Rule) -> tuple[Comprehension, ...]:
     guard is one `and` over them, read in the order nested `and`s read them.
     """
     names: set[str] = set()  # those of r, collected on the first fresh name, and the fresh ones
-    outside: dict[str, _Read] = {}  # the free variables of r
+    outside: dict[str, _Read] = {}  # the free variables of r; they lead an entry's binders, by name
 
     def fresh(name: str) -> _Read:
         if not names:
