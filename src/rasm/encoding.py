@@ -28,8 +28,8 @@ rebuilt, and every error keeps its path.
 comprehension per potential update source.  Two states that agree on pgm
 and on the values of all these terms are guaranteed to produce the same
 update multiset; the bounded-exploration check exercises exactly this.  It
-is one loop from the root down whose bound names occur nowhere in the rule,
-so nothing is renamed and the read set grows linearly with the rule.
+is one loop from the root down that binds names no comprehension of the rule
+binds, so nothing is renamed and the read set grows linearly with the rule.
 """
 
 from __future__ import annotations
@@ -320,21 +320,15 @@ def as_program(t: Tree) -> Program:
 
 # ------------------------------------------------------------------- beta
 
-def _names(r: Rule) -> set[str]:
-    """Every name spelt in `r`: its symbols, variables and binders."""
+def _binders(r: Rule) -> set[str]:
+    """The binders of every comprehension in `r`."""
     out = set()
     for x in subrules(r):
         for name, kind in FORM_OF[type(x)][1]:
-            v = getattr(x, name)
-            if kind in ("func", "binder"):
-                out.add(v)
-            elif kind in ("term", "bool", "terms"):
+            if kind in ("term", "bool", "terms"):
+                v = getattr(x, name)
                 for u in v if kind == "terms" else (v,):
-                    for t, _bound in subterms(u):
-                        if type(t) is Comprehension:
-                            out.update(t.binders)
-                        elif type(t) in (T.Var, T.Apply):
-                            out.add(t.name if type(t) is T.Var else t.func)
+                    out.update(b for t, _bound in subterms(u) if type(t) is Comprehension for b in t.binders)
     return out
 
 
@@ -347,19 +341,22 @@ def beta_rule(r: Rule) -> tuple[Comprehension, ...]:
     guard and under the guard's negation.
 
     One walk from the root down.  Each FORALL and IMPORT variable and each
-    free variable of `r` gets a name `x_i` that occurs nowhere in `r`, so no
-    comprehension of `r` captures it and nothing is renamed.  A work item
-    carries the rule, what its variables stand for (`sigma`), the binders
-    above it (a FORALL's ranges over every entry, an IMPORT's over those
-    that read it) and the path's conditions, innermost first.  An entry's
-    guard is one `and` over them, read in the order nested `and`s read them.
+    free variable of `r` gets a name `x_i` that no comprehension of `r`
+    binds.  Every occurrence of a variable that no comprehension binds is
+    replaced, so only those binders could capture; none does, and nothing
+    is renamed.
+    A work item carries a sub-rule, what its variables stand for (`sigma`),
+    the binders above it (a FORALL's ranges over every entry, an IMPORT's
+    over those that read it) and its paths, one per choice of guard or
+    negated guard at the FORALLs above, each its conditions innermost first.
+    An entry's guard is one `and` over a path, read as nested `and`s read it.
     """
-    names: set[str] = set()  # those of r, collected on the first fresh name, and the fresh ones
+    names: set[str] = set()  # the binders of r, collected on the first fresh name, and the fresh names
     outside: dict[str, _Read] = {}  # the free variables of r; they lead an entry's binders, by name
 
     def fresh(name: str) -> _Read:
         if not names:
-            names.update(_names(r))
+            names.update(_binders(r))  # r is the root: the loop below names a sub-rule `sub`
         n = next(f"{name}_{i}" for i in count(1) if f"{name}_{i}" not in names)
         names.add(n)
         return T.Var(n), frozenset((n,))
@@ -381,44 +378,47 @@ def beta_rule(r: Rule) -> tuple[Comprehension, ...]:
 
         return map_term(t, frozenset(), visit), frozenset().union(*(f for _t, f in to.values()))
 
-    def split(conds: tuple[Term, ...], free: frozenset[str], c: _Read) -> list:
-        """The path's conditions and their free variables, under `not c` and under `c`."""
-        free = free | c[1]
-        no = (T.BackgroundOp("not", (c[0],)),) + conds
+    def split(paths: tuple, c: _Read) -> tuple[tuple, tuple]:
+        """The paths (each its conditions and their free variables) under `c`, and under `not c`."""
+        no = T.BackgroundOp("not", (c[0],))
         # `true` is the neutral condition; dropping it keeps read terms legible.
-        return [(no, free), (conds if c[0] == _TRUE else (c[0],) + conds, free)]
+        yes = tuple((conds if c[0] == _TRUE else (c[0],) + conds, free | c[1]) for conds, free in paths)
+        return yes, tuple(((no,) + conds, free | c[1]) for conds, free in paths)
 
     out = []
-    todo = [(r, {}, (), (), frozenset())]  # rule, sigma, binders above, conditions and their free variables
+    todo = [(r, {}, (), (((), frozenset()),))]  # sub-rule, sigma, binders above, paths
     while todo:
-        r, sigma, above, conds, free = todo.pop()
+        sub, sigma, above, paths = todo.pop()
         head = None
-        if isinstance(r, T.Assign):
-            head = read(T.BackgroundOp("tuple", (r.rhs,) + r.args) if r.args else r.rhs, sigma)
-        elif isinstance(r, T.PartialAssign):
-            folded = T.BackgroundOp(r.op, (T.Apply(r.func, r.args),) + r.operands)
-            head = read(T.BackgroundOp("tuple", r.args + (folded,)) if r.args else folded, sigma)
-        elif isinstance(r, T.If):
-            head = read(r.cond, sigma)
-            todo += [(x, sigma, above, *p) for x, p in zip((r.else_branch, r.then_branch), split(conds, free, head))]
-        elif isinstance(r, T.Par):
-            todo += [(x, sigma, above, conds, free) for x in reversed(r.rules)]
-        elif isinstance(r, T.Forall):
-            v = fresh(r.var)
-            inner = {**sigma, r.var: v}
-            todo += [(r.body, inner, above + ((v[0].name, True),), *p) for p in split(conds, free, read(r.guard, inner))]
-        elif isinstance(r, T.Let):
-            head = read(r.binding, sigma)
-            todo.append((r.body, {**sigma, r.var: head}, above, conds, free))
-        elif isinstance(r, T.Import):
-            v = fresh(r.var)
-            todo.append((r.body, {**sigma, r.var: v}, above + ((v[0].name, False),), conds, free))
+        if isinstance(sub, T.Assign):
+            head = read(T.BackgroundOp("tuple", (sub.rhs,) + sub.args) if sub.args else sub.rhs, sigma)
+        elif isinstance(sub, T.PartialAssign):
+            folded = T.BackgroundOp(sub.op, (T.Apply(sub.func, sub.args),) + sub.operands)
+            head = read(T.BackgroundOp("tuple", sub.args + (folded,)) if sub.args else folded, sigma)
+        elif isinstance(sub, T.If):
+            head = read(sub.cond, sigma)
+            yes, no = split(paths, head)
+            todo += [(sub.else_branch, sigma, above, no), (sub.then_branch, sigma, above, yes)]
+        elif isinstance(sub, T.Par):
+            todo += [(x, sigma, above, paths) for x in reversed(sub.rules)]
+        elif isinstance(sub, T.Forall):
+            v = fresh(sub.var)
+            inner = {**sigma, sub.var: v}
+            yes, no = split(paths, read(sub.guard, inner))
+            todo.append((sub.body, inner, above + ((v[0].name, True),), yes + no))
+        elif isinstance(sub, T.Let):
+            head = read(sub.binding, sigma)
+            todo.append((sub.body, {**sigma, sub.var: head}, above, paths))
+        elif isinstance(sub, T.Import):
+            v = fresh(sub.var)
+            todo.append((sub.body, {**sigma, sub.var: v}, above + ((v[0].name, False),), paths))
         else:
-            raise TypeError(f"not a rule: {r!r}")
+            raise TypeError(f"not a rule: {sub!r}")
         if head is not None:
-            reads = head[1] | free
-            binders = tuple(t.name for _v, (t, _f) in sorted(outside.items()) if t.name in reads)
-            binders += tuple(n for n, always in above if always or n in reads)
-            guard = T.BackgroundOp("and", conds) if len(conds) > 1 else conds[0] if conds else _TRUE
-            out.append(Comprehension(head[0], binders, guard))
+            for conds, free in paths:
+                reads = head[1] | free
+                binders = tuple(t.name for _v, (t, _f) in sorted(outside.items()) if t.name in reads)
+                binders += tuple(n for n, always in above if always or n in reads)
+                guard = T.BackgroundOp("and", conds) if len(conds) > 1 else conds[0] if conds else _TRUE
+                out.append(Comprehension(head[0], binders, guard))
     return tuple(out)

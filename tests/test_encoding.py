@@ -239,7 +239,7 @@ def test_beta_import_variable_is_not_under_an_enclosing_guard():
     # term ranges over it on its own, and p constrains only the forall's.
     r = parse_rule("FORALL x WITH p(x) DO IMPORT x DO q(x) := 1 ENDDO")
     texts = [comp_text(e) for e in beta_rule(r)]
-    assert texts == ["{| (1, x_2) | x_1, x_2 : p(x_1) |}", "{| (1, x_3) | x_1, x_3 : not p(x_1) |}"]
+    assert texts == ["{| (1, x_2) | x_1, x_2 : p(x_1) |}", "{| (1, x_2) | x_1, x_2 : not p(x_1) |}"]
 
 
 def test_beta_let_does_not_capture_an_import_variable():
@@ -270,6 +270,20 @@ def test_beta_forall_avoids_capturing_outer_binder():
     entries = beta_rule(r)
     for e in entries:
         assert len(set(e.binders)) == len(e.binders), comp_text(e)
+
+
+def test_beta_fresh_name_avoids_a_binder_in_a_sibling_branch():
+    # The first fresh name is needed in the THEN branch; the ELSE branch's
+    # comprehension binds z_1, so the FORALL's z must not become z_1.
+    r = parse_rule(
+        "IF c THEN FORALL x WITH true DO g(x) := 1 ENDDO "
+        "ELSE FORALL z WITH true DO h := {| g(z) | z_1 : z_1 = 'a |} ENDDO ENDIF"
+    )
+    *_, e = beta_rule(r)
+    (z,) = e.binders
+    assert z != "z_1"
+    assert e.head.binders == ("z_1",) and e.head.head == T.Apply("g", (T.Var(z),))
+    assert free_vars(e) == frozenset()
 
 
 def test_beta_term_nodes_grow_linearly_with_if_nesting():
