@@ -109,11 +109,11 @@ def _extend_identity(pi: dict, atoms: frozenset[str]) -> dict:
 
 def _commutes(s: State, atoms: frozenset[str], pi: dict, step_fn: StepFn, plain: Plain) -> tuple[bool, str]:
     try:
-        lhs = step_fn(rename_state(s, _extend_identity(pi, atoms))).next
+        lhs = step_fn(rename_state(s, _extend_identity(pi, atoms), atoms)).next
     except RasmError as e:
         return False, f"step failed on the renamed state: {e}"
     nxt, nxt_atoms = plain()
-    rhs = rename_state(nxt, _extend_identity(pi, nxt_atoms))
+    rhs = rename_state(nxt, _extend_identity(pi, nxt_atoms), nxt_atoms)
     if lhs == rhs or _equal_up_to_fresh(lhs, rhs, _drawn(s, lhs, rhs)):
         return True, ""
     return False, "step and renaming do not commute"
@@ -160,7 +160,7 @@ def _equal_up_to_fresh(a: State, b: State, fresh: frozenset[str]) -> bool:
             continue
         for arrangement in itertools.permutations(free):
             full = {**sigma.map, **dict(zip(rest, arrangement))}
-            if rename_state(a, _extend_identity(full, atoms_a)) == b:
+            if rename_state(a, _extend_identity(full, atoms_a), atoms_a) == b:
                 return True
     return False
 

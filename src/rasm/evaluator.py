@@ -180,6 +180,8 @@ def _label_arg(v: Value) -> str | None:
 _context_arg = partial(_tree_arg, kind=Context)
 _truth = (FALSE, TRUE).__getitem__  # a bool as a truth value, with no Python frame
 _natural = partial(int.__new__, Natural)  # raw results on naturals are >= 0: no range check
+# Update entries and locations from one tuple each, with no Python-level `__new__`.
+_update_entry, _shared_entry, _location = (partial(tuple.__new__, c) for c in (Update, SharedUpdate, Location))
 
 
 BACKGROUND_OPS: dict[str, _BgOp] = {
@@ -532,7 +534,7 @@ def _update(r: T.Assign | T.PartialAssign, sig: Signature) -> RuleFn:
             x = env.get(xn, xm) if xn else xf(s, env) if xf else xc
             if type(x) is _LetBinding:
                 x = x.term(s, x.env)
-            out.append(Update(Location(func, (x,)), rhs(s, env)))
+            out.append(_update_entry((_location((func, (x,))), rhs(s, env))))
         return assign1
     args, loc = [_compile_term(a, sig) for a in r.args], None if r.args else Location(func)
     if isinstance(r, T.Assign):
@@ -540,18 +542,18 @@ def _update(r: T.Assign | T.PartialAssign, sig: Signature) -> RuleFn:
         def assign(s, env, out, cursor):
             if func in env:
                 _location_symbol(env, func)
-            at = Location(func, tuple([a(s, env) for a in args])) if args else loc
-            out.append(Update(at, rhs(s, env)))
+            at = _location((func, tuple([a(s, env) for a in args]))) if args else loc
+            out.append(_update_entry((at, rhs(s, env))))
         return assign
     op, operands, need = r.op, [_compile_term(a, sig) for a in r.operands], COLLAPSE_OPS[r.op].min_args
     def shared(s, env, out, cursor):
         if func in env:
             _location_symbol(env, func)
-        at = Location(func, tuple([a(s, env) for a in args])) if args else loc
+        at = _location((func, tuple([a(s, env) for a in args]))) if args else loc
         vals = tuple([a(s, env) for a in operands])
         if len(vals) < need:
             raise EvalError("arity-mismatch", f"operator {op!r} needs {need}+ operands")
-        out.append(SharedUpdate(at, op, vals))
+        out.append(_shared_entry((at, op, vals)))
     return shared
 
 

@@ -65,6 +65,8 @@ def step(s: State) -> StepReport:
     interp = apply_update_set(pre, us)
     sig = _grown_signature(pre.signature, interp.get(PGM_LOCATION, UNDEF))
     nxt = State(sig, interp, pre.universe, cursor, pre.reserve_seed)
+    # The successor sorts only the values that changed (`State.active_domain`).
+    object.__setattr__(nxt, "_prior", pre._domain)
     return StepReport(s, nxt, prog.rule, us)
 
 

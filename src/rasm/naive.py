@@ -155,12 +155,8 @@ def _collect_updates(
 
 def naive_eval_rule(s: State, env: Mapping[str, Value], r: Rule) -> tuple[frozenset[Update], bool]:
     """Update set and consistency per the plain semantics: one pass collects
-    updates, a pairwise scan looks for two values at one location."""
+    updates, and the set is consistent when no two of them share a location."""
     out: list[Update] = []
     _collect_updates(s, dict(env), r, out, _Fresh(s), frozenset(env))
-    consistent = True
-    for i, u in enumerate(out):
-        for w in out[i + 1 :]:
-            if u.location == w.location and u.value != w.value:
-                consistent = False
-    return frozenset(out), consistent
+    updates = frozenset(out)
+    return updates, len(updates) == len({u.location for u in updates})

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, is_not, itemgetter
@@ -167,7 +168,7 @@ class State:
     fresh-atom draws and are excluded from equality.
     """
 
-    __slots__ = ("signature", "interp", "universe", "reserve_cursor", "reserve_seed", "_domain", "_index")
+    __slots__ = ("signature", "interp", "universe", "reserve_cursor", "reserve_seed", "_domain", "_prior", "_index")
 
     def __init__(
         self,
@@ -186,6 +187,7 @@ class State:
         object.__setattr__(self, "reserve_cursor", reserve_cursor)
         object.__setattr__(self, "reserve_seed", reserve_seed)
         object.__setattr__(self, "_domain", None)
+        object.__setattr__(self, "_prior", None)
         object.__setattr__(self, "_index", None)
 
     def __setattr__(self, *_):
@@ -203,10 +205,24 @@ class State:
 
     def active_domain(self) -> tuple[Value, ...]:
         """Every value occurring in the interpretation (recursively) plus the
-        declared universe, in canonical order.  Quantifiers range over this."""
+        declared universe, in canonical order.  Quantifiers range over this.
+
+        `machine.step` hands a successor its pre-state's domain as the prior
+        order: the prior values still present keep it, and each new one is
+        bisected in at about log2(n) + 1 `value_key` calls, unless that costs
+        more than the n of a full sort, as it does with no prior.  The prior
+        is let go once the domain is built."""
         if self._domain is None:
             seen = _values_in(_occurring(self)) | self.universe
-            object.__setattr__(self, "_domain", tuple(sorted(seen, key=value_key)))
+            order = list(filter(seen.__contains__, self._prior or ()))
+            new = seen.difference(order)
+            if len(new) * (len(seen).bit_length() + 1) > len(seen):
+                order = sorted(seen, key=value_key)
+            else:
+                for v in new:
+                    insort(order, v, key=value_key)
+            object.__setattr__(self, "_domain", tuple(order))
+            object.__setattr__(self, "_prior", None)
         return self._domain
 
     def stored(self, symbol: str, position: int | None = None, value: Value = UNDEF) -> list[Location]:
@@ -359,15 +375,17 @@ def rename_term(t: T.Term, pi: Mapping[str, str]) -> T.Term:
     return T.map_term(t, iter([rename_value(v, pi) for v in _literals(t)]), _next_literal)
 
 
-def rename_state(s: State, pi: Mapping[str, str]) -> State:
+def rename_state(s: State, pi: Mapping[str, str], atoms: frozenset[str] | None = None) -> State:
     """Apply a bijection on atom names to the whole state.
 
     The bijection must cover every atom occurring in the state and must not
-    merge two of them.  Booleans, naturals and undef are fixed.  The
-    signature is untouched: isomorphisms act on the base set, not on the
-    vocabulary.  A bijection fixing every occurring atom returns `s` itself.
+    merge two of them; a caller that holds `atoms_of_state(s)` passes it as
+    `atoms`, and both checks run against that set.  Booleans, naturals and
+    undef are fixed.  The signature is untouched: isomorphisms act on the
+    base set, not on the vocabulary.  A bijection fixing every occurring
+    atom returns `s` itself.
     """
-    occurring = atoms_of_state(s)
+    occurring = atoms_of_state(s) if atoms is None else atoms
     missing = occurring - set(pi)
     if missing:
         raise RasmError("partial-bijection", f"bijection misses atoms {sorted(missing)[:5]}")

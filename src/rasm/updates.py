@@ -25,8 +25,12 @@ undecodable path counts as the root.  A shared update always names a whole
 location; an edit inside a tree value names its node only by that path
 argument.
 
-An update multiset keeps its entries in evaluation order; it is a
-multiset, so it compares and hashes without regard to that order.
+Entries are named tuples: an `Update` is the pair ``(location, value)``
+and a `SharedUpdate` the triple ``(location, op, args)``.  They hash,
+compare and read their fields in C, and the evaluator builds them, and
+their locations, with `tuple.__new__` and no Python frame.  An update
+multiset keeps its entries in evaluation order; it is a multiset, so it
+compares and hashes without regard to that order.
 `collapse` groups the entries by location in a dict: a lone ordinary
 update passes through as it is, and only a shared group of two or more is
 sorted, by `SharedUpdate.key`, into its canonical fold order.
@@ -40,7 +44,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import EvalError, RasmError
 from .state import Location, State
@@ -48,16 +52,14 @@ from .trees import Context, Node, Tree, TreeAlgebraError, subst_tt
 from .values import UNDEF, Multiset, Natural, TreeVal, TupleVal, Value, value_key
 
 
-@dataclass(frozen=True, slots=True)
-class Update:
+class Update(NamedTuple):
     """Ordinary update: set `location` to `value`."""
 
     location: Location
     value: Value
 
 
-@dataclass(frozen=True, slots=True)
-class SharedUpdate:
+class SharedUpdate(NamedTuple):
     """Shared update: fold `op(current, *args)` into the location at collapse."""
 
     location: Location

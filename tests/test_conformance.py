@@ -85,6 +85,18 @@ def test_isomorphism_closure_passes_on_atom_machine():
     assert rep.notes == ()
 
 
+def test_isomorphism_trials_rename_with_the_atoms_the_check_holds(monkeypatch):
+    """The check hands `rename_state` the atoms it has already found, so no
+    trial walks a state again to find them."""
+    from rasm import state as state_module
+
+    walked, real = [], state_module.atoms_of_state
+    monkeypatch.setattr(state_module, "atoms_of_state", lambda s: walked.append(s) or real(s))
+    rep = check_isomorphism_closure(parse_state(ATOMIC), trials=25, seed=5)
+    assert rep.passed and rep.instances == 25
+    assert walked == []
+
+
 def test_isomorphism_closure_notes_when_nothing_moves():
     s = parse_state(COUNTER)
     rep = check_isomorphism_closure(s, trials=5)

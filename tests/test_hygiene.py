@@ -2,8 +2,10 @@
 every name a module defines is read somewhere, every tree operation and
 term walk is imported by another module of the package, every layer the
 benchmark's tracer wraps still exists, the parser, the printer and the
-evaluator agree on every background operation, and the scalar values and
-locations hash and compare through their builtins' C slots.
+evaluator agree on every background operation, the scalar values,
+locations and update entries hash and compare through their builtins' C
+slots, and evaluating an entry runs no Python frame of `updates.py` or
+`state.py`.
 
 Each `src/rasm/*.py` except the package `__init__` is parsed with `ast`; a
 name bound by an import counts as used when it is loaded anywhere in the
@@ -12,16 +14,19 @@ module, annotations included (string annotations are parsed too).
 
 import ast
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from rasm.evaluator import BACKGROUND_OPS
-from rasm.parser import KEYWORDS, parse_term
+from rasm.evaluator import BACKGROUND_OPS, eval_rule
+from rasm.parser import KEYWORDS, parse_rule, parse_term
 from rasm.printer import print_term
-from rasm.state import Location
-from rasm import terms
+from rasm.state import FunctionSymbol, Location, Signature, State
+from rasm import state, terms, updates
 from rasm.terms import CHILDREN, INFIX, Apply, BackgroundOp, Term
+from rasm.updates import SharedUpdate, Update, UpdateMultiset, apply_update_set, collapse
 from rasm.values import Atom, Boolean, Natural, Undef
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -240,6 +245,38 @@ def test_scalars_and_locations_hash_and_compare_in_c():
     would put a Python frame back into every read, collapse and apply."""
     assert Natural.__hash__ is int.__hash__ and Natural.__eq__ is int.__eq__
     assert Atom.__hash__ is str.__hash__ and Atom.__eq__ is str.__eq__
-    assert Location.__hash__ is tuple.__hash__ and Location.__eq__ is tuple.__eq__
+    for pair in (Location, Update, SharedUpdate):
+        assert pair.__hash__ is tuple.__hash__ and pair.__eq__ is tuple.__eq__
     for singleton in (Boolean, Undef):
         assert singleton.__eq__ is object.__eq__ and singleton.__hash__ is object.__hash__
+
+
+def test_no_python_frame_in_updates_or_state_per_entry():
+    """A FORALL over 200 bindings yields 600 entries, ordinary and shared:
+    no Python-level function of `updates.py` or `state.py` runs once per
+    binding while they are evaluated, nor while the ordinary ones are
+    collapsed and applied.  A dataclass `__init__`, a named tuple's
+    `__new__` or a `Location.__new__` would run 200 times."""
+    n = 200
+    sig = Signature(FunctionSymbol(name, arity) for name, arity in (("g", 1), ("h", 2), ("m", 1)))
+    s = State(sig, {Location("g", (Natural(i),)): Natural(i) for i in range(n)})
+    rule = parse_rule(f"FORALL x WITH lt(x, {n}) DO PAR g(x) := x h(x, x) := x m(x) <<= munion({{| 1 |}}) ENDPAR ENDDO")
+    eval_rule(s, {}, rule)  # compile first: compiling runs once per rule, not per entry
+    watched = {updates.__name__, state.__name__}
+    calls: Counter = Counter()
+
+    def profile(frame, event, _arg):
+        # Generated constructors, a dataclass's or a named tuple's, have no file.
+        code = frame.f_code
+        if event == "call" and (frame.f_globals.get("__name__") in watched or code.co_filename == "<string>"):
+            calls[code.co_qualname] += 1
+
+    sys.setprofile(profile)
+    try:
+        um = eval_rule(s, {}, rule)
+        ordinary = UpdateMultiset(e for e in um if type(e) is Update)
+        apply_update_set(s, collapse(s, ordinary))
+    finally:
+        sys.setprofile(None)
+    assert len(um) == 3 * n and len(ordinary) == 2 * n
+    assert calls and max(calls.values()) < n, calls.most_common(3)

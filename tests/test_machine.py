@@ -13,11 +13,11 @@ from rasm.errors import EncodingError, MachineError, RasmError
 from rasm.evaluator import eval_rule
 from rasm.machine import DEFAULT_MAX_STEPS, StepReport, run, step, validate_initial
 from rasm.parser import parse_rule, parse_state
-from rasm.state import FunctionSymbol, Location, PGM_LOCATION, Signature, State
+from rasm.state import FunctionSymbol, Location, PGM_LOCATION, Signature, State, _occurring, _values_in
 from rasm.terms import Assign, Literal, Par
 from rasm.trees import XI, Context, Node, context_at, leaf, node, subst_tt
 from rasm.updates import collapse
-from rasm.values import UNDEF, Natural, TreeVal, TupleVal
+from rasm.values import UNDEF, Natural, TreeVal, TupleVal, value_key
 from conftest import forget_raises, random_machine, random_rule, random_state
 
 
@@ -315,6 +315,48 @@ def test_successor_agrees_with_a_full_rebuild_on_random_machines():
         compared += 1
         changed += rep.next != rep.state
     assert compared > 1500 and changed > 500, (compared, changed)
+
+
+def _domain_from_scratch(s: State) -> tuple:
+    """`s`'s domain sorted afresh, on a copy of `s` that has no prior order."""
+    fresh = State(s.signature, s.interp, s.universe, s.reserve_cursor, s.reserve_seed)
+    want = tuple(sorted(_values_in(_occurring(fresh)) | fresh.universe, key=value_key))
+    assert fresh.active_domain() == want
+    return want
+
+
+def _shifting_machine(n: int, shift: int) -> State:
+    """g(0..n-1) all move by `shift` each step, beside a counter: most of
+    the domain's values change when `shift` is n, one or two when it is 0."""
+    inits = [("g", (Natural(i),), Natural(i)) for i in range(n)] + [("c", (), Natural(1000))]
+    rule = f"PAR FORALL x WITH lt(x, {n}) DO g(x) := g(x) + {shift} ENDDO c := c + 1 ENDPAR"
+    return make_state(rule, (("g", 1), ("c", 0)), inits)
+
+
+def test_carried_over_domain_equals_the_domain_sorted_afresh():
+    """300 random machines run 4 steps, beside machines whose steps change
+    one value or most of them.  Each pre-state's domain is built before its
+    step, so every successor gets a prior order; the successor's domain
+    equals the one sorted from scratch whether the value set stayed put
+    (reuse), gained a few values (insert) or many (full sort)."""
+    rng = random.Random(151)
+    starts = [random_machine(rng)[0] for _ in range(300)]
+    starts += [_shifting_machine(n, shift) for n in (8, 20, 40) for shift in (0, n)]
+    paths = {"reuse": 0, "insert": 0, "full sort": 0, "dropped": 0}
+    for s in starts:
+        for _ in range(4):
+            prior = s.active_domain()
+            try:
+                nxt = step(s).next
+            except RasmError:
+                break
+            got = nxt.active_domain()
+            assert got == _domain_from_scratch(nxt)
+            new, n = set(got) - set(prior), len(got)
+            paths["dropped"] += bool(set(prior) - set(got)) and 0 < len(new) * (n.bit_length() + 1) <= n
+            paths["reuse" if not new else "insert" if len(new) * (n.bit_length() + 1) <= n else "full sort"] += 1
+            s = nxt
+    assert min(paths.values()) >= 10, paths
 
 
 def test_fixpoint_is_state_equality_at_every_step_of_random_runs():

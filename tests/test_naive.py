@@ -50,6 +50,27 @@ def test_naive_rule_collects_and_scans():
     assert len(us) == 2
 
 
+def test_naive_verdict_is_the_pairwise_scan():
+    """The oracle's set test of consistency says what a scan of every pair
+    of collected updates for two values at one location says."""
+    from rasm.naive import _collect_updates, _Fresh
+
+    rng = random.Random(101)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        s, r = random_state(rng), random_rule(rng, depth=4)
+        out = []
+        try:
+            _collect_updates(s, {}, r, out, _Fresh(s), frozenset())
+        except EvalError:
+            continue
+        pairwise = not any(u.location == w.location and u.value != w.value
+                           for i, u in enumerate(out) for w in out[i + 1 :])
+        assert naive_eval_rule(s, {}, r) == (frozenset(out), pairwise)
+        verdicts[pairwise] += 1
+    assert min(verdicts.values()) > 20, verdicts
+
+
 def test_naive_rejects_partial_assignments():
     with pytest.raises(EvalError, match="unknown-operator"):
         naive_eval_rule(small_state(), {}, parse_rule("f <<= munion({| 1 |})"))

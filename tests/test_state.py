@@ -133,11 +133,13 @@ def test_rename_that_fixes_every_atom_returns_the_state():
 
 
 def test_rename_rejects_partial_and_merging_maps():
+    """Whether it finds the state's atoms itself or is handed them."""
     s = State(sig(("f", 0)), {Location("f"): TupleVal((Atom("red"), Atom("blue")))})
-    with pytest.raises(RasmError, match="partial-bijection"):
-        rename_state(s, {"red": "x"})
-    with pytest.raises(RasmError, match="not-a-bijection"):
-        rename_state(s, {"red": "x", "blue": "x"})
+    for atoms in (None, atoms_of_state(s)):
+        with pytest.raises(RasmError, match="partial-bijection"):
+            rename_state(s, {"red": "x"}, atoms)
+        with pytest.raises(RasmError, match="not-a-bijection"):
+            rename_state(s, {"red": "x", "blue": "x"}, atoms)
 
 
 def test_rename_reaches_quoted_trees():

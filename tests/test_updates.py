@@ -235,6 +235,34 @@ def test_multiset_identity_ignores_order():
     assert a.union(b) == UpdateMultiset(tuple(a) + tuple(b))
 
 
+def test_entries_are_tuples_that_compare_by_value():
+    """The entries the evaluator builds with `tuple.__new__` equal and hash
+    as the public constructors' do, and a multiset of them ignores their
+    order but not their count.  An update never equals a shared update, and
+    the reprs, which error messages print, are the dataclass reprs they
+    replaced."""
+    from rasm.evaluator import eval_rule
+    from rasm.parser import parse_rule
+
+    s = base_state()
+    got = eval_rule(s, {}, parse_rule("PAR f := 1 g(1) <<= munion({| 2 |}) ENDPAR"))
+    want = (Update(F, Natural(1)), SharedUpdate(G1, "munion", (mset(2),)))
+    assert got.entries == want and tuple(map(hash, got)) == tuple(map(hash, want))
+    assert tuple(map(type, got)) == (Update, SharedUpdate)
+    assert (want[0].location, want[0].value) == (F, Natural(1))
+    assert (want[1].location, want[1].op, want[1].args) == (G1, "munion", (mset(2),))
+    flipped = UpdateMultiset(reversed(want))
+    assert flipped == got and hash(flipped) == hash(got)
+    assert UpdateMultiset(want + want[:1]) != got
+    assert Update(F, "munion") != SharedUpdate(F, "munion", ())
+    assert Update(F, mset(2)) not in {SharedUpdate(F, "munion", (mset(2),))}
+    assert repr(want[0]) == "Update(location=Location(symbol='f', args=()), value=Natural(n=1))"
+    assert repr(want[1]) == (
+        "SharedUpdate(location=Location(symbol='g', args=(Natural(n=1),)), op='munion', "
+        "args=(Multiset([Natural(n=2)]),))"
+    )
+
+
 def applied(s, us):
     return State(s.signature, apply_update_set(s, us), s.universe)
 
