@@ -288,15 +288,6 @@ def _unique_child(p: Tree, label: str) -> Node:
     return hits[0]
 
 
-def extract_signature_subtree(p: Tree) -> Tree:
-    return Tree(_unique_child(p, "signature"))
-
-
-def extract_rule_subtree(p: Tree) -> Tree:
-    """The rule⟨...⟩ child subtree, wrapper included."""
-    return Tree(_unique_child(p, "rule"))
-
-
 def as_program(t: Tree) -> Program:
     """The program `t` encodes, kept on its root: a tree raises once."""
     root = t.root_node
@@ -306,9 +297,7 @@ def as_program(t: Tree) -> Program:
         return root.raised
     if len(root.children) != 2 or root.value is not None:
         raise EncodingError("malformed-program-tree", "pgm root needs exactly a signature and a rule child", ())
-    sig_tree = extract_signature_subtree(t)
-    wrap = extract_rule_subtree(t).root_node
-    sig = raise_signature(sig_tree)
+    sig, wrap = raise_signature(Tree(_unique_child(t, "signature"))), _unique_child(t, "rule")
     if PGM not in sig or sig.lookup(PGM).arity != 0:
         raise EncodingError("malformed-program-tree", "encoded signature must contain nullary pgm", ())
     if len(wrap.children) != 1 or wrap.value is not None:

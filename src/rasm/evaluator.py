@@ -20,12 +20,14 @@ its nearest binding that is not a LET comes from one of them.
 
 Terms and rules compile to closures (Feeley & Lapalme, "Using Closures for
 Code Generation", 1987), against the signature they run with: symbol, arity
-and operator lookups and the narrowing reads are done then.  A rule keeps
-its closure with that signature, so a rewritten program compiles only the
-sub-rules its raise rebuilt.  Errors stay lazy: a failed lookup compiles to
-a closure that raises when it runs, so an untaken branch, an unread LET
-binding or an empty quantifier raises nothing, and the first error of a PAR
-stays the first.
+and operator lookups and the narrowing reads are done then.  A term or a
+rule keeps its closure with that signature in its `compiled` slot, so a
+term compiles once however many rules and read terms share it, and a
+rewritten program compiles only the rules on the spine its raise rebuilt:
+their terms come back as the same objects from the interned leaves.
+Errors stay lazy: a failed lookup compiles to a closure that raises when
+it runs, so an untaken branch, an unread LET binding or an empty
+quantifier raises nothing, and the first error of a PAR stays the first.
 
 Each node gets the closure of its syntactic shape.  Reads of arity 1 and 2,
 equality, the binary operations on naturals and updates with one argument take
@@ -218,20 +220,8 @@ BACKGROUND_OPS: dict[str, _BgOp] = {
 
 # ------------------------------------------------------------------- terms
 
-_last_compiled: tuple[T.Term, Signature, TermFn] | None = None
-
-
-def _compiled(t: T.Term, sig: Signature) -> TermFn:
-    # One slot, keyed by identity and signature: a check re-reads the term it read last.
-    global _last_compiled
-    last = _last_compiled
-    if last is None or last[0] is not t or (last[1] is not sig and last[1] != sig):
-        last = _last_compiled = (t, sig, _compile_term(t, sig))
-    return last[2]
-
-
 def eval_term(s: State, env: Env, t: T.Term) -> Value:
-    return _compiled(t, s.signature)(s, env)
+    return _compile_term(t, s.signature)(s, env)
 
 
 def _raiser(code: str, message: str, head: str | None = None) -> Callable:
@@ -261,63 +251,69 @@ def _operand(t: T.Term, sig: Signature) -> tuple:
 
 
 def _compile_term(t: T.Term, sig: Signature) -> TermFn:
+    """`t`'s closure, kept on `t` with `sig` as `_compile_rule` keeps a
+    rule's: a term shared by several rules or read terms compiles once."""
+    memo = getattr(t, "compiled", None)
+    if memo is not None and (memo[0] is sig or memo[0] == sig):
+        return memo[1]
     if isinstance(t, T.Literal):
         value = t.value
-        return lambda s, env: value
-    if isinstance(t, T.Var):
+        fn = lambda s, env: value
+    elif isinstance(t, T.Var):
         name, miss = t.name, _unbound(t.name)
-        def var(s, env):
+        def fn(s, env):
             v = env.get(name, miss)
             return v.term(s, v.env) if type(v) is _LetBinding else v
-        return var
-    if isinstance(t, T.Apply):
+    elif isinstance(t, T.Apply):
         func, sym, n = t.func, sig.lookup(t.func), len(t.args)
         if sym is None:
-            return _raiser("unknown-symbol", f"no function symbol {func!r} in the signature")
-        if sym.arity != n:
-            return _raiser("arity-mismatch", f"{func!r} has arity {sym.arity}, applied to {n} arguments")
-        if not n:
+            fn = _raiser("unknown-symbol", f"no function symbol {func!r} in the signature")
+        elif sym.arity != n:
+            fn = _raiser("arity-mismatch", f"{func!r} has arity {sym.arity}, applied to {n} arguments")
+        elif not n:
             loc = (func, ())
-            return lambda s, env: s.interp.get(loc, UNDEF)
-        if n > 2:
+            fn = lambda s, env: s.interp.get(loc, UNDEF)
+        elif n > 2:
             args = [_compile_term(a, sig) for a in t.args]
-            def read(s, env):
+            def fn(s, env):
                 vs = tuple([a(s, env) for a in args])
                 return UNDEF if UNDEF in vs else s.interp.get((func, vs), UNDEF)  # strict
-            return read
         # Reads are strict: every argument is evaluated, then any undef one makes the read undef.
-        xn, xm, xf, xc = _operand(t.args[0], sig)
-        if n == 1:
-            def read1(s, env):
+        elif n == 1:
+            xn, xm, xf, xc = _operand(t.args[0], sig)
+            def fn(s, env):
                 x = env.get(xn, xm) if xn else xf(s, env) if xf else xc
                 if type(x) is _LetBinding:
                     x = x.term(s, x.env)
                 return UNDEF if x is UNDEF else s.interp.get((func, (x,)), UNDEF)
-            return read1
-        yn, ym, yf, yc = _operand(t.args[1], sig)
-        def read2(s, env):
-            x = env.get(xn, xm) if xn else xf(s, env) if xf else xc
-            if type(x) is _LetBinding:
-                x = x.term(s, x.env)
-            y = env.get(yn, ym) if yn else yf(s, env) if yf else yc
-            if type(y) is _LetBinding:
-                y = y.term(s, y.env)
-            return UNDEF if x is UNDEF or y is UNDEF else s.interp.get((func, (x, y)), UNDEF)
-        return read2
-    if isinstance(t, T.BackgroundOp):
+        else:
+            (xn, xm, xf, xc), (yn, ym, yf, yc) = _operand(t.args[0], sig), _operand(t.args[1], sig)
+            def fn(s, env):
+                x = env.get(xn, xm) if xn else xf(s, env) if xf else xc
+                if type(x) is _LetBinding:
+                    x = x.term(s, x.env)
+                y = env.get(yn, ym) if yn else yf(s, env) if yf else yc
+                if type(y) is _LetBinding:
+                    y = y.term(s, y.env)
+                return UNDEF if x is UNDEF or y is UNDEF else s.interp.get((func, (x, y)), UNDEF)
+    elif isinstance(t, T.BackgroundOp):
         op = BACKGROUND_OPS.get(t.op)
         if op is None:
-            return _raiser("unknown-operator", f"no background operation {t.op!r}")
-        if op.arity is not None and op.arity != len(t.args):
-            return _raiser("arity-mismatch", f"operation {t.op!r} takes {op.arity} arguments")
-        if op.raw is not None:
-            return _compile_binary(op, _operand(t.args[0], sig), _operand(t.args[1], sig))
-        fn, args = op.fn, [_compile_term(a, sig) for a in t.args]
-        return lambda s, env: fn([a(s, env) for a in args])  # every operand, left to right
-    if isinstance(t, T.Comprehension):
+            fn = _raiser("unknown-operator", f"no background operation {t.op!r}")
+        elif op.arity is not None and op.arity != len(t.args):
+            fn = _raiser("arity-mismatch", f"operation {t.op!r} takes {op.arity} arguments")
+        elif op.raw is not None:
+            fn = _compile_binary(op, _operand(t.args[0], sig), _operand(t.args[1], sig))
+        else:
+            run, args = op.fn, [_compile_term(a, sig) for a in t.args]
+            fn = lambda s, env: run([a(s, env) for a in args])  # every operand, left to right
+    elif isinstance(t, T.Comprehension):
         head, each = _compile_term(t.head, sig), _satisfying(sig, t.binders, t.guard)
-        return lambda s, env: Multiset(head(s, inner) for inner in each(s, env))
-    raise TypeError(f"not a term: {t!r}")
+        fn = lambda s, env: Multiset(head(s, inner) for inner in each(s, env))
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    object.__setattr__(t, "compiled", (sig, fn))
+    return fn
 
 
 def _compile_binary(op: _BgOp, left: tuple, right: tuple) -> TermFn:

@@ -58,7 +58,7 @@ def _check_kept(current: Signature, encoded: Signature, what: str) -> None:
 def step(s: State) -> StepReport:
     prog = _stored_program(s)
     _check_kept(s.signature, prog.signature, "encoded signature")
-    pre = s if prog.signature == s.signature else s.with_signature(s.signature.extended(prog.signature))
+    pre = s.with_signature(s.signature.extended(prog.signature))
 
     um, cursor = eval_rule_with_cursor(pre, {}, prog.rule)
     us = collapse(pre, um)

@@ -247,6 +247,11 @@ class State:
     # -- functional updates ----------------------------------------------
 
     def with_signature(self, signature: Signature) -> "State":
+        """This state under `signature`; the state itself, with the domain
+        and location index it has built, when handed its own signature
+        object.  Equal signatures may differ in their symbols' kinds."""
+        if signature is self.signature:
+            return self
         return State(signature, self.interp, self.universe, self.reserve_cursor, self.reserve_seed)
 
     # -- comparison -------------------------------------------------------

@@ -26,7 +26,11 @@ from .values import Value
 
 
 class Term:
-    __slots__ = ()
+    # `evaluator._compile_term` keeps (signature, closure) here, as
+    # `_compile_rule` does on a rule: a term's closure depends only on the
+    # term and the signature, never on where the term sits.  The slot takes
+    # no part in equality, hashing or repr.
+    __slots__ = ("compiled",)
 
 
 @dataclass(frozen=True, slots=True)

@@ -87,9 +87,6 @@ class UpdateMultiset:
     def __setattr__(self, *_):
         raise AttributeError("UpdateMultiset is immutable")
 
-    def union(self, other: "UpdateMultiset") -> "UpdateMultiset":
-        return UpdateMultiset(self.entries + other.entries)
-
     def __iter__(self) -> Iterator[Entry]:
         return iter(self.entries)
 

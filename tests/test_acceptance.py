@@ -410,9 +410,7 @@ def test_postulate_checks():
     # negative control 2: an update function that peeks at the unread h
     def peeking(st, rule):
         hidden = st.value_of(Location("h"))
-        return eval_rule(st, {}, rule).union(
-            UpdateMultiset((Update(Location("f"), hidden),))
-        )
+        return UpdateMultiset(eval_rule(st, {}, rule).entries + (Update(Location("f"), hidden),))
 
     s1, s2 = _constructed_pair(random.Random(32))
     rep = check_bounded_exploration(s1, s2, updates_fn=peeking)

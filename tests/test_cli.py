@@ -312,11 +312,12 @@ def test_check_of_900_nested_ifs_passes(tmp_path, capsys):
     assert "violations 0" in capsys.readouterr().out
 
 
-def test_check_of_600_nested_if_elses_passes(tmp_path, capsys):
+def test_check_of_900_nested_if_elses_passes(tmp_path, capsys):
     # Each read term's guard is one flat `and` over the path's conditions,
-    # so no read term is deeper than the rule.
+    # so no read term is deeper than the rule; the conditions the read
+    # terms share with the rule keep the closures the step compiled.
     doc = put(tmp_path, "deep.rst", "function f/0\nfunction g/0\ninit f = 0\ninit g = 0\nprogram\n"
-              + nested_if_else(600) + "\n")
+              + nested_if_else(900) + "\n")
     assert main(["check", doc, "--steps", "1", "--trials", "1"]) == 0
     assert "violations 0" in capsys.readouterr().out
 

@@ -235,7 +235,7 @@ def test_bounded_exploration_negative_control():
 
     def peeking(st, rule):
         hidden = st.value_of(Location("h"))
-        return eval_rule(st, {}, rule).union(UpdateMultiset((Update(Location("f"), hidden),)))
+        return UpdateMultiset(eval_rule(st, {}, rule).entries + (Update(Location("f"), hidden),))
 
     rep = check_bounded_exploration(s1, s2, updates_fn=peeking)
     assert not rep.passed

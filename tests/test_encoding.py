@@ -18,8 +18,6 @@ from rasm.encoding import (
     drop_program,
     drop_rule,
     drop_signature,
-    extract_rule_subtree,
-    extract_signature_subtree,
     raise_rule,
     raise_signature,
 )
@@ -111,11 +109,10 @@ def test_program_subtree_paths():
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
     t = drop_program(sig, parse_rule("f := 1"))
     # fixed layout: signature at child 0, rule wrapper at child 1
-    assert extract_signature_subtree(t) == subtree(t, (0,))
-    rw = extract_rule_subtree(t)
-    assert rw == subtree(t, (1,))
+    assert subtree(t, (0,)).root_node.label == "signature"
+    rw = subtree(t, (1,))
     assert rw.root_node.label == "rule"
-    assert raise_rule(subtree(rw, (0,))) == parse_rule("f := 1")
+    assert raise_rule(subtree(rw, (0,))) == parse_rule("f := 1") == as_program(t).rule
 
 
 def bad_cases():

@@ -10,16 +10,18 @@ import itertools
 import pytest
 
 from rasm import evaluator
+from rasm.conformance import check_bounded_exploration
 from rasm.errors import EvalError
 from rasm.evaluator import BACKGROUND_OPS, eval_rule, eval_rule_with_cursor, eval_term
+from rasm.machine import step
 from rasm.naive import naive_eval_rule
-from rasm.parser import parse_rule, parse_term
+from rasm.parser import parse_rule, parse_state, parse_term
 from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm.terms import Apply, Assign, BackgroundOp, Comprehension, Forall, If, Let, Literal, Par, Var
 from rasm.trees import XI, Context, Node, Tree, leaf, node
 from rasm.updates import SharedUpdate, Update, UpdateMultiset
 from rasm.values import FALSE, TRUE, UNDEF, Atom, Boolean, Multiset, Natural, TreeVal, TupleVal
-from conftest import count_lookups
+from conftest import count_lookups, nested_if_else
 
 
 def small_state(**inits):
@@ -387,6 +389,48 @@ def test_unchanged_sub_rules_are_not_compiled_again(monkeypatch):
     um = eval_rule(s, {}, Par((a, b, c)))
     assert compiled == [c]
     assert len(um.entries) == 3
+
+
+def missed_compiles(monkeypatch) -> list:
+    """Patches `_compile_term` to record each term it compiles afresh: one
+    that keeps no closure for a signature equal to the one asked for."""
+    missed, real = [], evaluator._compile_term
+
+    def counting(t, sig):
+        memo = getattr(t, "compiled", None)
+        if memo is None or memo[0] != sig:
+            missed.append(t)
+        return real(t, sig)
+
+    monkeypatch.setattr(evaluator, "_compile_term", counting)
+    return missed
+
+
+def test_a_term_is_compiled_again_only_under_another_signature(monkeypatch):
+    t, s = parse_term("g(f) + 1"), small_state(f=Natural(1))
+    equal = State(Signature(FunctionSymbol(x.name, x.arity, "static") for x in s.signature), s.interp, s.universe)
+    grown = s.with_signature(s.signature.extended([FunctionSymbol("h", 0)]))
+    missed = missed_compiles(monkeypatch)
+    for state, fresh in ((s, 3), (s, 0), (equal, 0), (grown, 3)):  # `g(f) + 1`, `g(f)` and `f`
+        del missed[:]
+        assert eval_term(state, {}, t) == UNDEF
+        assert len(missed) == fresh
+    assert t.compiled[0] is grown.signature
+
+
+def test_check_compiles_read_terms_linearly_in_if_nesting(monkeypatch, fresh_nodes):
+    """The read terms of nested IF/ELSEs share the path's conditions with
+    the rule, which the step compiled: the check compiles each shared
+    term once, not once per read term that holds it."""
+    def misses(n):
+        rep = step(parse_state("function f/0\nfunction g/0\ninit f = 0\ninit g = 0\nprogram\n"
+                               + nested_if_else(n) + "\n"))
+        with monkeypatch.context() as m:
+            missed = missed_compiles(m)
+            check_bounded_exploration(rep.state, rep.next)
+        return len(missed)
+
+    assert misses(200) <= 2 * misses(100) + 10
 
 
 # ------------------------------------------- closure shapes against the oracle

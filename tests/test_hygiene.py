@@ -1,15 +1,16 @@
 """Source hygiene: every name a module imports is used in that module,
-every name a module defines is read somewhere, every tree operation and
-term walk is imported by another module of the package, every layer the
-benchmark's tracer wraps still exists, the parser, the printer and the
-evaluator agree on every background operation, the scalar values,
-locations and update entries hash and compare through their builtins' C
-slots, and evaluating an entry runs no Python frame of `updates.py` or
-`state.py`.
+every name a module defines is read somewhere, no module has a `global`
+statement, every tree operation and term walk is imported by another
+module of the package, every layer the benchmark's tracer wraps still
+exists, the parser, the printer and the evaluator agree on every
+background operation, the scalar values, locations and update entries
+hash and compare through their builtins' C slots, and evaluating an entry
+runs no Python frame of `updates.py` or `state.py`.
 
-Each `src/rasm/*.py` except the package `__init__` is parsed with `ast`; a
-name bound by an import counts as used when it is loaded anywhere in the
-module, annotations included (string annotations are parsed too).
+Each `src/rasm/*.py` except the package `__init__` (which the `global`
+scan includes) is parsed with `ast`; a name bound by an import counts as
+used when it is loaded anywhere in the module, annotations included
+(string annotations are parsed too).
 """
 
 import ast
@@ -112,6 +113,14 @@ def test_every_defined_name_is_read():
             if name not in loaded and (path.stem, name) not in imported_from and name not in attributes:
                 unread.append(f"{path.stem}.{name} (line {line})")
     assert not unread, f"names defined but never read: {', '.join(sorted(unread))}"
+
+
+def test_no_module_rebinds_a_global():
+    """No function rebinds a module-level name: a memo lives in a slot of
+    the object it is kept for, so it goes when that object goes."""
+    found = [f"{path.name}:{n.lineno}" for path in sorted(SRC.glob("*.py"))
+             for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(n, ast.Global)]
+    assert not found, f"global statements at {', '.join(found)}"
 
 
 def test_every_tree_operation_is_imported_by_another_module():

@@ -106,6 +106,17 @@ def test_state_equality_ignores_run_metadata():
     assert hash(a) == hash(b)
 
 
+def test_with_signature_keeps_the_state_for_its_own_signature():
+    s = State(sig(("f", 0)), {Location("f"): Natural(1)}, [Atom("a")], reserve_cursor=3)
+    assert s.with_signature(s.signature) is s
+    grown = s.with_signature(s.signature.extended([FunctionSymbol("g", 1)]))
+    assert grown is not s and grown.signature.pairs() == {("f", 0), ("g", 1)}
+    assert (grown.interp, grown.universe, grown.reserve_cursor) == (s.interp, s.universe, 3)
+    # An equal signature object may give its symbols other kinds.
+    static = Signature([FunctionSymbol("f", 0, "static")])
+    assert s.with_signature(static).signature is static
+
+
 def test_rename_is_pointwise_and_total():
     s = State(
         sig(("f", 0), ("g", 1)),
