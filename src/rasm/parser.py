@@ -365,7 +365,7 @@ class _Parser:
             cond = self.term()
             self.expect("THEN")
             then_branch = self.rule()
-            else_branch: Rule = T.Par(())
+            else_branch: Rule = T.SKIP
             if self.take("ELSE"):
                 else_branch = self.rule()
             self.expect("ENDIF")

@@ -1,9 +1,21 @@
 """Canonical, deterministic text for values, trees, terms, rules, states.
 
-One renderer per syntactic category, all pure.  Atom spelling depends on
-context: bare in value position (state documents, tree leaves, traces),
-quoted `'a` in term position where bare identifiers mean function symbols.
-A variable prints bare when an enclosing binder introduced it and as `?x`
+One walk prints them all: `_text` pops pieces off an explicit stack, so
+nesting depth costs no recursion.  A piece is one of three things:
+
+- a `str`, emitted as it is;
+- a bare value or tree node, in value position (state documents, tree
+  leaves, traces), where an atom prints as its name;
+- `(x, bound, need)`: a term, a rule or a quoted value, with the names
+  bound around it and the loosest infix level that may stand bare there.
+  In term position an atom prints quoted, `'a`, since bare identifiers
+  mean function symbols.
+
+The loop itself handles strings, nodes, naturals and atoms, of which most
+text is made, and `PIECES` gives every other form its pieces in text
+order.  A literal, tuple or multiset inside a term passes its context on,
+a dropped term opens a fresh one, and a tree prints its leaf values bare.  A
+variable prints bare when an enclosing binder introduced it and as `?x`
 when free, so dropped open terms stay unambiguous.
 
 The parser and these printers are inverse on canonical forms: parsing any
@@ -16,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 from itertools import groupby
-from typing import Iterable
 
 from .state import Location, State
 from .terms import (
@@ -24,6 +35,7 @@ from .terms import (
     P_CMP,
     P_NOT,
     P_OR,
+    SKIP,
     Apply,
     Assign,
     BackgroundOp,
@@ -41,7 +53,7 @@ from .terms import (
 )
 from .trees import XI, Node, _TreeBase
 from .values import (
-    UNDEF,
+    TRUE,
     Atom,
     Boolean,
     DroppedTerm,
@@ -49,6 +61,7 @@ from .values import (
     Natural,
     TreeVal,
     TupleVal,
+    Undef,
     Value,
     value_key,
 )
@@ -56,194 +69,166 @@ from .values import (
 _EMPTY: frozenset[str] = frozenset()
 
 
-# ------------------------------------------------------------------- values
+# ----------------------------------------------------------------- the walk
 
-def _value_text(v: Value, quote: bool) -> str:
-    if v == UNDEF:
-        return "undef"
-    if isinstance(v, Boolean):
-        return "true" if v.flag else "false"
-    if isinstance(v, Natural):
-        return str(v.n)
-    if isinstance(v, Atom):
-        return ("'" + v.name) if quote else v.name
-    if isinstance(v, TupleVal):
-        if not v.items:
-            return "()"
-        if len(v.items) == 1:
-            return "(" + _value_text(v.items[0], quote) + ",)"
-        return "(" + ", ".join(_value_text(x, quote) for x in v.items) + ")"
-    if isinstance(v, Multiset):
-        if not len(v):
-            return "{||}"
-        return "{| " + ", ".join(_value_text(x, quote) for x in v) + " |}"
-    if isinstance(v, TreeVal):
-        return "#" + print_tree(v.tree)
-    if isinstance(v, DroppedTerm):
-        return "⟦" + print_term(v.term) + "⟧"
-    raise TypeError(f"not a value: {v!r}")
-
-
-# A natural or an atom in value position prints as the int or str it is.
-_SCALAR_TEXT = {Natural: int.__repr__, Atom: str.__str__}
-
-
-def print_value(v: Value) -> str:
-    text = _SCALAR_TEXT.get(type(v))
-    return text(v) if text is not None else _value_text(v, quote=False)
-
-
-# -------------------------------------------------------------------- trees
-
-def _node_text(root: Node) -> str:
-    # An explicit stack of nodes still to print and text pieces still to emit,
-    # so that nesting depth costs no recursion.
+def _text(pieces: list) -> str:
     out: list[str] = []
-    todo: list[Node | str] = [root]
+    todo = pieces[::-1]
+    pop, push, emit = todo.pop, todo.append, out.append
     while todo:
-        n = todo.pop()
-        if isinstance(n, str):
-            out.append(n)
-        elif n.label == XI:
-            out.append("^")
-        elif n.value is not None:
-            out.append(n.label + "=⟨" + _value_text(n.value, quote=False) + "⟩")
-        elif not n.children:
-            out.append(n.label)
+        x = pop()
+        t = type(x)
+        if t is str:
+            emit(x)
+        elif t is Node:
+            if x.label == XI:
+                emit("^")
+            elif x.value is not None:
+                emit(x.label + "=⟨")
+                todo += ("⟩", x.value)
+            elif not x.children:
+                emit(x.label)
+            else:
+                emit(x.label + "⟨")
+                push("⟩")
+                for c in reversed(x.children[1:]):
+                    todo += (c, " ")
+                push(x.children[0])
+        elif t is Natural:
+            emit(int.__repr__(x))
+        elif t is Atom:
+            emit(x)
+        elif t is tuple:
+            x, bound, need = x
+            t = type(x)
+            if t is Literal:  # passes its context on to its value
+                x = x.value
+                t = type(x)
+            if t is Atom:
+                emit("'" + x)
+            elif t is Natural:
+                emit(int.__repr__(x))
+            else:
+                todo += reversed(PIECES[t](x, bound, need))
         else:
-            out.append(n.label + "⟨")
-            todo.append("⟩")
-            for c in reversed(n.children[1:]):
-                todo += (c, " ")
-            todo.append(n.children[0])
+            todo += reversed(PIECES[t](x, None, P_OR))
     return "".join(out)
 
 
-def print_tree(t: _TreeBase) -> str:
-    return _node_text(t.root_node)
+def _listed(open_: str, items, close: str, bound, sep: str = ", ") -> list:
+    """`open_`, the items with `sep` between them, `close`.  Outside a term
+    (`bound` None) the items are bare values, inside one they are terms."""
+    out = [open_]
+    for x in items:
+        out += (x if bound is None else (x, bound, P_OR), sep)
+    if items:
+        out.pop()
+    out.append(close)
+    return out
 
 
-# -------------------------------------------------------------------- terms
-
-def print_term(t: Term, bound: frozenset[str] = _EMPTY) -> str:
-    return _term_text(t, bound, P_OR)
+def _tuple(items, bound) -> list:
+    return _listed("(", items, ",)" if len(items) == 1 else ")", bound)
 
 
-def _args_text(args: Iterable[Term], bound: frozenset[str]) -> str:
-    return ", ".join(_term_text(a, bound, P_OR) for a in args)
+def _mset(items, bound) -> list:
+    return _listed("{| ", items, " |}", bound) if items else ["{||}"]
 
 
-def _term_text(t: Term, bound: frozenset[str], need: int) -> str:
-    if isinstance(t, Literal):
-        return _value_text(t.value, quote=True)
-    if isinstance(t, Var):
-        return t.name if t.name in bound else "?" + t.name
-    if isinstance(t, Apply):
-        if not t.args:
-            return t.func
-        return t.func + "(" + _args_text(t.args, bound) + ")"
-    if isinstance(t, Comprehension):
-        inner = bound | set(t.binders)
-        head = _term_text(t.head, inner, P_OR)
-        guard = _term_text(t.guard, inner, P_OR)
-        binders = ", ".join(t.binders) + " " if t.binders else ""
-        return "{| " + head + " | " + binders + ": " + guard + " |}"
-    if isinstance(t, BackgroundOp):
-        return _op_text(t, bound, need)
-    raise TypeError(f"not a term: {t!r}")
+def _call(func: str, args, bound) -> list:
+    return _listed(func + "(", args, ")", bound) if args else [func]
 
 
-def _op_text(t: BackgroundOp, bound: frozenset[str], need: int) -> str:
-    if t.op == "tuple":
-        if not t.args:
-            return "()"
-        if len(t.args) == 1:
-            return "(" + _term_text(t.args[0], bound, P_OR) + ",)"
-        return "(" + _args_text(t.args, bound) + ")"
-    if t.op == "mset":
-        if not t.args:
-            return "{||}"
-        return "{| " + _args_text(t.args, bound) + " |}"
-    if t.op == "not" and len(t.args) == 1:
-        text = "not " + _term_text(t.args[0], bound, P_CMP)
-        return "(" + text + ")" if need > P_NOT else text
-    fix = INFIX.get(t.op)
-    if fix is not None and len(t.args) >= 2:
+def _op(t: BackgroundOp, bound: frozenset[str], need: int) -> list:
+    op, args = t.op, t.args
+    if op == "tuple":
+        return _tuple(args, bound)
+    if op == "mset":
+        return _mset(args, bound)
+    fix = INFIX.get(op)
+    if op == "not" and len(args) == 1:
+        prec, parts = P_NOT, ["not ", (args[0], bound, P_CMP)]
+    elif fix is not None and len(args) >= 2:
         prec, sym = fix
-        if prec == P_CMP and len(t.args) == 2:
-            a = _term_text(t.args[0], bound, P_CMP + 1)
-            b = _term_text(t.args[1], bound, P_CMP + 1)
-            text = f"{a} {sym} {b}"
+        if prec == P_CMP and len(args) == 2:
+            parts = [(args[0], bound, P_CMP + 1), " " + sym + " ", (args[1], bound, P_CMP + 1)]
         else:
             # Left-associative chain; n-ary and/or flatten here.
-            parts = [_term_text(t.args[0], bound, prec)]
-            parts += [_term_text(a, bound, prec + 1) for a in t.args[1:]]
-            text = (" " + sym + " ").join(parts)
-        return "(" + text + ")" if need > prec else text
-    return t.op + "(" + _args_text(t.args, bound) + ")"
+            parts = [(args[0], bound, prec)]
+            for a in args[1:]:
+                parts += (" " + sym + " ", (a, bound, prec + 1))
+    else:
+        return _call(op, args, bound)
+    return ["(", *parts, ")"] if need > prec else parts
 
 
-# -------------------------------------------------------------------- rules
+def _if(r: If, bound: frozenset[str], need: int) -> list:
+    out = ["IF ", (r.cond, bound, P_OR), " THEN ", (r.then_branch, bound, P_OR)]
+    if r.else_branch != SKIP:
+        out += (" ELSE ", (r.else_branch, bound, P_OR))
+    out.append(" ENDIF")
+    return out
 
-def _head_text(func: str, args: tuple[Term, ...], bound: frozenset[str]) -> str:
-    if not args:
-        return func
-    return func + "(" + _args_text(args, bound) + ")"
+
+def _comprehension(t: Comprehension, bound: frozenset[str], need: int) -> list:
+    inner = bound | set(t.binders)
+    binders = ", ".join(t.binders) + " " if t.binders else ""
+    return ["{| ", (t.head, inner, P_OR), " | " + binders + ": ", (t.guard, inner, P_OR), " |}"]
+
+
+# Each form's pieces in text order, from the form, the names bound around
+# it (None for a bare value) and the loosest infix level that may stand
+# bare there.
+PIECES = {
+    Boolean: lambda v, bound, need: ["true" if v is TRUE else "false"],
+    Undef: lambda v, bound, need: ["undef"],
+    TupleVal: lambda v, bound, need: _tuple(v.items, bound),
+    Multiset: lambda v, bound, need: _mset(v.items, bound),
+    TreeVal: lambda v, bound, need: ["#", v.tree.root_node],
+    DroppedTerm: lambda v, bound, need: ["⟦", (v.term, _EMPTY, P_OR), "⟧"],
+    Var: lambda t, bound, need: [t.name if t.name in bound else "?" + t.name],
+    Apply: lambda t, bound, need: _call(t.func, t.args, bound),
+    BackgroundOp: _op,
+    Comprehension: _comprehension,
+    Assign: lambda r, bound, need: [*_call(r.func, r.args, bound), " := ", (r.rhs, bound, P_OR)],
+    PartialAssign: lambda r, bound, need: [
+        *_call(r.func, r.args, bound), *_listed(" <<= " + r.op + "(", r.operands, ")", bound)],
+    If: _if,
+    Par: lambda r, bound, need: _listed("PAR ", r.rules, " ENDPAR", bound, " ") if r.rules else ["PAR ENDPAR"],
+    Forall: lambda r, bound, need: ["FORALL " + r.var + " WITH ", (r.guard, bound | {r.var}, P_OR),
+                                    " DO ", (r.body, bound | {r.var}, P_OR), " ENDDO"],
+    Let: lambda r, bound, need: ["LET " + r.var + " = ", (r.binding, bound, P_OR), " IN ", (r.body, bound | {r.var}, P_OR)],
+    Import: lambda r, bound, need: ["IMPORT " + r.var + " DO ", (r.body, bound | {r.var}, P_OR)],
+}
+
+
+def print_value(v: Value) -> str:
+    return _text([v])
+
+
+def print_tree(t: _TreeBase) -> str:
+    return _text([t.root_node])
+
+
+def print_term(t: Term, bound: frozenset[str] = _EMPTY) -> str:
+    return _text([(t, bound, P_OR)])
 
 
 def print_rule(r: Rule, bound: frozenset[str] = _EMPTY) -> str:
-    if isinstance(r, Assign):
-        return _head_text(r.func, r.args, bound) + " := " + _term_text(r.rhs, bound, P_OR)
-    if isinstance(r, PartialAssign):
-        return (
-            _head_text(r.func, r.args, bound)
-            + " <<= "
-            + r.op
-            + "("
-            + _args_text(r.operands, bound)
-            + ")"
-        )
-    if isinstance(r, If):
-        cond = _term_text(r.cond, bound, P_OR)
-        text = "IF " + cond + " THEN " + print_rule(r.then_branch, bound)
-        if r.else_branch != Par(()):
-            text += " ELSE " + print_rule(r.else_branch, bound)
-        return text + " ENDIF"
-    if isinstance(r, Par):
-        if not r.rules:
-            return "PAR ENDPAR"
-        return "PAR " + " ".join(print_rule(x, bound) for x in r.rules) + " ENDPAR"
-    if isinstance(r, Forall):
-        inner = bound | {r.var}
-        return (
-            "FORALL "
-            + r.var
-            + " WITH "
-            + _term_text(r.guard, inner, P_OR)
-            + " DO "
-            + print_rule(r.body, inner)
-            + " ENDDO"
-        )
-    if isinstance(r, Let):
-        return (
-            "LET "
-            + r.var
-            + " = "
-            + _term_text(r.binding, bound, P_OR)
-            + " IN "
-            + print_rule(r.body, bound | {r.var})
-        )
-    if isinstance(r, Import):
-        return "IMPORT " + r.var + " DO " + print_rule(r.body, bound | {r.var})
-    raise TypeError(f"not a rule: {r!r}")
+    return _text([(r, bound, P_OR)])
 
 
 # ------------------------------------------------------------------- states
 
-def print_location(loc: Location) -> str:
+def _location(lead: str, loc: Location, tail: str) -> list:
+    """The pieces of `loc` between the strings `lead` and `tail`."""
     if not loc.args:
-        return loc.symbol
-    return loc.symbol + "(" + ", ".join(map(print_value, loc.args)) + ")"
+        return [lead + loc.symbol + tail]
+    return _listed(lead + loc.symbol + "(", loc.args, ")" + tail, None)
+
+
+def print_location(loc: Location) -> str:
+    return _text(_location("", loc, ""))
 
 
 def print_state(s: State) -> str:
@@ -257,7 +242,7 @@ def print_state(s: State) -> str:
             decl += " " + sym.kind
         lines.append(decl)
     for loc in s.locations():
-        lines.append("init " + print_location(loc) + " = " + print_value(s.interp[loc]))
+        lines.append(_text([*_location("init ", loc, " = "), s.interp[loc]]))
     return "\n".join(lines) + "\n"
 
 
@@ -291,9 +276,10 @@ def format_trace(reports) -> str:
         digest = digests.get(id(rep.raised_rule))
         if digest is None:
             digest = digests[id(rep.raised_rule)] = rule_hash(rep.raised_rule)
-        lines = [f"step {i}", "rule " + digest]
+        pieces = [f"step {i}\nrule {digest}"]
         for u in _canonical_updates(rep.update_set):
-            lines.append("update " + print_location(u.location) + " = " + print_value(u.value))
-        lines.append("consistent " + ("true" if rep.update_set.consistent else "false"))
-        blocks.append("\n".join(lines))
+            pieces += _location("\nupdate ", u.location, " = ")
+            pieces.append(u.value)
+        pieces.append("\nconsistent " + ("true" if rep.update_set.consistent else "false"))
+        blocks.append(_text(pieces))
     return "\n\n".join(blocks) + "\n"

@@ -105,8 +105,11 @@ class Signature:
         stops growing keeps one signature object.
 
         A symbol whose name is already bound keeps its existing entry; a
-        redeclaration at a different arity is an error.
+        redeclaration at a different arity is an error.  A signature whose
+        pairs are all here already is answered from the pairs alone.
         """
+        if isinstance(symbols, Signature) and self.contains_all(symbols):
+            return self
         out = dict(self._by_name)
         for sym in symbols:
             have = out.get(sym.name)
@@ -373,11 +376,6 @@ def rename_value(v: Value, pi: Mapping[str, str]) -> Value:
         new = [next(done) if type(p) in _PARTS else p if (n := pi.get(p)) is None or n == p else Atom(n) for p in parts]
         built[len(built) - k :] = [_PARTS[type(x)][1](x, new) if any(map(is_not, new, parts)) else x]
     return built[0]
-
-
-def rename_term(t: T.Term, pi: Mapping[str, str]) -> T.Term:
-    """Rename atoms inside literals; variables and symbol names are not atoms."""
-    return T.map_term(t, iter([rename_value(v, pi) for v in _literals(t)]), _next_literal)
 
 
 def rename_state(s: State, pi: Mapping[str, str], atoms: frozenset[str] | None = None) -> State:

@@ -290,6 +290,28 @@ def test_deeply_nested_rule_runs_and_prints(tmp_path, capsys):
         assert out.startswith("PAR pgm <<= subst_at((1, 0, ") and out.endswith(" ENDPAR\nverdict equal\n")
 
 
+def test_run_prints_the_1200_deep_tuple_it_builds(tmp_path, capsys):
+    """Each step wraps `f` in one more 1-tuple; the trace and the final
+    state print it through the printer's one walk, at any depth."""
+    doc = put(tmp_path, "wrap.rst", "function f/0\ninit f = 0\nprogram\nf := (f,)\n")
+
+    def wrapped(n):
+        return "(" * n + "0" + ",)" * n
+
+    trace = tmp_path / "wrap.trace"
+    assert main(["run", doc, "--steps", "1200", "--trace", str(trace)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and f"\ninit f = {wrapped(1200)}\ninit pgm = #pgm⟨" in out
+    last = trace.read_text(encoding="utf-8").split("\n\n")[-1]
+    assert last.startswith("step 1200\nrule ") and last.endswith(f"\nupdate f = {wrapped(1200)}\nconsistent true\n")
+    # The parser still recurses, once per level: 900 levels read back.
+    assert main(["run", doc, "--steps", "900"]) == 0
+    state = capsys.readouterr().out
+    assert f"\ninit f = {wrapped(900)}\n" in state
+    assert main(["fmt", put(tmp_path, "final.rst", state)]) == 0
+    assert capsys.readouterr().out == state
+
+
 @pytest.mark.parametrize("argv,rule", [
     (["check", "--steps", "1", "--trials", "1"], "IF f = 0 THEN " * 1000 + "f := 1" + " ENDIF" * 1000),
     (["run"], "f := " + "(" * 300 + "1" + ")" * 300),

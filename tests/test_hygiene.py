@@ -3,7 +3,8 @@ every name a module defines is read somewhere, no module has a `global`
 statement, every tree operation and term walk is imported by another
 module of the package, every layer the benchmark's tracer wraps still
 exists, the parser, the printer and the evaluator agree on every
-background operation, the scalar values, locations and update entries
+background operation, every value, term, rule and tree form has a way
+through the printer, the scalar values, locations and update entries
 hash and compare through their builtins' C slots, and evaluating an entry
 runs no Python frame of `updates.py` or `state.py`.
 
@@ -14,6 +15,7 @@ used when it is loaded anywhere in the module, annotations included
 """
 
 import ast
+import builtins
 import importlib.util
 import sys
 from collections import Counter
@@ -25,10 +27,11 @@ from rasm.evaluator import BACKGROUND_OPS, eval_rule
 from rasm.parser import KEYWORDS, parse_rule, parse_term
 from rasm.printer import print_term
 from rasm.state import FunctionSymbol, Location, Signature, State
-from rasm import state, terms, updates
-from rasm.terms import CHILDREN, INFIX, Apply, BackgroundOp, Term
+from rasm import printer, state, terms, updates, values
+from rasm.terms import CHILDREN, INFIX, Apply, BackgroundOp, Rule, Term
+from rasm.trees import Node
 from rasm.updates import SharedUpdate, Update, UpdateMultiset, apply_update_set, collapse
-from rasm.values import Atom, Boolean, Natural, Undef
+from rasm.values import Atom, Boolean, Natural, Undef, Value
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rasm"
@@ -200,9 +203,6 @@ RECURSIVE_WALKS = {
     "parser._Parser._climb",
     "parser._Parser.value",
     "parser._Parser.rule",
-    "printer._value_text",
-    "printer._term_text",
-    "printer.print_rule",
 }
 
 
@@ -247,6 +247,29 @@ def test_every_term_form_has_a_row_in_the_walks_table():
     without one would be passed over by every walk."""
     forms = {c for c in vars(terms).values() if isinstance(c, type) and issubclass(c, Term) and c is not Term}
     assert forms == set(CHILDREN)
+
+
+def test_every_form_has_a_way_through_the_printer():
+    """`printer._text` handles a few forms itself, those it compares the
+    piece's class with, and looks every other one up in `PIECES`; a value,
+    term, rule or tree form in neither would stop the one walk."""
+    loop = next(n for n in ast.walk(ast.parse(Path(printer.__file__).read_text(encoding="utf-8")))
+                if isinstance(n, ast.FunctionDef) and n.name == "_text")
+    names = {**vars(builtins), **vars(printer)}
+    inline = {
+        names[c.comparators[0].id]
+        for c in ast.walk(loop)
+        if isinstance(c, ast.Compare) and isinstance(c.ops[0], ast.Is) and isinstance(c.comparators[0], ast.Name)
+    }
+    forms = {Node} | {
+        c
+        for module, bases in ((values, (Value,)), (terms, (Term, Rule)))
+        for c in vars(module).values()
+        if isinstance(c, type) and issubclass(c, bases) and c not in bases
+    }
+    assert inline >= {str, Node, Natural, Atom}
+    assert forms - inline - set(printer.PIECES) == set()
+    assert set(printer.PIECES) & inline == set()
 
 
 def test_scalars_and_locations_hash_and_compare_in_c():

@@ -48,9 +48,14 @@ def test_signature_equality_ignores_order_and_kind():
 def test_signature_extension():
     a = sig(("f", 0))
     b = a.extended([FunctionSymbol("g", 2), FunctionSymbol("f", 0)])
-    assert b.pairs() == {("f", 0), ("g", 2)}
+    assert b.pairs() == {("f", 0), ("g", 2)} and [x.name for x in b] == ["f", "g"]
     with pytest.raises(RasmError, match="arity-conflict"):
         a.extended([FunctionSymbol("f", 3)])
+    # a signature whose pairs are all here already extends to this very one
+    assert b.extended(b) is b and b.extended(a) is b and b.extended(Signature()) is b
+    assert b.extended(Signature((FunctionSymbol("g", 2, kind="static"),))) is b
+    with pytest.raises(RasmError, match="arity-conflict"):
+        b.extended(sig(("f", 0), ("g", 1)))
 
 
 def test_interp_drops_undef():

@@ -1,7 +1,8 @@
 """The one walk over terms (`terms.subterms`, `terms.map_term`), over
-values (`state._values_in`, `state.rename_value`) and over rules
-(`encoding.beta_rule`): stack-safe on deep input, and in agreement with the
-recursive walks they replaced.
+values (`state._values_in`, `state.rename_value`), over rules
+(`encoding.beta_rule`) and the printer's one walk (`printer._text`):
+stack-safe on deep input, and in agreement with the recursive walks they
+replaced.
 
 The reference walks below are the recursive originals, kept here only as
 oracles.  Deep results are checked with the fold, not with `==`: dataclass
@@ -21,13 +22,19 @@ from rasm.state import (
     Location,
     State,
     _literals,
+    _next_literal,
     atoms_of_state,
     atoms_of_value,
     rename_state,
-    rename_term,
     rename_value,
 )
+from rasm.printer import print_rule, print_term, print_tree, print_value
 from rasm.terms import (
+    INFIX,
+    P_CMP,
+    P_NOT,
+    P_OR,
+    SKIP,
     Apply,
     Assign,
     BackgroundOp,
@@ -44,17 +51,20 @@ from rasm.terms import (
     map_term,
     subterms,
 )
-from rasm.trees import Node
-from rasm.values import TRUE, Atom, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, value_key
+from rasm.trees import XI, Node, Tree
+from rasm.values import TRUE, UNDEF, Atom, Boolean, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, value_key
 
 from conftest import (
     ATOMS,
     _pool_term,
+    random_context,
     random_machine,
+    random_relational_rule,
     random_rule,
     random_rule_reusing_names,
     random_state,
     random_term,
+    random_tree,
     random_value,
 )
 
@@ -78,6 +88,12 @@ def _comprehension_chain(depth, clash_at):
     return c
 
 
+def _rename_literals(t, pi):
+    """The map `rename_value` runs over a dropped term's literals, applied
+    to `t` unquoted: quoting a term hashes it, one frame per level."""
+    return map_term(t, iter([rename_value(v, pi) for v in _literals(t)]), _next_literal)
+
+
 def _forms(t):
     return [type(x).__name__ for x, _ in subterms(t)]
 
@@ -85,9 +101,54 @@ def _forms(t):
 def test_deep_add_chain_goes_through_every_term_walk():
     t = _add_chain(5000)
     assert free_vars(t) == {"x"}
-    renamed = rename_term(t, {"red": "blue"})
+    renamed = _rename_literals(t, {"red": "blue"})
     assert _literals(renamed) == [Atom("blue")] + _literals(t)[1:]
     assert len(_literals(t)) == 2501
+
+
+def test_deep_forms_print_through_the_one_walk():
+    depth = 5000
+    t = _add_chain(depth)
+    tail = "".join(" + ?x" if i % 2 else f" + {i}" for i in range(depth))
+    assert print_term(t) == "'red" + tail
+    assert print_term(t, frozenset({"x"})) == "'red" + tail.replace("?", "")
+
+    r = Assign("f", (), Literal(Natural(1)))
+    for i in range(depth):
+        cond = BackgroundOp("eq", (Apply("f"), Literal(Natural(i))))
+        r = If(cond, r, SKIP if i % 2 else Assign("g", (), Var("y")))
+    heads = "".join(f"IF f = {i} THEN " for i in reversed(range(depth)))
+    ends = "".join(" ENDIF" if i % 2 else " ELSE g := y ENDIF" for i in range(depth))
+    assert print_rule(r, frozenset({"y"})) == heads + "f := 1" + ends
+    assert print_rule(Let("y", Apply("f"), r)) == "LET y = f IN " + print_rule(r, frozenset({"y"}))
+
+    # A multiset sorts its items by their flat key, which walks the whole
+    # item, so one level in 25 is a multiset to keep building the value linear.
+    v, opens, closes = Atom("red"), [], []
+    for i in range(depth):
+        if i % 25 == 0:
+            v, o, c = Multiset((v,)), "{| ", " |}"
+        elif i % 2:
+            v, o, c = TupleVal((v,)), "(", ",)"
+        else:
+            v, o, c = TupleVal((Natural(i), v, UNDEF)), f"({i}, ", ", undef)"
+        opens.append(o)
+        closes.append(c)
+    opened, closed = "".join(reversed(opens)), "".join(closes)
+    assert print_value(v) == opened + "red" + closed
+    assert print_term(Literal(v)) == opened + "'red" + closed
+
+    # The dropped term stays shallow: quoting a term hashes it, recursively.
+    pair = TupleVal((Atom("red"), Multiset((Natural(2), Atom("red")))))
+    n = Node("q", (), DroppedTerm(BackgroundOp("tuple", (Literal(pair), Var("y")))))
+    for i in range(depth):
+        n = Node("a", (n, Node("b", (), Atom("red")))) if i % 2 else Node("c", (n,))
+    quoted = "q=⟨⟦(('red, {| 2, 'red |}), ?y)⟧⟩"
+    text = "".join("a⟨" if i % 2 else "c⟨" for i in reversed(range(depth))) + quoted
+    text += "".join(" b=⟨red⟩⟩" if i % 2 else "⟩" for i in range(depth))
+    assert print_tree(Tree(n)) == text
+    assert print_value(TreeVal(Tree(n))) == "#" + text
+    assert print_term(Literal(TreeVal(Tree(n)))) == "#" + text
 
 
 def test_let_over_a_deep_comprehension_chain_reads_without_capture():
@@ -106,7 +167,7 @@ def test_let_over_a_deep_comprehension_chain_reads_without_capture():
     assert all("b_1" not in bound for name, bound in under if name == "b_1")
     assert sum(name == "b_1" for name, _ in under) == sum(type(x) is Var and x.name == "y" for x, _ in subterms(t))
     assert _forms(update.head) == _forms(t)
-    assert len(_literals(rename_term(t, {"a": "b"}))) == 3000
+    assert len(_literals(_rename_literals(t, {"a": "b"}))) == 3000
 
 
 # ---------------------------------------------- the recursive originals
@@ -312,6 +373,108 @@ def ref_rule_has_partial_assign(r):
     return False
 
 
+def ref_value_text(v, quote):
+    if v == UNDEF:
+        return "undef"
+    if isinstance(v, Boolean):
+        return "true" if v.flag else "false"
+    if isinstance(v, Natural):
+        return str(v.n)
+    if isinstance(v, Atom):
+        return ("'" + v.name) if quote else v.name
+    if isinstance(v, TupleVal):
+        if not v.items:
+            return "()"
+        if len(v.items) == 1:
+            return "(" + ref_value_text(v.items[0], quote) + ",)"
+        return "(" + ", ".join(ref_value_text(x, quote) for x in v.items) + ")"
+    if isinstance(v, Multiset):
+        if not len(v):
+            return "{||}"
+        return "{| " + ", ".join(ref_value_text(x, quote) for x in v) + " |}"
+    if isinstance(v, TreeVal):
+        return "#" + ref_node_text(v.tree.root_node)
+    if isinstance(v, DroppedTerm):
+        return "⟦" + ref_term_text(v.term, frozenset(), P_OR) + "⟧"
+    raise TypeError(f"not a value: {v!r}")
+
+
+def ref_node_text(n):
+    if n.label == XI:
+        return "^"
+    if n.value is not None:
+        return n.label + "=⟨" + ref_value_text(n.value, False) + "⟩"
+    if not n.children:
+        return n.label
+    return n.label + "⟨" + " ".join(ref_node_text(c) for c in n.children) + "⟩"
+
+
+def _ref_args_text(args, bound):
+    return ", ".join(ref_term_text(a, bound, P_OR) for a in args)
+
+
+def ref_term_text(t, bound, need):
+    if isinstance(t, Literal):
+        return ref_value_text(t.value, True)
+    if isinstance(t, Var):
+        return t.name if t.name in bound else "?" + t.name
+    if isinstance(t, Apply):
+        return t.func + "(" + _ref_args_text(t.args, bound) + ")" if t.args else t.func
+    if isinstance(t, Comprehension):
+        inner = bound | set(t.binders)
+        binders = ", ".join(t.binders) + " " if t.binders else ""
+        head, guard = ref_term_text(t.head, inner, P_OR), ref_term_text(t.guard, inner, P_OR)
+        return "{| " + head + " | " + binders + ": " + guard + " |}"
+    if not isinstance(t, BackgroundOp):
+        raise TypeError(f"not a term: {t!r}")
+    if t.op == "tuple":
+        if len(t.args) == 1:
+            return "(" + ref_term_text(t.args[0], bound, P_OR) + ",)"
+        return "(" + _ref_args_text(t.args, bound) + ")"
+    if t.op == "mset":
+        return "{| " + _ref_args_text(t.args, bound) + " |}" if t.args else "{||}"
+    if t.op == "not" and len(t.args) == 1:
+        text = "not " + ref_term_text(t.args[0], bound, P_CMP)
+        return "(" + text + ")" if need > P_NOT else text
+    fix = INFIX.get(t.op)
+    if fix is not None and len(t.args) >= 2:
+        prec, sym = fix
+        if prec == P_CMP and len(t.args) == 2:
+            a, b = (ref_term_text(x, bound, P_CMP + 1) for x in t.args)
+            text = f"{a} {sym} {b}"
+        else:
+            parts = [ref_term_text(t.args[0], bound, prec)]
+            parts += [ref_term_text(a, bound, prec + 1) for a in t.args[1:]]
+            text = (" " + sym + " ").join(parts)
+        return "(" + text + ")" if need > prec else text
+    return t.op + "(" + _ref_args_text(t.args, bound) + ")"
+
+
+def ref_print_rule(r, bound):
+    if isinstance(r, Assign):
+        return ref_term_text(Apply(r.func, r.args), bound, P_OR) + " := " + ref_term_text(r.rhs, bound, P_OR)
+    if isinstance(r, PartialAssign):
+        head = ref_term_text(Apply(r.func, r.args), bound, P_OR)
+        return head + " <<= " + r.op + "(" + _ref_args_text(r.operands, bound) + ")"
+    if isinstance(r, If):
+        text = "IF " + ref_term_text(r.cond, bound, P_OR) + " THEN " + ref_print_rule(r.then_branch, bound)
+        if r.else_branch != Par(()):
+            text += " ELSE " + ref_print_rule(r.else_branch, bound)
+        return text + " ENDIF"
+    if isinstance(r, Par):
+        return "PAR " + " ".join(ref_print_rule(x, bound) for x in r.rules) + " ENDPAR" if r.rules else "PAR ENDPAR"
+    if isinstance(r, Forall):
+        inner = bound | {r.var}
+        guard = ref_term_text(r.guard, inner, P_OR)
+        return "FORALL " + r.var + " WITH " + guard + " DO " + ref_print_rule(r.body, inner) + " ENDDO"
+    if isinstance(r, Let):
+        binding = ref_term_text(r.binding, bound, P_OR)
+        return "LET " + r.var + " = " + binding + " IN " + ref_print_rule(r.body, bound | {r.var})
+    if isinstance(r, Import):
+        return "IMPORT " + r.var + " DO " + ref_print_rule(r.body, bound | {r.var})
+    raise TypeError(f"not a rule: {r!r}")
+
+
 # ------------------------------------------------------------- agreement
 
 NAMES = ("x", "y", "f", "g", "q0", "q1", "x_1", "y_1", "q0_1")
@@ -374,7 +537,7 @@ def test_term_walks_agree_with_the_recursive_originals(seed):
         spelt = _as_applications(t)
         _agree(ref_rebind(spelt, names), map_term(spelt, names, _promote), spelt)
         pi = _rename(rng)
-        _agree(ref_rename_term(t, pi), rename_term(t, pi), t)
+        _agree(ref_rename_term(t, pi), rename_value(DroppedTerm(t), pi).term, t)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -431,3 +594,21 @@ def test_state_and_rule_walks_agree_with_the_recursive_originals(seed):
 
 def _outcomes(s, entries):
     return [_outcome(eval_term, s, {}, e) for e in entries]
+
+
+BOUND = NAMES + ("x0", "x1", "y0", "y1", "z0", "z1", "q0", "q1", "q2")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_printer_agrees_with_the_recursive_originals(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        v = random_value(rng, rng.randrange(5))
+        assert print_value(v) == ref_value_text(v, False)
+        tree = rng.choice((random_tree, random_context))(rng, depth=rng.randrange(5))
+        assert print_tree(tree) == ref_node_text(tree.root_node)
+        bound = frozenset(rng.sample(BOUND, rng.randrange(7)))
+        for t in (_term(rng), Literal(v), Literal(DroppedTerm(_term(rng))), BackgroundOp("not", (_term(rng),))):
+            assert print_term(t, bound) == ref_term_text(t, bound, P_OR)
+        r = random_rule(rng, rng.randrange(5), allow_partial=True) if rng.random() < 0.6 else random_relational_rule(rng)
+        assert print_rule(r, bound) == ref_print_rule(r, bound)
