@@ -12,11 +12,12 @@ nesting depth costs no recursion.  A piece is one of three things:
   mean function symbols.
 
 The loop itself handles strings, nodes, naturals and atoms, of which most
-text is made, and `PIECES` gives every other form its pieces in text
-order.  A literal, tuple or multiset inside a term passes its context on,
-a dropped term opens a fresh one, and a tree prints its leaf values bare.  A
-variable prints bare when an enclosing binder introduced it and as `?x`
-when free, so dropped open terms stay unambiguous.
+text is made, and literals (`INLINE`); `PIECES` gives every other form its
+pieces in text order.  A literal, tuple or multiset inside a term passes
+its context on, a dropped term opens a fresh one, and a tree prints its
+leaf values bare.  A variable prints bare when an enclosing binder
+introduced it and as `?x` when free, so dropped open terms stay
+unambiguous.
 
 The parser and these printers are inverse on canonical forms: parsing any
 printed text reproduces the AST, and printing a parsed canonical document
@@ -70,6 +71,10 @@ _EMPTY: frozenset[str] = frozenset()
 
 
 # ----------------------------------------------------------------- the walk
+
+# The forms `_text` prints itself, with no `PIECES` row.
+INLINE = (str, Node, Natural, Atom, Literal)
+
 
 def _text(pieces: list) -> str:
     out: list[str] = []
@@ -136,6 +141,7 @@ def _mset(items, bound) -> list:
 
 
 def _call(func: str, args, bound) -> list:
+    """A function symbol applied: bare when it takes no arguments."""
     return _listed(func + "(", args, ")", bound) if args else [func]
 
 
@@ -158,7 +164,7 @@ def _op(t: BackgroundOp, bound: frozenset[str], need: int) -> list:
             for a in args[1:]:
                 parts += (" " + sym + " ", (a, bound, prec + 1))
     else:
-        return _call(op, args, bound)
+        return _listed(op + "(", args, ")", bound)
     return ["(", *parts, ")"] if need > prec else parts
 
 

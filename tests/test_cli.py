@@ -600,6 +600,13 @@ def test_fmt_rule_file(tmp_path, capsys):
     assert out == print_rule(parse_rule("PAR f := 1 g(2) := f ENDPAR")) + "\n"
 
 
+def test_fmt_keeps_the_parentheses_of_an_operation_with_no_arguments(tmp_path, capsys):
+    # `add()` is a background operation; a bare `add` would be a function symbol
+    text = "PAR f := add() g := eq() h := (1 = 2) + mset() ENDPAR"
+    assert main(["fmt", put(tmp_path, "r.rasm", text)]) == 0
+    assert capsys.readouterr().out == "PAR f := add() g := eq() h := (1 = 2) + {||} ENDPAR\n"
+
+
 def test_fmt_tree_file(tmp_path, capsys):
     rc = main(["fmt", put(tmp_path, "t.tree", "pgm⟨rule⟨⟩⟩   ")])
     out = capsys.readouterr().out

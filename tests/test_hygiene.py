@@ -15,7 +15,6 @@ used when it is loaded anywhere in the module, annotations included
 """
 
 import ast
-import builtins
 import importlib.util
 import sys
 from collections import Counter
@@ -250,26 +249,17 @@ def test_every_term_form_has_a_row_in_the_walks_table():
 
 
 def test_every_form_has_a_way_through_the_printer():
-    """`printer._text` handles a few forms itself, those it compares the
-    piece's class with, and looks every other one up in `PIECES`; a value,
-    term, rule or tree form in neither would stop the one walk."""
-    loop = next(n for n in ast.walk(ast.parse(Path(printer.__file__).read_text(encoding="utf-8")))
-                if isinstance(n, ast.FunctionDef) and n.name == "_text")
-    names = {**vars(builtins), **vars(printer)}
-    inline = {
-        names[c.comparators[0].id]
-        for c in ast.walk(loop)
-        if isinstance(c, ast.Compare) and isinstance(c.ops[0], ast.Is) and isinstance(c.comparators[0], ast.Name)
-    }
+    """`printer._text` prints the `INLINE` forms itself and looks every
+    other one up in `PIECES`; a value, term, rule or tree form in neither
+    would stop the one walk."""
     forms = {Node} | {
         c
         for module, bases in ((values, (Value,)), (terms, (Term, Rule)))
         for c in vars(module).values()
         if isinstance(c, type) and issubclass(c, bases) and c not in bases
     }
-    assert inline >= {str, Node, Natural, Atom}
-    assert forms - inline - set(printer.PIECES) == set()
-    assert set(printer.PIECES) & inline == set()
+    assert forms <= set(printer.PIECES) | set(printer.INLINE)
+    assert set(printer.PIECES) & set(printer.INLINE) == set()
 
 
 def test_scalars_and_locations_hash_and_compare_in_c():

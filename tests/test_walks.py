@@ -16,7 +16,7 @@ import pytest
 
 from rasm import encoding
 from rasm.conformance import _outcome, rule_has_partial_assign
-from rasm.evaluator import eval_term
+from rasm.evaluator import BACKGROUND_OPS, eval_term
 from rasm.parser import _promote
 from rasm.state import (
     Location,
@@ -88,12 +88,6 @@ def _comprehension_chain(depth, clash_at):
     return c
 
 
-def _rename_literals(t, pi):
-    """The map `rename_value` runs over a dropped term's literals, applied
-    to `t` unquoted: quoting a term hashes it, one frame per level."""
-    return map_term(t, iter([rename_value(v, pi) for v in _literals(t)]), _next_literal)
-
-
 def _forms(t):
     return [type(x).__name__ for x, _ in subterms(t)]
 
@@ -101,7 +95,9 @@ def _forms(t):
 def test_deep_add_chain_goes_through_every_term_walk():
     t = _add_chain(5000)
     assert free_vars(t) == {"x"}
-    renamed = _rename_literals(t, {"red": "blue"})
+    # `rename_value`'s map over a dropped term's literals, run on `t`
+    # unquoted: quoting a term hashes it, one frame per level.
+    renamed = map_term(t, iter([rename_value(v, {"red": "blue"}) for v in _literals(t)]), _next_literal)
     assert _literals(renamed) == [Atom("blue")] + _literals(t)[1:]
     assert len(_literals(t)) == 2501
 
@@ -167,7 +163,8 @@ def test_let_over_a_deep_comprehension_chain_reads_without_capture():
     assert all("b_1" not in bound for name, bound in under if name == "b_1")
     assert sum(name == "b_1" for name, _ in under) == sum(type(x) is Var and x.name == "y" for x, _ in subterms(t))
     assert _forms(update.head) == _forms(t)
-    assert len(_literals(_rename_literals(t, {"a": "b"}))) == 3000
+    renamed = map_term(t, iter([rename_value(v, {"a": "b"}) for v in _literals(t)]), _next_literal)
+    assert len(_literals(renamed)) == 3000
 
 
 # ---------------------------------------------- the recursive originals
@@ -596,6 +593,7 @@ def _outcomes(s, entries):
     return [_outcome(eval_term, s, {}, e) for e in entries]
 
 
+OPS = sorted(BACKGROUND_OPS)
 BOUND = NAMES + ("x0", "x1", "y0", "y1", "z0", "z1", "q0", "q1", "q2")
 
 
@@ -608,7 +606,10 @@ def test_printer_agrees_with_the_recursive_originals(seed):
         tree = rng.choice((random_tree, random_context))(rng, depth=rng.randrange(5))
         assert print_tree(tree) == ref_node_text(tree.root_node)
         bound = frozenset(rng.sample(BOUND, rng.randrange(7)))
-        for t in (_term(rng), Literal(v), Literal(DroppedTerm(_term(rng))), BackgroundOp("not", (_term(rng),))):
+        # any background operation at any arity, none included: `add()`
+        # parses as one and must print back with its parentheses
+        op = BackgroundOp(rng.choice(OPS), tuple(_term(rng) for _ in range(rng.randrange(4))))
+        for t in (_term(rng), Literal(v), Literal(DroppedTerm(_term(rng))), BackgroundOp("not", (_term(rng),)), op):
             assert print_term(t, bound) == ref_term_text(t, bound, P_OR)
         r = random_rule(rng, rng.randrange(5), allow_partial=True) if rng.random() < 0.6 else random_relational_rule(rng)
         assert print_rule(r, bound) == ref_print_rule(r, bound)
