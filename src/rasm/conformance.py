@@ -263,6 +263,7 @@ def check_isomorphism_closure(
     notes: list[str] = []
     if not movable:
         notes.append("no movable atoms; only the identity bijection was tried")
+    passed: set[frozenset] = set()  # bijections that commuted, by the atoms they move
     for trial in range(trials):
         if movable and rng.random() < 0.3:
             # Map a slice of the atoms onto fresh spellings.
@@ -272,8 +273,12 @@ def check_isomorphism_closure(
             image = movable[:]
             rng.shuffle(image)
             pi = dict(zip(movable, image))
+        moved = frozenset((a, b) for a, b in pi.items() if a != b)
+        if moved in passed:
+            continue
         ok, why = _commutes(s, atoms, pi, fn, plain)
         if ok:
+            passed.add(moved)
             continue
         violations.append(_minimize_iso(s, atoms, pi, fn, plain, why))
         break

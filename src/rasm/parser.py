@@ -10,9 +10,13 @@ rule becomes a value only as a program tree); `#` starts a tree literal; `^`
 is the context hole.
 
 The scanner is one regular expression with a named group per token kind;
-naturals are ASCII digit strings of any length.  Infix spellings and their
-precedence levels come from `terms.INFIX`, the table the printer renders
-with, and the functional operator names from `evaluator.BACKGROUND_OPS`.
+each match is one token with the blanks before it, and a token is a named
+tuple built with `tuple.__new__`.  Naturals are ASCII digit strings of any
+length.  State documents are scanned one line at a time, so a scan error
+is raised only once every earlier line has parsed.  Infix spellings and
+their precedence levels come from `terms.INFIX`, the table the printer
+renders with, and the functional operator names from
+`evaluator.BACKGROUND_OPS`.
 
 All-literal tuple and multiset syntax folds to a literal value at parse
 time, mirroring how the printers render literal values, so parse and print
@@ -26,8 +30,8 @@ or a trailing `program` section holding rule text; exactly one of the two.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, NoReturn, TypeVar
+from functools import partial
+from typing import Callable, NamedTuple, NoReturn, TypeVar
 
 from . import machine
 from .encoding import drop_program
@@ -64,46 +68,54 @@ _CONSTANTS = {"true": TRUE, "false": FALSE, "undef": UNDEF}
 # Infix symbol -> (level, operation), inverted from the shared `INFIX` table.
 _BINARY = {sym: (level, op) for op, (level, sym) in INFIX.items()}
 
-# One named group per token kind.  `<<=` precedes `<=` and `<`; an atom or
-# variable token's text excludes its sigil; naturals are ASCII digits.
+# One named group per token kind; a comment matches with no group.  The
+# blanks are possessive: blanks that end the text match nothing, and none is
+# read back as a stray character.  `<<=` precedes `<=` and `<`; an atom or
+# variable token's text excludes its sigil.
 _IDENT = "[A-Za-z_$][A-Za-z0-9_$]*"
 _TOKEN = re.compile(
-    rf"""(?P<newline>\n)
-      | (?P<skip>[ \t\r]+|//[^\n]*)
+    rf"""[ \t\r]*+
+    (?: (?P<newline>\n)
+      | //[^\n]*
       | (?P<punct><<=|:=|<=|>=|!=|\{{\||\|\}}|[(),:|=<>+\-*^\#⟨⟩⟦⟧/])
       | '(?P<atom>{_IDENT})
       | \?(?P<var>{_IDENT})
       | (?P<num>[0-9]+)
       | (?P<ident>{_IDENT})
       | (?P<dangling>['?])
-      | (?P<stray>.)""",
+      | (?P<stray>.))""",
     re.VERBOSE,
 )
+# Token kinds, each with the columns its sigil takes before its text.
+_SIGIL = {"punct": 0, "num": 0, "ident": 0, "atom": 1, "var": 1}
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | num | atom | var | punct | eof
     text: str
     line: int
     col: int
 
 
+_token = partial(tuple.__new__, Token)
+
+
 def tokenize(text: str, first_line: int) -> list[Token]:
     toks: list[Token] = []
-    line, line_start = first_line, 0
+    line, before = first_line, -1  # `before`: the offset of the line's column 0
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind != "skip":
-            col = m.start() - line_start + 1
+        sigil = _SIGIL.get(kind)
+        if sigil is not None:
+            toks.append(_token((kind, m[kind], line, m.start(kind) - sigil - before)))
+        elif kind == "newline":
+            line, before = line + 1, m.end() - 1
+        elif kind is not None:
+            col = m.start(kind) - before
             if kind == "dangling":
-                raise ParseError("dangling " + m.group(), line, col, ("identifier",))
-            if kind == "stray":
-                raise ParseError(f"stray character {m.group()!r}", line, col, ())
-            toks.append(Token(kind, m.group(kind), line, col))
-    toks.append(Token("eof", "", line, len(text) - line_start + 1))
+                raise ParseError("dangling " + m[kind], line, col, ("identifier",))
+            raise ParseError(f"stray character {m[kind]!r}", line, col, ())
+    toks.append(_token(("eof", "", line, len(text) - before)))
     return toks
 
 

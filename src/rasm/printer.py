@@ -22,13 +22,15 @@ unambiguous.
 The parser and these printers are inverse on canonical forms: parsing any
 printed text reproduces the AST, and printing a parsed canonical document
 reproduces its text byte for byte.  Traces hang off the same machinery, so
-identical runs serialize identically.
+identical runs serialize identically; a trace keys and spells each location
+once, however many steps write it (`format_trace`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from itertools import groupby
+from operator import itemgetter
 
 from .state import Location, State
 from .terms import (
@@ -89,12 +91,12 @@ def _text(pieces: list) -> str:
             if x.label == XI:
                 emit("^")
             elif x.value is not None:
-                emit(x.label + "=⟨")
+                out += (x.label, "=⟨")
                 todo += ("⟩", x.value)
             elif not x.children:
                 emit(x.label)
             else:
-                emit(x.label + "⟨")
+                out += (x.label, "⟨")
                 push("⟩")
                 for c in reversed(x.children[1:]):
                     todo += (c, " ")
@@ -238,18 +240,14 @@ def print_location(loc: Location) -> str:
 
 
 def print_state(s: State) -> str:
-    """State document text; `init pgm = #...` spells the program tree exactly."""
-    lines = []
-    if s.universe:
-        lines.append("universe " + " ".join(print_value(v) for v in sorted(s.universe, key=value_key)))
+    """State document text, in one `_text` walk; `init pgm = #...` spells the program tree exactly."""
+    pieces = _listed("universe ", sorted(s.universe, key=value_key), "\n", None, " ") if s.universe else []
     for sym in sorted(s.signature, key=lambda f: f.name):
-        decl = f"function {sym.name}/{sym.arity}"
-        if sym.kind != "dynamic":
-            decl += " " + sym.kind
-        lines.append(decl)
+        kind = "" if sym.kind == "dynamic" else " " + sym.kind
+        pieces.append(f"function {sym.name}/{sym.arity}{kind}\n")
     for loc in s.locations():
-        lines.append(_text([*_location("init ", loc, " = "), s.interp[loc]]))
-    return "\n".join(lines) + "\n"
+        pieces += (*_location("init ", loc, " = "), s.interp[loc], "\n")
+    return _text(pieces) or "\n"  # a document of no lines is one newline
 
 
 # ------------------------------------------------------------------- traces
@@ -258,34 +256,34 @@ def rule_hash(r: Rule) -> str:
     return hashlib.sha256(print_rule(r).encode("utf-8")).hexdigest()[:16]
 
 
-def _canonical_updates(us) -> list:
-    """The update set's lines in canonical order: by `Location.key`, and
-    among the updates of one location (only an inconsistent set has more
-    than one) by `value_key`.  Values are keyed only for such ties."""
-    ordered = sorted(us.updates, key=lambda u: u.location.key())
-    if us.consistent:
-        return ordered
-    out = []
-    for _loc, run in groupby(ordered, key=lambda u: u.location):
-        run = list(run)
-        out += sorted(run, key=lambda u: value_key(u.value)) if len(run) > 1 else run
-    return out
-
-
 def format_trace(reports) -> str:
-    """One block per step: index, raised-rule hash, the update set in its
-    canonical order (`_canonical_updates`), consistency flag.  Blocks are
-    blank-line separated; output ends in a newline."""
+    """One block per step: index, raised-rule hash, the update lines,
+    consistency flag.  Blocks are blank-line separated; output ends in a
+    newline.  Lines are in canonical order: by `Location.key`, and among one
+    location's updates (only an inconsistent set has several) by
+    `value_key`, so values are keyed only for such ties.  A location's key
+    and its spelled head, ``"\\nupdate g(5) = "``, are made once per trace;
+    a step sorts its updates' indices by them and leaves values to `_text`."""
     blocks = []
     digests: dict[int, str] = {}  # by identity: a pgm tree raises to one Rule object
+    lines: dict[Location, tuple[tuple, str]] = {}  # location -> (key, head)
     for i, rep in enumerate(reports, 1):
         digest = digests.get(id(rep.raised_rule))
         if digest is None:
             digest = digests[id(rep.raised_rule)] = rule_hash(rep.raised_rule)
-        pieces = [f"step {i}\nrule {digest}"]
-        for u in _canonical_updates(rep.update_set):
-            pieces += _location("\nupdate ", u.location, " = ")
-            pieces.append(u.value)
-        pieces.append("\nconsistent " + ("true" if rep.update_set.consistent else "false"))
+        us = rep.update_set
+        updates = us.updates
+        entries = [lines.get(loc) or lines.setdefault(loc, (loc.key(), _text(_location("\nupdate ", loc, " = "))))
+                   for loc, _v in updates]
+        order = sorted(range(len(updates)), key=entries.__getitem__)
+        if not us.consistent:
+            runs = [list(run) for _entry, run in groupby(order, key=entries.__getitem__)]
+            order = [j for run in runs for j in (sorted(run, key=lambda j: value_key(updates[j].value))
+                                                 if len(run) > 1 else run)]
+        pieces = [None] * (2 * len(order) + 2)
+        pieces[0] = f"step {i}\nrule {digest}"
+        pieces[1:-1:2] = map(itemgetter(1), map(entries.__getitem__, order))
+        pieces[2:-1:2] = map(itemgetter(1), map(updates.__getitem__, order))
+        pieces[-1] = "\nconsistent true\n" if us.consistent else "\nconsistent false\n"
         blocks.append(_text(pieces))
-    return "\n\n".join(blocks) + "\n"
+    return "\n".join(blocks) or "\n"  # no copy of the whole text to end it in a newline

@@ -161,10 +161,26 @@ def test_isomorphism_closure_steps_the_plain_state_once():
 
     rep = check_isomorphism_closure(s, trials=25, seed=5, step_fn=counting)
     assert rep.passed, rep.text()
-    assert len(calls) == 26  # one per renamed state, one for the state itself
+    assert rep.instances == 25
+    # One per distinct bijection (13 of the 25 trials' draws), one for the
+    # state itself; a repeated bijection reuses its verdict.
+    assert len(calls) == 14
     calls.clear()
     check_isomorphism_closure(s, trials=0, seed=5, step_fn=counting)
     assert calls == []
+
+
+def test_identity_trials_step_the_renamed_state_once():
+    s = parse_state(COUNTER)
+    calls = []
+
+    def counting(st):
+        calls.append(st)
+        return step(st)
+
+    rep = check_isomorphism_closure(s, trials=4, step_fn=counting)
+    assert len(calls) == 2  # the identity-renamed state, and the state itself
+    assert rep.passed and rep.instances == 4
 
 
 def test_successors_may_differ_by_a_bijection_of_the_drawn_atoms():

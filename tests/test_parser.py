@@ -17,7 +17,7 @@ import rasm
 
 from rasm import terms as T
 from rasm.errors import EncodingError, ParseError
-from rasm.parser import parse_rule, parse_state, parse_term, parse_tree, parse_value
+from rasm.parser import parse_rule, parse_state, parse_term, parse_tree, parse_value, tokenize
 from rasm.printer import print_rule, print_term, print_tree, print_value
 from rasm.state import Location, PGM
 from rasm.trees import Context, Tree, leaf, node
@@ -138,6 +138,67 @@ def test_nested_parentheses():
 
 def test_comments_and_blank_lines():
     assert parse_rule("// nothing here\nf := 1 // write one") == parse_rule("f := 1")
+
+
+# Tabs, `\r`, comments at the end of a line, blank-only lines and blanks
+# after the last token: blanks belong to no token, and columns count them.
+SCANNED = (
+    "function\tf/1 // a comment\r\n"
+    " \t \n"
+    "init f('a) =\t?x\r\n"
+    "\n"
+    "   // only a comment\n"
+    "\t{| 12, -3 |}<<= := ⟦'b⟧ #n⟨^ m=⟨0⟩⟩  \t \r"
+)
+
+
+def test_scanner_tokens_are_pinned():
+    """Every token's kind, text, line and column, as the scanner gave them
+    when blanks were tokens of their own."""
+    assert [tuple(t) for t in tokenize(SCANNED, 3)] == [
+        ("ident", "function", 3, 1), ("ident", "f", 3, 10), ("punct", "/", 3, 11), ("num", "1", 3, 12),
+        ("ident", "init", 5, 1), ("ident", "f", 5, 6), ("punct", "(", 5, 7), ("atom", "a", 5, 8),
+        ("punct", ")", 5, 10), ("punct", "=", 5, 12), ("var", "x", 5, 14),
+        ("punct", "{|", 8, 2), ("num", "12", 8, 5), ("punct", ",", 8, 7), ("punct", "-", 8, 9),
+        ("num", "3", 8, 10), ("punct", "|}", 8, 12), ("punct", "<<=", 8, 14), ("punct", ":=", 8, 18),
+        ("punct", "⟦", 8, 21), ("atom", "b", 8, 22), ("punct", "⟧", 8, 24), ("punct", "#", 8, 26),
+        ("ident", "n", 8, 27), ("punct", "⟨", 8, 28), ("punct", "^", 8, 29), ("ident", "m", 8, 31),
+        ("punct", "=", 8, 32), ("punct", "⟨", 8, 33), ("num", "0", 8, 34), ("punct", "⟩", 8, 35),
+        ("punct", "⟩", 8, 36), ("eof", "", 8, 42),
+    ]
+    assert [tuple(t) for t in tokenize("", 1)] == [("eof", "", 1, 1)]
+    assert [tuple(t) for t in tokenize(" \t\r", 1)] == [("eof", "", 1, 4)]
+    assert [tuple(t) for t in tokenize("\n\n  ", 1)] == [("eof", "", 3, 3)]
+
+
+@pytest.mark.parametrize("parse, text, message, line, column", [
+    # a dangling sigil or a stray character after blanks
+    (parse_term, "f +  \t?", "dangling ? (expected identifier)", 1, 7),
+    (parse_term, "1 +\t '", "dangling ' (expected identifier)", 1, 6),
+    (parse_term, "f \t @ 1", "stray character '@'", 1, 5),
+    (parse_term, "f\r\n  ?  x", "dangling ? (expected identifier)", 2, 3),
+    (parse_term, "f + 1  \t\x0b", "stray character '\\x0b'", 1, 9),
+    (parse_value, "(1,\t'  )", "dangling ' (expected identifier)", 1, 5),
+    # end of input after trailing blanks
+    (parse_term, "1 +   ", "expected a term, found 'end of input' (expected term)", 1, 7),
+    (parse_rule, "f := 1 // c\n   \t extra  ", "trailing input 'extra' (expected end of input)", 2, 6),
+    (parse_state, "function f/0\r\n  \t\ninit f = 1 \t %\nprogram\nf := 1", "stray character '%'", 3, 14),
+    (parse_state, "function f/0 // c\n   init f =   \n",
+     "expected a value, found 'end of input' (expected value)", 2, 15),
+    (parse_state, "function f/0\ninit f = 1\nprogram\n  f := \t ?", "dangling ? (expected identifier)", 4, 10),
+    (parse_state, "function f/0  \t\n\t \nbogus f\n",
+     "unknown directive 'bogus' (expected function | init | program | universe)", 3, 1),
+])
+def test_scanner_errors_are_pinned(parse, text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"syntax-error: line {line}, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_blanks_after_the_last_token_are_not_stray():
+    s = parse_state("function f/0\ninit f = 1  \t\nprogram\nf :=  1\n\t  \n  ")
+    assert s.value_of(Location("f")) == Natural(1)
 
 
 # ----------------------------------------------------------- object -> text

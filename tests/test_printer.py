@@ -1,9 +1,15 @@
 """Canonical text output for values, trees, rules, states, and traces."""
 
 import hashlib
+import random
+from itertools import groupby
 from pathlib import Path
 
-from rasm.machine import run
+from conftest import random_machine, random_value
+
+from rasm.encoding import drop_program
+from rasm.errors import RasmError
+from rasm.machine import run, step
 from rasm.parser import parse_rule, parse_state, parse_term, parse_value
 from rasm.printer import (
     format_trace,
@@ -15,9 +21,10 @@ from rasm.printer import (
     print_value,
     rule_hash,
 )
-from rasm.state import Location
+from rasm.state import Location, State
+from rasm.terms import Apply, Assign, BackgroundOp, Literal, Par
 from rasm.trees import XI, Context, Node, Tree, leaf, node
-from rasm.values import UNDEF, Atom, Multiset, Natural, TupleVal
+from rasm.values import UNDEF, Atom, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, value_key
 
 
 def test_value_forms():
@@ -127,6 +134,7 @@ def test_trace_format():
         f"\n"
         f"step 2\nrule {h}\nupdate f = 2\nconsistent true\n"
     )
+    assert format_trace([]) == "\n"
 
 
 def test_trace_updates_sorted_and_flagged():
@@ -176,3 +184,103 @@ def test_trace_hashes_each_raised_program_once(monkeypatch):
     assert len(calls) == 2 and calls[0] is not calls[1]
     assert [line[5:] for line in text.splitlines() if line.startswith("rule ")] == want
     assert workloads.check_trace(m, text) == []
+
+
+def _keyed_trace(reports) -> str:
+    """The trace as written when every update was keyed and spelled anew:
+    the updates sorted by `Location.key`, one location's several updates
+    (an inconsistent set) by `value_key`, and each location printed from
+    its symbol and argument values."""
+    blocks = []
+    for i, rep in enumerate(reports, 1):
+        us = rep.update_set
+        ordered = sorted(us.updates, key=lambda u: u.location.key())
+        if not us.consistent:
+            out = []
+            for _loc, run_ in groupby(ordered, key=lambda u: u.location):
+                run_ = list(run_)
+                out += sorted(run_, key=lambda u: value_key(u.value)) if len(run_) > 1 else run_
+            ordered = out
+        lines = [f"step {i}", f"rule {rule_hash(rep.raised_rule)}"]
+        for loc, v in ordered:
+            args = "(" + ", ".join(map(print_value, loc.args)) + ")" if loc.args else ""
+            lines.append(f"update {loc.symbol}{args} = {print_value(v)}")
+        lines.append("consistent " + ("true" if us.consistent else "false"))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _trace_machine(rng: random.Random) -> State:
+    """`random_machine`'s state, its rule run in PAR beside a clock
+    `h('t, 't)`, a write to `g((clock,))`, a location new at every step,
+    and up to three literal writes of random values (trees and dropped
+    terms among them) to a few locations, which clash now and then."""
+    s, rule = random_machine(rng)
+    clock = Apply("h", (Literal(Atom("t")), Literal(Atom("t"))))
+    extras = [
+        Assign("h", clock.args, BackgroundOp("add", (clock, Literal(Natural(1))))),
+        Assign("g", (BackgroundOp("tuple", (clock,)),), Literal(random_value(rng, 2))),
+    ]
+    pool = (Natural(0), Atom("red"), TupleVal((Natural(1),)))
+    for _ in range(rng.randrange(4)):
+        sym = rng.choice(("g", "h"))
+        args = tuple(Literal(rng.choice(pool)) for _ in range(1 if sym == "g" else 2))
+        extras.append(Assign(sym, args, Literal(random_value(rng, 2))))
+    interp = {**s.interp, Location("h", (Atom("t"), Atom("t"))): Natural(0),
+              Location("pgm"): TreeVal(drop_program(s.signature, Par((rule, *extras))))}
+    return State(s.signature, interp, s.universe)
+
+
+def _steps(s: State, n: int) -> list:
+    """Up to `n` steps from `s`, ending early at an evaluation error."""
+    reports = []
+    for _ in range(n):
+        try:
+            rep = step(s)
+        except RasmError:
+            break
+        reports.append(rep)
+        s = rep.next
+    return reports
+
+
+def test_trace_agrees_with_keying_every_update(monkeypatch):
+    """40 random machines, 5 steps each: the trace equals the one keyed and
+    spelled per update, and keys each distinct location once.  The runs
+    hold inconsistent steps with ties, locations first written after step
+    1, and every kind of value."""
+    keyed = []
+    real_key = Location.key
+    monkeypatch.setattr(Location, "key", lambda loc: keyed.append(loc) or real_key(loc))
+    kinds, tied, later = set(), 0, 0
+    for seed in range(40):
+        reports = _steps(_trace_machine(random.Random(seed)), 5)
+        want = _keyed_trace(reports)
+        keyed.clear()
+        assert format_trace(reports) == want, seed
+        written = [u.location for rep in reports for u in rep.update_set.updates]
+        assert sorted(keyed, key=real_key) == sorted(set(written), key=real_key)
+        seen: set = set()
+        for k, rep in enumerate(reports):
+            locs = [u.location for u in rep.update_set.updates]
+            kinds.update(type(u.value) for u in rep.update_set.updates)
+            tied += not rep.update_set.consistent and len(set(locs)) < len(locs)
+            later += k > 0 and not seen.issuperset(locs)
+            seen.update(locs)
+    assert {Atom, TupleVal, Multiset, TreeVal, DroppedTerm} <= kinds
+    assert tied >= 10 and later >= 10
+
+
+def test_trace_keys_each_location_once(monkeypatch):
+    s = parse_state("function g/1\ninit g(0) = 0\ninit g(1) = 5\ninit g(2) = 9\nprogram\n"
+                    "FORALL x WITH g(x) != undef DO g(x) := g(x) + 1 ENDDO")
+    reports = run(s, steps=6)
+    keyed = []
+    real_key = Location.key
+    monkeypatch.setattr(Location, "key", lambda loc: keyed.append(loc) or real_key(loc))
+    text = format_trace(reports)
+    assert sorted(keyed) == [Location("g", (Natural(i),)) for i in range(3)]
+    assert text.count("\nupdate g(") == 18
+    keyed.clear()
+    format_trace(reports)
+    assert len(keyed) == 3  # a new trace keys its locations again
