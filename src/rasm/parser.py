@@ -68,13 +68,13 @@ _CONSTANTS = {"true": TRUE, "false": FALSE, "undef": UNDEF}
 # Infix symbol -> (level, operation), inverted from the shared `INFIX` table.
 _BINARY = {sym: (level, op) for op, (level, sym) in INFIX.items()}
 
-# One named group per token kind; a comment matches with no group.  The
-# blanks are possessive: blanks that end the text match nothing, and none is
-# read back as a stray character.  `<<=` precedes `<=` and `<`; an atom or
-# variable token's text excludes its sigil.
+# One named group per token kind; a comment matches with no group.  A blank
+# is never a stray character, so blanks that end the text match nothing.
+# `<<=` precedes `<=` and `<`; an atom or variable token's text excludes its
+# sigil.
 _IDENT = "[A-Za-z_$][A-Za-z0-9_$]*"
 _TOKEN = re.compile(
-    rf"""[ \t\r]*+
+    rf"""[ \t\r]*
     (?: (?P<newline>\n)
       | //[^\n]*
       | (?P<punct><<=|:=|<=|>=|!=|\{{\||\|\}}|[(),:|=<>+\-*^\#⟨⟩⟦⟧/])
@@ -83,7 +83,7 @@ _TOKEN = re.compile(
       | (?P<num>[0-9]+)
       | (?P<ident>{_IDENT})
       | (?P<dangling>['?])
-      | (?P<stray>.))""",
+      | (?P<stray>[^ \t\r]))""",
     re.VERBOSE,
 )
 # Token kinds, each with the columns its sigil takes before its text.

@@ -201,6 +201,20 @@ def test_blanks_after_the_last_token_are_not_stray():
     assert s.value_of(Location("f")) == Natural(1)
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="re._parser is 3.11's")
+def test_scanner_pattern_compiles_before_python_3_11(capsys):
+    """Possessive repeats and atomic groups are 3.11 syntax; under 3.10 the
+    scanner's pattern would fail to compile and the package to import."""
+    from re import _parser
+
+    from rasm.parser import _TOKEN
+
+    _parser.parse(_TOKEN.pattern, _TOKEN.flags).dump()
+    opcodes = capsys.readouterr().out
+    assert "SUBPATTERN" in opcodes
+    assert "POSSESSIVE" not in opcodes and "ATOMIC" not in opcodes
+
+
 # ----------------------------------------------------------- object -> text
 
 def test_roundtrip_random_values():
