@@ -16,7 +16,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import machine
 from .encoding import as_program, beta_rule, subrules
@@ -24,10 +24,10 @@ from .errors import RasmError
 from .evaluator import BACKGROUND_OPS, eval_rule, eval_term
 from .naive import naive_eval_rule
 from .printer import print_rule, print_state
-from .state import PGM_LOCATION, Location, State, atoms_of_state, atoms_of_value, rename_state
+from .state import PGM_LOCATION, Location, State, _values_in, atoms_of_state, atoms_of_value, rename_state
 from .terms import PartialAssign, Rule
 from .updates import UpdateMultiset, collapse
-from .values import Atom, TreeVal, TupleVal, Value
+from .values import Atom, TreeVal, TupleVal, Value, value_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,15 +142,15 @@ def _equal_up_to_fresh(a: State, b: State, fresh: frozenset[str]) -> bool:
     sigma = _FreshMap(fresh)
     moved: dict[tuple, list] = {}  # b's locations that hold a fresh atom, by symbol and arity
     for loc, val in b.interp.items():
-        if sigma.holds_fresh(TupleVal(loc.args)):
+        if sigma.holds_fresh(loc.args):
             moved.setdefault((loc.symbol, len(loc.args)), []).append((loc, val))
 
     def candidates(loc: Location) -> list:
-        if sigma.holds_fresh(TupleVal(loc.args)):
+        if sigma.holds_fresh(loc.args):
             return moved.get((loc.symbol, len(loc.args)), [])
         return [(loc, b.interp[loc])] if loc in b.interp else []
 
-    entries = sorted(a.interp.items(), key=lambda e: sigma.holds_fresh(TupleVal(e[0].args)))
+    entries = sorted(a.interp.items(), key=lambda e: sigma.holds_fresh(e[0].args))
     atoms_a = atoms_of_state(a)
     in_a, in_b = fresh & atoms_a, fresh & atoms_of_state(b)
     for _ in sigma.matchings(entries, candidates):
@@ -175,19 +175,19 @@ class _FreshMap:
         self.image: set[str] = set()
         self.trail: list[str] = []  # bound atoms, oldest first
 
-    def holds_fresh(self, v: Value) -> bool:
-        return not self.fresh.isdisjoint(atoms_of_value(v))
+    def holds_fresh(self, values: Iterable[Value]) -> bool:
+        return any(type(x) is Atom and x in self.fresh for x in _values_in(values))
 
     def undo(self, mark: int) -> None:
         """Forget the bindings made since the trail had `mark` entries."""
         while len(self.trail) > mark:
             self.image.discard(self.map.pop(self.trail.pop()))
 
-    def match(self, x: Value, y: Value) -> bool:
-        """Bind fresh atoms so that the map can take `x` to `y`; False on a
-        conflict.  Tuples are matched item by item; a multiset, tree or
-        dropped term that holds a fresh atom is left to the final renaming."""
-        todo = [(x, y)]
+    def match(self, xs: tuple, ys: tuple) -> bool:
+        """Bind fresh atoms so that the map takes `xs` to `ys` (of one length)
+        place by place; False on a conflict.  Tuples are matched item by item;
+        a multiset, tree or dropped term with a fresh atom is left to the end."""
+        todo = list(zip(xs, ys))
         while todo:
             x, y = todo.pop()
             if type(x) is Atom and x in self.fresh:
@@ -204,7 +204,7 @@ class _FreshMap:
                 if type(y) is not TupleVal or len(x.items) != len(y.items):
                     return False
                 todo += zip(x.items, y.items)
-            elif x != y and (type(x) is not type(y) or not self.holds_fresh(x)):
+            elif x != y and (type(x) is not type(y) or not self.holds_fresh((x,))):
                 return False
         return True
 
@@ -225,7 +225,7 @@ class _FreshMap:
             loc, val = entries[len(stack) - 1]
             for tloc, tval in stack[-1]:
                 mark = len(self.trail)
-                if tloc not in used and self.match(TupleVal((*loc.args, val)), TupleVal((*tloc.args, tval))):
+                if tloc not in used and self.match((*loc.args, val), (*tloc.args, tval)):
                     used.add(tloc)
                     marks.append((mark, tloc))
                     break
@@ -380,6 +380,13 @@ def check_initial_agreement(inits: Sequence[State]) -> CheckReport:
 
 # ---------------------------------------------------- oracle equivalence
 
+def _shown(outcome: tuple) -> tuple:
+    """An outcome as a violation spells it, an update set in trace order."""
+    if outcome[0] != "ok":
+        return outcome
+    return "ok", sorted(outcome[1], key=lambda u: (u.location.key(), value_key(u.value)))
+
+
 def check_naive_equivalence(s: State, r: Rule) -> CheckReport:
     """evalRule+collapse against the naive evaluator on one (state, rule)
     pair; errors count as outcomes and must match too."""
@@ -396,7 +403,7 @@ def check_naive_equivalence(s: State, r: Rule) -> CheckReport:
     if main == ref:
         return CheckReport("naive-equivalence", 1)
     v = Violation(
-        f"evaluators disagree on {print_rule(r)!r}: {main[:2]} vs {ref[:2]}",
+        f"evaluators disagree on {print_rule(r)!r}: {_shown(main)} vs {_shown(ref)}",
         {"state": s, "rule": r, "main": main, "naive": ref, "printed_state": print_state(s)},
     )
     return CheckReport("naive-equivalence", 1, (v,))

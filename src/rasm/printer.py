@@ -265,12 +265,12 @@ def format_trace(reports) -> str:
     and its spelled head, ``"\\nupdate g(5) = "``, are made once per trace;
     a step sorts its updates' indices by them and leaves values to `_text`."""
     blocks = []
-    digests: dict[int, str] = {}  # by identity: a pgm tree raises to one Rule object
+    digests: dict[Rule, str] = {}
     lines: dict[Location, tuple[tuple, str]] = {}  # location -> (key, head)
     for i, rep in enumerate(reports, 1):
-        digest = digests.get(id(rep.raised_rule))
+        digest = digests.get(rep.raised_rule)
         if digest is None:
-            digest = digests[id(rep.raised_rule)] = rule_hash(rep.raised_rule)
+            digest = digests[rep.raised_rule] = rule_hash(rep.raised_rule)
         us = rep.update_set
         updates = us.updates
         entries = [lines.get(loc) or lines.setdefault(loc, (loc.key(), _text(_location("\nupdate ", loc, " = "))))

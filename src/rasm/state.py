@@ -14,7 +14,7 @@ to every location and value for the isomorphism-commutation check.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from bisect import insort
 from dataclasses import dataclass
@@ -126,19 +126,14 @@ class Signature:
         return "Signature(" + ", ".join(f"{s.name}/{s.arity}" for s in self) + ")"
 
 
-class Location(tuple):
+class Location(NamedTuple):
     """A function symbol name with an argument tuple: the pair
     ``(symbol, args)``, hashed and compared as that tuple, in C.  A bare
     ``(symbol, args)`` tuple therefore keys a dict like its Location, which
     is how the evaluator reads without building one."""
 
-    __slots__ = ()
-
-    def __new__(cls, symbol: str, args: tuple[Value, ...] = ()) -> "Location":
-        return tuple.__new__(cls, (symbol, args))
-
-    symbol = property(itemgetter(0))
-    args = property(itemgetter(1))
+    symbol: str
+    args: tuple[Value, ...] = ()
 
     @property
     def base(self) -> "Location":
@@ -153,9 +148,6 @@ class Location(tuple):
         if len(args) == 1:
             return (symbol, 1, *value_key(args[0]))
         return (symbol, len(args), *chain.from_iterable(map(value_key, args)))
-
-    def __repr__(self) -> str:
-        return f"Location(symbol={self[0]!r}, args={self[1]!r})"
 
 
 PGM_LOCATION = Location(PGM)

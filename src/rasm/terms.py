@@ -1,8 +1,10 @@
 """Term and rule syntax trees.
 
-Terms evaluate to values; rules evaluate to update multisets.  Both are frozen
-dataclasses, so quoted terms (``values.DroppedTerm``) are hashable and
-comparable for free.
+Terms evaluate to values; rules evaluate to update multisets.  Both are
+interned forms (`trees.Interned`): a constructor returns the one live term
+or rule with equal fields, so equal terms are one object, compare with `is`
+and hash by identity, and a quoted term (``values.DroppedTerm``) of any
+depth is hashed and compared without a walk.
 
 Variables are explicit (`Var`), distinct from nullary function application:
 a bare identifier in surface syntax becomes a `Var` only where an enclosing
@@ -22,23 +24,24 @@ from dataclasses import dataclass
 from operator import attrgetter, is_
 from typing import Callable, Iterator
 
+from .trees import Interned
 from .values import Value
 
 
-class Term:
+class Term(Interned):
     # `evaluator._compile_term` keeps (signature, closure) here, as
     # `_compile_rule` does on a rule: a term's closure depends only on the
     # term and the signature, never on where the term sits.  The slot takes
-    # no part in equality, hashing or repr.
+    # no part in interning or repr.
     __slots__ = ("compiled",)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Apply(Term):
     """Application of a state function symbol (possibly nullary)."""
 
@@ -46,7 +49,7 @@ class Apply(Term):
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class BackgroundOp(Term):
     """Application of a fixed background operation (logic, arithmetic,
     tuples, multisets, tree surgery)."""
@@ -75,7 +78,7 @@ INFIX = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Comprehension(Term):
     """Multiset comprehension: head over all binder assignments from the
     active domain that satisfy the guard; multiplicities count assignments.
@@ -86,25 +89,25 @@ class Comprehension(Term):
     guard: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Literal(Term):
     value: Value
 
 
-class Rule:
+class Rule(Interned):
     # `evaluator._compile_rule` keeps (signature, closure) here; it takes no
-    # part in equality, hashing or repr.
+    # part in interning or repr.
     __slots__ = ("compiled",)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Assign(Rule):
     func: str
     args: tuple[Term, ...]
     rhs: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class PartialAssign(Rule):
     """f(args) <<= op(operands): contributes a shared update collapsed by
     folding `op` over the location's current value."""
@@ -115,33 +118,33 @@ class PartialAssign(Rule):
     operands: tuple[Term, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class If(Rule):
     cond: Term
     then_branch: Rule
     else_branch: Rule
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Par(Rule):
     rules: tuple[Rule, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Forall(Rule):
     var: str
     guard: Term
     body: Rule
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Let(Rule):
     var: str
     binding: Term
     body: Rule
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Import(Rule):
     var: str
     body: Rule

@@ -15,22 +15,26 @@ the one rewrite behind the tree collapse operators of `updates`.
 A node is named by its path: the tuple of child indexes leading to it from
 the root, which is ``()``.  Paths are the only node address; there are no
 node ids.  Every operation returns a new tree and leaves its inputs alone,
-so a path names the same position before and after an edit elsewhere.
-Nodes are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
-Hash-Consing", 2006): `Node(...)` returns the one live node with that label,
-child tuple and leaf value, so equal nodes are the same object, equality is
-identity and the hash is the identity hash.  A node is checked and counts
-the hole leaves below it once, when it is first built; lookups and edits
-walk down the path and rebuild the spine above it in loops, without
-recursion.  Two slots hold what later layers work out from a node, once:
-`raised` (what `encoding` raises it to), and `tree_key`, filled only on the
-root of a tree value that has been keyed (that value's `values.value_key`).
-Leaf values are opaque here; the runtime stores `values.Value` instances.
+so a path names the same position before and after an edit elsewhere;
+lookups and edits walk down the path and rebuild the spine above it in
+loops, without recursion.
+
+Every immutable form is hash-consed through the one weak table `_INTERNED`
+(Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006): nodes and
+trees here, the composite values of `values`, the terms and rules of
+`terms`.  A constructor returns the one live form of its class with equal
+fields, each keyed with its class too (leaves holding `1` and `True` stay
+apart), so `==` is `is`, the hash is the identity hash, and neither walks
+a form.  A node is checked and counts the hole leaves below it when first
+built; its slots `raised` (what `encoding` raises it to) and `tree_key`
+(on the root of a keyed tree value, its `values.value_key`) are filled
+later.  Leaf values are opaque here; the runtime stores `values.Value`s.
 """
 
 from __future__ import annotations
 
 import weakref
+from dataclasses import MISSING, dataclass
 from typing import Iterator, Sequence
 
 from .errors import TreeAlgebraError
@@ -40,16 +44,59 @@ XI = "^"  # label of the context hole; forbidden everywhere else
 Path = tuple[int, ...]  # child-index path from the root
 
 
-class Node:
-    """One tree node: a label, an ordered child tuple, an optional leaf value.
+class _Entry(weakref.ref):
+    """The intern table's weak reference to a form, with the form's key."""
 
-    Internal nodes never carry values; this is enforced when a node is first
-    built.  Nodes are interned, keyed by label, children, value and the
-    value's class (so that `1` and `True`, equal in Python, stay apart); the
-    table holds them weakly, so it shrinks as trees die.  A node is shared
-    by every tree that holds an equal one, so nothing assigns to its first
-    four fields after this constructor; `raised` and `tree_key` are caches
-    that their owners fill.
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    # A form died: drop its entry, unless a new form has taken the key since.
+    other = _INTERNED.pop(entry.key, entry)
+    if other is not entry:
+        _INTERNED[entry.key] = other
+
+
+_INTERNED: dict[tuple, _Entry] = {}
+
+
+class Interned:
+    """Base of the immutable forms, frozen slotted dataclasses with neither
+    `__eq__` nor `__init__`.  Each gets `_build(cls, *fields)`, written out
+    for its fields (a loop over them costs more than the lookup), which
+    returns the live form with equal fields, each keyed with its class, or
+    builds and enters one; it is the constructor unless the class has its
+    own, which checks or sorts the fields first."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("__match_args__")  # on the slotted class `dataclass` makes
+        if fields is None:
+            return
+        args, scope = ", ".join(fields), {}
+        sets = "".join(f"\n    object.__setattr__(x, {f!r}, {f})" for f in fields)
+        exec(f"""def _build(cls, {args}):
+    key = (cls, {args}, {', '.join(f + '.__class__' for f in fields)})
+    entry = _INTERNED.get(key)
+    if entry is not None and (x := entry()) is not None:
+        return x
+    x = object.__new__(cls){sets}
+    entry = _INTERNED[key] = _Entry(x, _forget)
+    entry.key = key
+    return x""", globals(), scope)
+        defaults = [cls.__dataclass_fields__[f].default for f in fields]
+        scope["_build"].__defaults__ = tuple(d for d in defaults if d is not MISSING) or None
+        cls._build = staticmethod(scope["_build"])
+        if "__new__" not in cls.__dict__:
+            cls.__new__ = cls._build
+
+
+class Node:
+    """One tree node: a label, an ordered child tuple, an optional leaf value
+    (internal nodes never carry one).  A node is shared by every tree that
+    holds an equal one, so nothing assigns to its first four fields after
+    this constructor; `raised` and `tree_key` are caches their owners fill.
     """
 
     __slots__ = ("label", "children", "value", "holes", "raised", "tree_key", "__weakref__")
@@ -57,12 +104,10 @@ class Node:
     def __new__(cls, label: str, children: Sequence["Node"] = (), value: object = None) -> "Node":
         if type(children) is not tuple:
             children = tuple(children)
-        key = (label, children, value, value.__class__)
+        key = (cls, label, children, value, value.__class__)
         entry = _INTERNED.get(key)
-        if entry is not None:
-            n = entry()
-            if n is not None:
-                return n
+        if entry is not None and (n := entry()) is not None:
+            return n
         if not isinstance(label, str) or not label:
             raise TreeAlgebraError("bad-label", f"label must be a non-empty string, got {label!r}")
         if children and value is not None:
@@ -80,21 +125,6 @@ class Node:
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-
-class _Entry(weakref.ref):
-    """The intern table's weak reference to a node, with the node's key."""
-
-    __slots__ = ("key",)
-
-
-def _forget(entry: _Entry) -> None:
-    # A node died: drop its entry, unless a new node has taken the key since.
-    if _INTERNED.get(entry.key) is entry:
-        del _INTERNED[entry.key]
-
-
-_INTERNED: dict[tuple, _Entry] = {}
 
 
 def node(label: str, *children: Node) -> Node:
@@ -116,13 +146,11 @@ def _spine(root: Node, path: Path) -> list[Node]:
     return spine
 
 
-class _TreeBase:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class _TreeBase(Interned):
     """Shared accessors over a root Node; a node is named by its path."""
 
-    __slots__ = ("_root",)
-
-    def __init__(self, root: Node):
-        self._root = root
+    _root: Node
 
     @property
     def root_node(self) -> Node:
@@ -140,14 +168,6 @@ class _TreeBase:
             yield path, n
             todo.extend((path + (i,), n.children[i]) for i in reversed(range(len(n.children))))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _TreeBase):
-            return NotImplemented
-        return self._root is other._root
-
-    def __hash__(self) -> int:
-        return hash(self._root)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._root!r})"
 
@@ -157,10 +177,10 @@ class Tree(_TreeBase):
 
     __slots__ = ()
 
-    def __init__(self, root: Node):
+    def __new__(cls, root: Node) -> "Tree":
         if root.holes != 0:
             raise TreeAlgebraError("unexpected-hole", "a Tree must contain no hole leaf")
-        super().__init__(root)
+        return cls._build(cls, root)
 
 
 class Context(_TreeBase):
@@ -168,10 +188,10 @@ class Context(_TreeBase):
 
     __slots__ = ()
 
-    def __init__(self, root: Node):
+    def __new__(cls, root: Node) -> "Context":
         if root.holes != 1:
             raise TreeAlgebraError("not-a-context", f"a Context needs exactly one hole, found {root.holes}")
-        super().__init__(root)
+        return cls._build(cls, root)
 
     @property
     def hole(self) -> Path:

@@ -10,14 +10,16 @@ an atom a `str`, so each hashes and compares as that builtin does; truth
 values and undef are the singletons `TRUE`, `FALSE` and `UNDEF`, so equality
 is identity.  Truth values and naturals stay distinct variants:
 ``Boolean(True) != Natural(1)`` even though Python's own ``True == 1``.
-Only a raw `int` or `str` equals a natural or an atom; values never hold
-one, and the tree intern table keys leaves by class as well.  Multisets
-ignore insertion order but respect multiplicity; they keep their items
-sorted by the canonical total order `value_key`, which also orders the
-active domain and every printed update set.  A natural or an atom is keyed
-as the `int` or `str` it is, and a tuple, multiset or tree value by one
-flat token sequence, so that no key comparison recurses, however deep the
-value nests.
+The composite variants are interned (`trees.Interned`): equal ones are one
+object, compared with `is` and hashed by identity, however deep they nest.
+Multisets ignore insertion order but respect multiplicity; they keep their
+items sorted by the canonical total order `value_key`, which also orders
+the active domain and every printed update set.  A natural or an atom is
+keyed as the `int` or `str` it is, every other variant by one flat token
+sequence, so that no key comparison recurses.  The ranks run undef, truth
+values, naturals, atoms, tuples, multisets, trees, dropped terms; dropped
+terms are ordered by structure, the form's class name first, then its
+fields in order, with a tuple field's length before its items.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .trees import Node, _TreeBase
+from .trees import Interned, Node, _TreeBase
 
 
 class Value:
@@ -93,32 +95,23 @@ class Undef(Value):
         return "Undef()"
 
 
-@dataclass(frozen=True, slots=True)
-class TupleVal(Value):
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class TupleVal(Interned, Value):
     items: tuple[Value, ...]
 
     def __len__(self) -> int:
         return len(self.items)
 
 
-class Multiset(Value):
-    """Finite multiset of values; equality ignores order, not multiplicity."""
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Multiset(Interned, Value):
+    """Finite multiset of values: its items sorted by `value_key`, so that
+    order is forgotten and multiplicity kept."""
 
-    __slots__ = ("items",)
+    items: tuple[Value, ...]
 
-    def __init__(self, items: Iterable[Value] = ()):
-        object.__setattr__(self, "items", tuple(sorted(items, key=value_key)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Multiset is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(("multiset", self.items))
+    def __new__(cls, items: Iterable[Value] = ()) -> "Multiset":
+        return cls._build(cls, tuple(sorted(items, key=value_key)))
 
     def __iter__(self) -> Iterator[Value]:
         return iter(self.items)
@@ -133,26 +126,19 @@ class Multiset(Value):
         return f"Multiset({list(self.items)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class TreeVal(Value):
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class TreeVal(Interned, Value):
     """A tree (or context) as a first-class value."""
 
     tree: _TreeBase
 
 
-@dataclass(frozen=True, slots=True)
-class DroppedTerm(Value):
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class DroppedTerm(Interned, Value):
     """A term quoted into the value world (syntax as data)."""
 
     term: object  # terms.Term; untyped here to keep the layering acyclic
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # The term's hash walks it in Python; one walk serves every hash.
-        object.__setattr__(self, "_hash", hash(self.term))
-
-    def __hash__(self) -> int:
-        return self._hash
+    term_key: tuple = field(init=False, repr=False)  # its `value_key`, once keyed
 
 
 UNDEF = object.__new__(Undef)
@@ -174,11 +160,13 @@ def _flat_key(v: Value) -> tuple:
     A scalar is its rank and payload, a tuple or multiset its rank, its
     items' tokens and a close marker, and a tree value rank 6, then per
     node an open marker, the label, the leaf value's tokens if any, the
-    children and a close marker.  Each token is compared only with one of
-    the same kind, and a shorter sequence of children or items meets a
-    close marker where the longer one goes on, so the tuples compare as
-    the nested `(rank, payload)` keys would, without recursion.  A tree
-    value's tokens are cached on its root node, once per tree value.
+    children and a close marker.  A dropped term is rank 7, then per term
+    node its class name and its fields: a name as itself, a tuple as its
+    length and items, a value by its tokens.  Tokens meet only tokens of
+    their kind, and a shorter sequence meets a close marker or a smaller
+    length where the longer goes on, so the tuples compare as the nested
+    `(rank, payload)` keys would, without recursion.  A tree value's tokens
+    are cached on its root node, a dropped term's in its `term_key`.
     """
     out: list = []
     todo: list = [v]
@@ -189,7 +177,7 @@ def _flat_key(v: Value) -> tuple:
         rank = rank_of(t)
         if rank is not None:
             out += (rank, x)
-        elif t is int:  # a marker
+        elif t is int or t is str:  # a marker or a length, or a name in a term
             out.append(x)
         elif t is TupleVal or t is Multiset:
             out.append(4 if t is TupleVal else 5)
@@ -202,17 +190,28 @@ def _flat_key(v: Value) -> tuple:
                 todo.append(x.value)
             else:
                 todo += x.children[::-1]
-        elif t is TreeVal:
-            root = x.tree.root_node
-            if root.tree_key is not None:
-                out += root.tree_key
+        elif t is TreeVal or t is DroppedTerm:
+            cached = x.tree.root_node.tree_key if t is TreeVal else getattr(x, "term_key", None)
+            if cached is not None:
+                out += cached
             else:
-                todo += ((root, len(out)), root)
-                out.append(6)
-        elif t is tuple:  # the tokens of the tree value at root x[0] start at x[1]
-            x[0].tree_key = tuple(out[x[1]:])
-        else:
-            out += value_key(x)
+                todo += ((x, len(out)), x.tree.root_node if t is TreeVal else x.term)
+                out.append(6 if t is TreeVal else 7)
+        elif t is tuple:  # the tokens of the value x[0] start at x[1]
+            if type(x[0]) is TreeVal:
+                x[0].tree.root_node.tree_key = tuple(out[x[1]:])
+            else:
+                object.__setattr__(x[0], "term_key", tuple(out[x[1]:]))
+        elif id(x) in _SINGLETON_KEY:
+            out += _SINGLETON_KEY[id(x)]
+        else:  # a term node
+            out.append(t.__name__)
+            for f in [getattr(x, name) for name in reversed(t.__match_args__)]:
+                if type(f) is tuple:
+                    todo += f[::-1]
+                    todo.append(len(f))
+                else:
+                    todo.append(f)
     return tuple(out)
 
 
@@ -221,8 +220,9 @@ def value_key(v: Value) -> tuple:
 
     A natural or an atom is keyed `(rank, v)`, so it compares as the `int`
     or `str` it is, in C; truth values and undef have constant keys.
-    Tuples, multisets and tree values have a flat key (`_flat_key`), which
-    compares without recursion however deep the value nests.
+    Tuples, multisets, tree values and dropped terms have a flat key
+    (`_flat_key`), which compares without recursion however deep the value
+    nests; a tree value's and a dropped term's is kept once computed.
     """
     rank = _SCALAR_RANK.get(type(v))
     if rank is not None:
@@ -232,8 +232,8 @@ def value_key(v: Value) -> tuple:
         return key
     if isinstance(v, TreeVal):
         return v.tree.root_node.tree_key or _flat_key(v)
+    if isinstance(v, DroppedTerm):
+        return getattr(v, "term_key", None) or _flat_key(v)
     if isinstance(v, (TupleVal, Multiset)):
         return _flat_key(v)
-    if isinstance(v, DroppedTerm):
-        return (7, repr(v.term))
     raise TypeError(f"not a value: {v!r}")

@@ -248,8 +248,11 @@ def nested_if_else(n: int) -> str:
 
 @pytest.fixture
 def fresh_nodes(monkeypatch):
-    """An empty intern table for one test: every node it builds is new, so
-    no raise or compile memo that another test left alive is hit."""
+    """An empty intern table for one test: every node, term and rule it
+    builds is new, so no raise or compile memo that another test left alive
+    is hit.  Forms built before it, such as `terms.SKIP`, are not in the
+    table: an equal form built under it is another object, so a test that
+    uses it does not print rules or compare forms."""
     monkeypatch.setattr(trees, "_INTERNED", {})
 
 

@@ -312,6 +312,17 @@ def test_run_prints_the_1200_deep_tuple_it_builds(tmp_path, capsys):
     assert capsys.readouterr().out == state
 
 
+def test_deep_value_beside_a_domain_read_runs_2000_steps(tmp_path, capsys):
+    """The FORALL reads the active domain, which holds every level of the
+    tuple `f` has become; each level is one interned value, hashed by
+    identity, so a step does not walk the tuple once per level."""
+    doc = put(tmp_path, "deep.rst", "function f/0\nfunction g/0\ninit f = 0\nprogram\n"
+              "PAR f := (f,) FORALL x WITH false DO g := 1 ENDDO ENDPAR\n")
+    assert main(["run", doc, "--steps", "2000"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "\ninit f = " + "(" * 2000 + "0" + ",)" * 2000 + "\n" in out
+
+
 @pytest.mark.parametrize("argv,rule", [
     (["check", "--steps", "1", "--trials", "1"], "IF f = 0 THEN " * 1000 + "f := 1" + " ENDIF" * 1000),
     (["run"], "f := " + "(" * 300 + "1" + ")" * 300),

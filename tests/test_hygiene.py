@@ -2,11 +2,13 @@
 every name a module defines is read somewhere, no module has a `global`
 statement, every tree operation and term walk is imported by another
 module of the package, every layer the benchmark's tracer wraps still
-exists, the parser, the printer and the evaluator agree on every
-background operation, every value, term, rule and tree form has a way
-through the printer, the scalar values, locations and update entries
-hash and compare through their builtins' C slots, and evaluating an entry
-runs no Python frame of `updates.py` or `state.py`.
+exists, every Python file parses under the oldest supported grammar, the
+parser, the printer and the evaluator agree on every background
+operation, every value, term, rule and tree form has a way through the
+printer, every other immutable form is interned and compares by identity,
+the scalar values, locations and update entries hash and compare through
+their builtins' C slots, and evaluating an entry runs no Python frame of
+`updates.py` or `state.py`.
 
 Each `src/rasm/*.py` except the package `__init__` (which the `global`
 scan includes) is parsed with `ast`; a name bound by an import counts as
@@ -27,10 +29,28 @@ from rasm.parser import KEYWORDS, parse_rule, parse_term
 from rasm.printer import print_term
 from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm import printer, state, terms, updates, values
-from rasm.terms import CHILDREN, INFIX, Apply, BackgroundOp, Rule, Term
-from rasm.trees import Node
+from rasm.terms import (
+    CHILDREN,
+    INFIX,
+    SKIP,
+    Apply,
+    Assign,
+    BackgroundOp,
+    Comprehension,
+    Forall,
+    If,
+    Import,
+    Let,
+    Literal,
+    Par,
+    PartialAssign,
+    Rule,
+    Term,
+    Var,
+)
+from rasm.trees import XI, Context, Node, Tree
 from rasm.updates import SharedUpdate, Update, UpdateMultiset, apply_update_set, collapse
-from rasm.values import Atom, Boolean, Natural, Undef, Value
+from rasm.values import TRUE, Atom, Boolean, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, Undef, Value
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rasm"
@@ -205,6 +225,16 @@ RECURSIVE_WALKS = {
 }
 
 
+def test_every_python_file_parses_as_python_3_10():
+    """`pyproject.toml` allows Python 3.10, so no source, test or benchmark
+    file may use syntax that came later (the grammar check that `ast` can
+    do under a newer interpreter)."""
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def _recursive_functions(tree: ast.Module, module: str) -> set[str]:
     """Qualified names of the functions in `tree` that call themselves: a
     function by its bare name, a method through `self` or `cls`."""
@@ -262,6 +292,47 @@ def test_every_form_has_a_way_through_the_printer():
     assert set(printer.PIECES) & set(printer.INLINE) == set()
 
 
+def _interned_forms():
+    """One form of each interned class, built twice from equal parts."""
+    x, one = Apply("x"), Natural(1)
+    return [
+        lambda: Node("n", (Node("m", (), one),)),
+        lambda: Tree(Node("n", (Node("m"),))),
+        lambda: Context(Node("n", (Node(XI),))),
+        lambda: TupleVal((one, TupleVal((Atom("a"),)))),
+        lambda: Multiset((TupleVal(()), one, one)),
+        lambda: TreeVal(Tree(Node("n"))),
+        lambda: DroppedTerm(BackgroundOp("add", (x, Literal(one)))),
+        lambda: Var("v"),
+        lambda: Apply("f", (x,)),
+        lambda: BackgroundOp("tuple"),
+        lambda: Comprehension(Var("v"), ("v",), Literal(TRUE)),
+        lambda: Literal(TupleVal((one,))),
+        lambda: Assign("f", (), x),
+        lambda: PartialAssign("f", (), "munion", (x,)),
+        lambda: If(x, SKIP, Par((Assign("f", (), x),))),
+        lambda: Par(),
+        lambda: Forall("v", Literal(TRUE), SKIP),
+        lambda: Let("v", x, SKIP),
+        lambda: Import("v", SKIP),
+    ]
+
+
+def test_every_immutable_form_is_interned():
+    """Nodes, trees, composite values, terms and rules go through the one
+    intern table: two constructions of an equal form give one object, and
+    `==` and `hash` are `object`'s, so neither walks a form, however deep."""
+    forms = [(build(), build()) for build in _interned_forms()]
+    for a, b in forms:
+        assert a is b, a
+        assert type(a).__eq__ is object.__eq__ and type(a).__hash__ is object.__hash__, type(a)
+    classes = {type(a) for a, _b in forms}
+    assert classes == {Node, Tree, Context, TupleVal, Multiset, TreeVal, DroppedTerm} | set(CHILDREN) | {
+        c for c in vars(terms).values() if isinstance(c, type) and issubclass(c, Rule) and c is not Rule}
+    # A scalar field is keyed with its class: `1 == True` in Python does not merge them.
+    assert Literal(1) is not Literal(True) and Var("v") is not Var(Atom("v"))
+
+
 def test_scalars_and_locations_hash_and_compare_in_c():
     """A `@dataclass` or a Python-level `__eq__`/`__hash__` on these classes
     would put a Python frame back into every read, collapse and apply."""
@@ -291,7 +362,7 @@ def test_no_python_frame_in_updates_or_state_per_entry():
         # Generated constructors, a dataclass's or a named tuple's, have no file.
         code = frame.f_code
         if event == "call" and (frame.f_globals.get("__name__") in watched or code.co_filename == "<string>"):
-            calls[code.co_qualname] += 1
+            calls[getattr(code, "co_qualname", code.co_name)] += 1  # co_qualname: 3.11 on
 
     sys.setprofile(profile)
     try:

@@ -34,7 +34,8 @@ from rasm.trees import (
     subst_tt,
     subtree,
 )
-from rasm.values import TRUE, Natural, TreeVal
+from rasm.terms import Apply, Literal
+from rasm.values import TRUE, DroppedTerm, Multiset, Natural, TreeVal, TupleVal
 
 TRIVIAL = Context(Node(XI))  # the trivial context, a bare hole
 
@@ -375,11 +376,18 @@ def test_parser_drop_rename_and_subst_build_the_interned_nodes():
 
 
 def test_intern_table_shrinks_back_when_its_trees_die():
+    """Nodes, trees, terms, rules and composite values share the one table;
+    each entry goes when its form dies."""
     gc.collect()
     before = len(trees._INTERNED)
     rng = random.Random(79)
     kept = [node("interning-probe", random_node(rng, depth=4), leaf("n", k)) for k in range(50)]
-    assert len(trees._INTERNED) >= before + 50
+    probe = Natural(10**6)  # a value no other test holds
+    kept += [TreeVal(Tree(n)) for n in kept]
+    kept += [random_rule(rng, depth=3) for _ in range(20)]
+    kept += [Multiset((TupleVal((probe, Natural(k))), DroppedTerm(Apply("probe", (Literal(probe),)))))
+             for k in range(50)]
+    assert len(trees._INTERNED) >= before + 200
     del kept
     gc.collect()
     assert len(trees._INTERNED) == before

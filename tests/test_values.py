@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rasm
-from conftest import ATOMS, LABELS, random_value
+from conftest import ATOMS, LABELS, random_term, random_value
 from rasm.evaluator import eval_term
 from rasm.state import FunctionSymbol, Location, Signature, State
-from rasm.terms import Apply, Literal
+from rasm.terms import Apply, BackgroundOp, Comprehension, Literal, Var
 from rasm.trees import Node, Tree, leaf, node
 from rasm.values import (
     FALSE,
@@ -29,6 +29,7 @@ from rasm.values import (
     TreeVal,
     TupleVal,
     Undef,
+    Value,
     value_key,
 )
 
@@ -79,7 +80,19 @@ def nested_key(v):
         return (5, tuple(nested_key(x) for x in v.items))
     if isinstance(v, TreeVal):
         return (6, _nested_node_key(v.tree.root_node))
-    return (7, repr(v.term))
+    return (7, _nested_term_key(v.term))
+
+
+def _nested_term_key(t):
+    """A term: its form's class name, then its fields in order, a name as
+    itself, a tuple as its length and its items, a value by its key."""
+    def field(f):
+        if isinstance(f, tuple):
+            return (len(f), tuple(map(field, f)))
+        if isinstance(f, Value):
+            return nested_key(f)
+        return f if isinstance(f, str) else _nested_term_key(f)
+    return (type(t).__name__, *map(field, (getattr(t, name) for name in type(t).__match_args__)))
 
 
 def _nested_node_key(n):
@@ -125,6 +138,21 @@ def test_flat_key_orders_as_the_nested_reference_key(drawn, seed):
         for b in locs:
             nested = [(x.symbol, len(x.args), tuple(map(nested_key, x.args))) for x in (a, b)]
             assert _sign(a.key(), b.key()) == _sign(*nested), (a, b)
+
+
+def test_dropped_terms_order_as_the_nested_reference_key():
+    """Quoted terms, many of one form that differ in arity or in one field:
+    the flat key orders them as the structural reference does, and only a
+    term itself has its key."""
+    rng = random.Random(5)
+    terms = [random_term(rng, ("x", "y"), rng.randrange(4)) for _ in range(120)]
+    terms += [BackgroundOp("tuple", args) for args in ((), (Var("x"),), (Var("y"),), (Var("x"), Var("y")))]
+    terms += [Comprehension(Var("x"), binders, Literal(TRUE)) for binders in ((), ("x",), ("x", "y"), ("y",))]
+    keys = [(DroppedTerm(t), value_key(DroppedTerm(t)), nested_key(DroppedTerm(t))) for t in terms]
+    for v, flat_v, nested_v in keys:
+        for w, flat_w, nested_w in keys:
+            assert _sign(flat_v, flat_w) == _sign(nested_v, nested_w), (v, w)
+            assert (flat_v == flat_w) == (v is w)
 
 
 def _chain(depth, bottom):

@@ -5,8 +5,9 @@ stack-safe on deep input, and in agreement with the recursive walks they
 replaced.
 
 The reference walks below are the recursive originals, kept here only as
-oracles.  Deep results are checked with the fold, not with `==`: dataclass
-`__eq__`, `__hash__` and `repr` still recurse once per level.
+oracles.  Every form is interned, so `==` and `hash` never walk one, and a
+deep result may be compared with `==` or `is`; `repr` still recurses once
+per level.
 """
 
 import random
@@ -19,7 +20,9 @@ from rasm.conformance import _outcome, rule_has_partial_assign
 from rasm.evaluator import BACKGROUND_OPS, eval_term
 from rasm.parser import _promote
 from rasm.state import (
+    FunctionSymbol,
     Location,
+    Signature,
     State,
     _literals,
     _next_literal,
@@ -93,12 +96,21 @@ def _forms(t):
 
 
 def test_deep_add_chain_goes_through_every_term_walk():
+    """Quoted, dropped into `pgm`, hashed, keyed and renamed: the 5,000-level
+    chain goes through each without a frame per level."""
     t = _add_chain(5000)
     assert free_vars(t) == {"x"}
-    # `rename_value`'s map over a dropped term's literals, run on `t`
-    # unquoted: quoting a term hashes it, one frame per level.
-    renamed = map_term(t, iter([rename_value(v, {"red": "blue"}) for v in _literals(t)]), _next_literal)
-    assert _literals(renamed) == [Atom("blue")] + _literals(t)[1:]
+    quoted = DroppedTerm(t)
+    assert quoted is DroppedTerm(_add_chain(5000)) and hash(quoted) == hash(DroppedTerm(t))
+    pgm = encoding.drop_program(Signature((FunctionSymbol("f", 0),)), Assign("f", (), t))
+    assert [n.value for _p, n in pgm.iter_nodes() if n.value is quoted] == [quoted]
+    key = value_key(quoted)
+    assert key[:4] == (7, "BackgroundOp", "add", 2) and value_key(quoted) is quoted.term_key == key
+    # At the bottom the longer chain holds an addition where the shorter holds
+    # its literal, and "BackgroundOp" < "Literal".
+    assert key < value_key(DroppedTerm(_add_chain(4999)))
+    renamed = rename_value(quoted, {"red": "blue"})
+    assert _literals(renamed.term) == [Atom("blue")] + _literals(t)[1:]
     assert len(_literals(t)) == 2501
 
 
