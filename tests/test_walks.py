@@ -96,8 +96,8 @@ def _forms(t):
 
 
 def test_deep_add_chain_goes_through_every_term_walk():
-    """Quoted, dropped into `pgm`, hashed, keyed and renamed: the 5,000-level
-    chain goes through each without a frame per level."""
+    """Quoted, dropped into `pgm`, hashed, keyed, renamed and printed: the
+    5,000-level chain goes through each without a frame per level."""
     t = _add_chain(5000)
     assert free_vars(t) == {"x"}
     quoted = DroppedTerm(t)
@@ -112,6 +112,8 @@ def test_deep_add_chain_goes_through_every_term_walk():
     renamed = rename_value(quoted, {"red": "blue"})
     assert _literals(renamed.term) == [Atom("blue")] + _literals(t)[1:]
     assert len(_literals(t)) == 2501
+    tail = "".join(" + ?x" if i % 2 else f" + {i}" for i in range(5000))
+    assert print_value(renamed) == "⟦'blue" + tail + "⟧"
 
 
 def test_deep_forms_print_through_the_one_walk():
