@@ -48,7 +48,6 @@ from .printer import (
 )
 from .state import FunctionSymbol, Location, Signature, State, rename_state
 from .treediff import tree_diff_rule, tree_diff_updates
-from .trees import Context, Tree
 from .updates import SharedUpdate, Update, UpdateMultiset, UpdateSet, collapse
 from .values import (
     FALSE,

@@ -41,7 +41,6 @@ from .parser import parse_rule, parse_state, parse_tree
 from .printer import format_trace, print_rule, print_state, print_tree
 from .state import PGM_LOCATION, State
 from .treediff import tree_diff_rule
-from .trees import Context
 from .updates import apply_update_set, collapse
 from .values import TreeVal
 
@@ -122,21 +121,21 @@ def _cmd_run(args) -> int:
 
 def _cmd_diff(args) -> int:
     try:
-        a = parse_tree(_read(args.a))
-        b = parse_tree(_read(args.b))
+        a = TreeVal(parse_tree(_read(args.a)))
+        b = TreeVal(parse_tree(_read(args.b)))
     except (ParseError, OSError) as e:
         print(f"diff: {e}", file=sys.stderr)
         return 3
     for path, t in ((args.a, a), (args.b, b)):
-        if isinstance(t, Context):
+        if t.root_node.holes:
             print(f"diff: {path} holds a context (a tree with a hole leaf), not a tree", file=sys.stderr)
             return 3
     rule = tree_diff_rule(a, b)
     print(print_rule(rule))
     # Verify along a self-rewriting step's path: pgm holds a, the rule runs.
-    s = State(as_program(a).signature, {PGM_LOCATION: TreeVal(a)})
+    s = State(as_program(a).signature, {PGM_LOCATION: a})
     us = collapse(s, eval_rule(s, {}, rule))
-    verdict = us.consistent and apply_update_set(s, us).get(PGM_LOCATION) == TreeVal(b)
+    verdict = us.consistent and apply_update_set(s, us).get(PGM_LOCATION) == b
     print("verdict " + ("equal" if verdict else "different"))
     return 0 if verdict else 1
 

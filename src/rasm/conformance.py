@@ -324,8 +324,8 @@ def check_bounded_exploration(
 ) -> CheckReport:
     """States agreeing on pgm and on every extracted read term must yield
     the same update multiset; an evaluation error counts as its code, on
-    either side.  Give the states equal reserve cursors, or fresh-atom
-    spellings will differ for reasons the postulate ignores."""
+    either side.  `s2` is evaluated under `s1`'s reserve cursor and seed,
+    or fresh-atom spellings would differ for reasons the postulate ignores."""
     fn = updates_fn if updates_fn is not None else _raised_updates
     name = "bounded-exploration"
     if s1.signature != s2.signature:
@@ -336,9 +336,11 @@ def check_bounded_exploration(
         return CheckReport(name, 1, (), ("pgm values differ; coincidence precondition failed",))
     if not isinstance(p1, TreeVal):
         return CheckReport(name, 1, (), ("pgm holds no tree; nothing to check",))
-    prog = as_program(p1.tree)
+    prog = as_program(p1)
     e1 = s1.with_signature(s1.signature.extended(prog.signature))
     e2 = s2.with_signature(s2.signature.extended(prog.signature))
+    if (e2.reserve_cursor, e2.reserve_seed) != (s1.reserve_cursor, s1.reserve_seed):
+        e2 = State(e2.signature, e2.interp, e2.universe, s1.reserve_cursor, s1.reserve_seed)
     for b in beta_rule(prog.rule):
         if _outcome(eval_term, e1, {}, b) != _outcome(eval_term, e2, {}, b):
             return CheckReport(name, 1, (), ("read-term values differ; coincidence precondition failed",))

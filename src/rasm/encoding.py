@@ -42,8 +42,8 @@ from .errors import EncodingError, RasmError
 from .state import PGM, FunctionSymbol, Signature
 from . import terms as T
 from .terms import Comprehension, Rule, Term, free_vars, map_term, subterms
-from .trees import Node, Path, Tree, leaf, node
-from .values import TRUE, Atom, DroppedTerm, Natural, TupleVal, Value
+from .trees import Node, Path, leaf, node
+from .values import TRUE, Atom, DroppedTerm, Natural, TreeVal, TupleVal, Value
 
 _TRUE = T.Literal(TRUE)
 
@@ -224,28 +224,28 @@ def _raise_rule(n: Node, path: Path) -> Rule:
     return built[0]
 
 
-def drop_rule(r: Rule) -> Tree:
-    return Tree(_drop_rule(r).children[0])
+def drop_rule(r: Rule) -> Node:
+    return _drop_rule(r).children[0]
 
 
-def raise_rule(t: Tree) -> Rule:
-    return _raise_rule(t.root_node, ())
+def raise_rule(t: Node) -> Rule:
+    return _raise_rule(t, ())
 
 
-def drop_signature(sig: Signature) -> Tree:
+def drop_signature(sig: Signature) -> Node:
     funcs = [
         node("func", leaf("name", Atom(s.name)), leaf("arity", Natural(s.arity))) for s in sig
     ]
-    return Tree(node("signature", *funcs))
+    return node("signature", *funcs)
 
 
-def drop_program(sig: Signature, r: Rule) -> Tree:
-    """The self-representation tree; `sig` must already contain pgm."""
-    return Tree(node(PGM, drop_signature(sig).root_node, _drop_rule(r)))
+def drop_program(sig: Signature, r: Rule) -> TreeVal:
+    """The self-representation, the tree value of pgm; `sig` must already
+    contain pgm."""
+    return TreeVal(node(PGM, drop_signature(sig), _drop_rule(r)))
 
 
-def raise_signature(t: Tree) -> Signature:
-    root = t.root_node
+def raise_signature(root: Node) -> Signature:
     if root.label != "signature" or root.value is not None:
         raise _bad(f"expected a signature⟨...⟩ node, found {root.label!r}", ())
     if root.raised is not None:
@@ -279,8 +279,8 @@ class Program:
     rule: Rule
 
 
-def _unique_child(p: Tree, label: str) -> Node:
-    hits = [c for c in p.root_node.children if c.label == label]
+def _unique_child(root: Node, label: str) -> Node:
+    hits = [c for c in root.children if c.label == label]
     if len(hits) != 1:
         raise EncodingError(
             "malformed-program-tree", f"need exactly one {label} child of the root, found {len(hits)}", ()
@@ -288,21 +288,22 @@ def _unique_child(p: Tree, label: str) -> Node:
     return hits[0]
 
 
-def as_program(t: Tree) -> Program:
-    """The program `t` encodes, kept on its root: a tree raises once."""
-    root = t.root_node
+def as_program(pgm: TreeVal) -> Program:
+    """The program the tree value `pgm` encodes, kept on its root node: a
+    tree raises once."""
+    root = pgm.root_node
     if root.label != PGM:
         raise EncodingError("malformed-program-tree", f"root must be labelled pgm, found {root.label!r}", ())
     if root.raised is not None:
         return root.raised
     if len(root.children) != 2 or root.value is not None:
         raise EncodingError("malformed-program-tree", "pgm root needs exactly a signature and a rule child", ())
-    sig, wrap = raise_signature(Tree(_unique_child(t, "signature"))), _unique_child(t, "rule")
+    sig, wrap = raise_signature(_unique_child(root, "signature")), _unique_child(root, "rule")
     if PGM not in sig or sig.lookup(PGM).arity != 0:
         raise EncodingError("malformed-program-tree", "encoded signature must contain nullary pgm", ())
     if len(wrap.children) != 1 or wrap.value is not None:
         raise EncodingError("malformed-program-tree", "rule wrapper needs exactly one child", ())
-    prog = Program(sig, raise_rule(Tree(wrap.children[0])))
+    prog = Program(sig, raise_rule(wrap.children[0]))
     root.raised = prog
     return prog
 

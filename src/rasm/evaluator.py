@@ -55,8 +55,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .errors import EvalError, TreeAlgebraError
 from .state import Location, Signature, State
 from . import terms as T
-from .trees import Context, Tree, concat_hedges, context_at, label_hedge, subst_cc, subst_ct, subtree
-from .updates import COLLAPSE_OPS, SharedUpdate, Update, UpdateMultiset, _as_path, _tree_arg
+from .trees import Node, concat_hedges, context_at, label_hedge, subst_cc, subst_ct, subtree
+from .updates import COLLAPSE_OPS, SharedUpdate, Update, UpdateMultiset, _as_path, _fold, _tree_arg
 from .values import (
     FALSE,
     TRUE,
@@ -120,12 +120,12 @@ def _op_proj(args: list[Value]) -> Value:
 
 
 def _collapse_as_term_op(name: str) -> Callable[[list[Value]], Value]:
-    op = COLLAPSE_OPS[name]
+    need = COLLAPSE_OPS[name].min_args + 1
 
     def run(args: list[Value]) -> Value:
-        if len(args) < op.min_args + 1:
-            raise EvalError("arity-mismatch", f"operator {name!r} needs {op.min_args + 1}+ arguments")
-        return op.fold(args[0], *args[1:])
+        if len(args) < need:
+            raise EvalError("arity-mismatch", f"operator {name!r} needs {need}+ arguments")
+        return _fold(args[0], ((name, args[1:]),))
 
     return run
 
@@ -153,11 +153,11 @@ def _binary(raw: Callable, wrap: Callable, naturals: bool) -> _BgOp:
 
 def _tree_op(fn: Callable, *decoders: Callable[[Value], object]) -> _BgOp:
     """A `trees` operation over its arguments, each decoded by its decoder
-    into a tree or a context (`_tree_arg`), a path (`_as_path`), a label
-    (an atom) or a hedge (a tuple of tree values).  A tree or context it
-    returns is a tree value, a hedge a tuple of them; an argument that does
-    not decode, or a `TreeAlgebraError`, gives undef, so the operation is
-    total."""
+    into the root node of a tree or a context (`_tree_arg`), a path
+    (`_as_path`), a label (an atom) or a hedge (a tuple of tree values).  A
+    root node it returns is a tree value, a hedge a tuple of them; an
+    argument that does not decode, or a `TreeAlgebraError`, gives undef, so
+    the operation is total."""
     def run(args: list[Value]) -> Value:
         decoded = [decode(a) for decode, a in zip(decoders, args)]
         if None in decoded:
@@ -170,7 +170,7 @@ def _tree_op(fn: Callable, *decoders: Callable[[Value], object]) -> _BgOp:
     return _BgOp(len(decoders), run)
 
 
-def _hedge_arg(v: Value) -> tuple[Tree, ...] | None:
+def _hedge_arg(v: Value) -> tuple[Node, ...] | None:
     trees = tuple(map(_tree_arg, v.items)) if isinstance(v, TupleVal) else (None,)
     return None if None in trees else trees
 
@@ -179,7 +179,7 @@ def _label_arg(v: Value) -> str | None:
     return v.name if isinstance(v, Atom) else None
 
 
-_context_arg = partial(_tree_arg, kind=Context)
+_context_arg = partial(_tree_arg, holes=1)
 _truth = (FALSE, TRUE).__getitem__  # a bool as a truth value, with no Python frame
 _natural = partial(int.__new__, Natural)  # raw results on naturals are >= 0: no range check
 # Update entries and locations from one tuple each, with no Python-level `__new__`.

@@ -19,7 +19,6 @@ from .errors import EncodingError, MachineError
 from .evaluator import eval_rule_with_cursor
 from .state import PGM_LOCATION, Signature, State
 from .terms import Rule
-from .trees import Tree
 from .updates import UpdateSet, apply_update_set, collapse
 from .values import UNDEF, TreeVal, Value
 
@@ -44,9 +43,9 @@ class StepReport:
 
 def _stored_program(s: State) -> Program:
     v = s.value_of(PGM_LOCATION)
-    if not isinstance(v, TreeVal) or not isinstance(v.tree, Tree):
+    if type(v) is not TreeVal or v.root_node.holes:
         raise EncodingError("malformed-program-tree", f"pgm holds {v!r}, not a tree value")
-    return as_program(v.tree)
+    return as_program(v)
 
 
 def _check_kept(current: Signature, encoded: Signature, what: str) -> None:
@@ -77,10 +76,10 @@ def _grown_signature(current: Signature, pgm: Value) -> Signature:
     put and the next step's raise reports it.  A well-formed rewrite that
     dropped symbols is an error now.
     """
-    if not isinstance(pgm, TreeVal):
+    if type(pgm) is not TreeVal or pgm.root_node.holes:
         return current
     try:
-        prog = as_program(pgm.tree)
+        prog = as_program(pgm)
     except EncodingError:
         return current
     _check_kept(current, prog.signature, "rewritten pgm")

@@ -40,7 +40,7 @@ from .evaluator import BACKGROUND_OPS
 from .state import PGM, FunctionSymbol, Location, Signature, State
 from . import terms as T
 from .terms import INFIX, P_ATOM, P_CMP, P_NOT, P_OR, Rule, Term
-from .trees import XI, Context, Node, Tree, _TreeBase
+from .trees import XI, Node
 from .values import (
     FALSE,
     TRUE,
@@ -298,13 +298,11 @@ class _Parser:
 
     # ---------------------------------------------------------------- trees
 
-    def _tree(self) -> _TreeBase:
+    def _tree(self) -> Node:
         n = self._tree_node()
-        if n.holes == 0:
-            return Tree(n)
-        if n.holes == 1:
-            return Context(n)
-        self.fail("a tree literal may contain at most one hole")
+        if n.holes > 1:
+            self.fail("a tree literal may contain at most one hole")
+        return n
 
     def _tree_node(self) -> Node:
         """One tree node, its open ancestors kept on a stack, not in frames."""
@@ -486,7 +484,7 @@ def parse_value(text: str) -> Value:
     return _parse_all(text, 1, _Parser.value)
 
 
-def parse_tree(text: str) -> _TreeBase:
+def parse_tree(text: str) -> Node:
     return _parse_all(text, 1, _Parser._tree)
 
 
@@ -582,7 +580,7 @@ def parse_state(text: str, seed: int = 0) -> State:
         interp[loc] = val
 
     if program_rule is not None:
-        interp[Location(PGM)] = TreeVal(drop_program(sig, program_rule))
+        interp[Location(PGM)] = drop_program(sig, program_rule)
 
     s = State(sig, interp, universe, reserve_seed=seed)
     machine.validate_initial(s)

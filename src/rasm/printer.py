@@ -54,7 +54,7 @@ from .terms import (
     Term,
     Var,
 )
-from .trees import XI, Node, _TreeBase
+from .trees import XI, Node
 from .values import (
     TRUE,
     Atom,
@@ -192,7 +192,7 @@ PIECES = {
     Undef: lambda v, bound, need: ["undef"],
     TupleVal: lambda v, bound, need: _tuple(v.items, bound),
     Multiset: lambda v, bound, need: _mset(v.items, bound),
-    TreeVal: lambda v, bound, need: ["#", v.tree.root_node],
+    TreeVal: lambda v, bound, need: ["#", v.root_node],
     DroppedTerm: lambda v, bound, need: ["⟦", (v.term, _EMPTY, P_OR), "⟧"],
     Var: lambda t, bound, need: [t.name if t.name in bound else "?" + t.name],
     Apply: lambda t, bound, need: _call(t.func, t.args, bound),
@@ -214,8 +214,8 @@ def print_value(v: Value) -> str:
     return _text([v])
 
 
-def print_tree(t: _TreeBase) -> str:
-    return _text([t.root_node])
+def print_tree(t: Node) -> str:
+    return _text([t])
 
 
 def print_term(t: Term, bound: frozenset[str] = _EMPTY) -> str:
@@ -233,10 +233,6 @@ def _location(lead: str, loc: Location, tail: str) -> list:
     if not loc.args:
         return [lead + loc.symbol + tail]
     return _listed(lead + loc.symbol + "(", loc.args, ")" + tail, None)
-
-
-def print_location(loc: Location) -> str:
-    return _text(_location("", loc, ""))
 
 
 def print_state(s: State) -> str:

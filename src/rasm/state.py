@@ -272,7 +272,7 @@ class State:
 # ------------------------------------------------------- the one value walk
 
 def _leaf_values(v: TreeVal) -> list[Value]:
-    out, todo = [], [v.tree.root_node]
+    out, todo = [], [v.root_node]
     while todo:
         n = todo.pop()
         if n.value is not None:
@@ -283,7 +283,7 @@ def _leaf_values(v: TreeVal) -> list[Value]:
 
 
 def _with_leaf_values(v: TreeVal, values: list[Value]) -> TreeVal:
-    new, built, todo = iter(values), [], [(v.tree.root_node, None)]
+    new, built, todo = iter(values), [], [(v.root_node, None)]
     while todo:
         n, k = todo.pop()
         if k is not None:  # its children are the last k built
@@ -293,7 +293,7 @@ def _with_leaf_values(v: TreeVal, values: list[Value]) -> TreeVal:
             todo += [(c, None) for c in reversed(n.children)]
         else:
             built.append(n if n.value is None else Node(n.label, (), next(new)))
-    return TreeVal(type(v.tree)(built[0]))
+    return TreeVal(built[0])
 
 
 def _literals(t: T.Term) -> list[Value]:

@@ -20,12 +20,12 @@ from .encoding import as_program
 from .errors import DiffError
 from .state import PGM, PGM_LOCATION
 from .terms import Literal, Par, PartialAssign
-from .trees import Node, Path, Tree
+from .trees import Node, Path
 from .updates import SharedUpdate, UpdateMultiset
 from .values import Natural, TreeVal, TupleVal
 
 
-def _check_pair(t1: Tree, t2: Tree) -> None:
+def _check_pair(t1: TreeVal, t2: TreeVal) -> None:
     p1 = as_program(t1)
     p2 = as_program(t2)
     if not p2.signature.contains_all(p1.signature):
@@ -43,10 +43,10 @@ def _sig_suffix(old_sig: Node, new_sig: Node) -> tuple[Node, ...] | None:
 
 def _update(op: str, path: Path, nodes: tuple[Node, ...]) -> SharedUpdate:
     at = TupleVal(tuple(Natural(i) for i in path))
-    return SharedUpdate(PGM_LOCATION, op, (at,) + tuple(TreeVal(Tree(n)) for n in nodes))
+    return SharedUpdate(PGM_LOCATION, op, (at,) + tuple(map(TreeVal, nodes)))
 
 
-def tree_diff_updates(t1: Tree, t2: Tree) -> UpdateMultiset:
+def tree_diff_updates(t1: TreeVal, t2: TreeVal) -> UpdateMultiset:
     """The edits, in preorder of the nodes they replace or extend."""
     _check_pair(t1, t2)
     entries: list[SharedUpdate] = []
@@ -67,6 +67,6 @@ def tree_diff_updates(t1: Tree, t2: Tree) -> UpdateMultiset:
     return UpdateMultiset(entries)
 
 
-def tree_diff_rule(t1: Tree, t2: Tree) -> Par:
+def tree_diff_rule(t1: TreeVal, t2: TreeVal) -> Par:
     """PAR pgm <<= op(path, t...) ... ENDPAR, one partial assignment per edit."""
     return Par(tuple(PartialAssign(PGM, (), u.op, tuple(map(Literal, u.args))) for u in tree_diff_updates(t1, t2)))

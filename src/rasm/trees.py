@@ -1,16 +1,20 @@
 """Immutable unranked labelled trees, contexts and hedges.
 
 A tree is a finite, non-empty, ordered tree whose nodes carry labels and whose
-leaves may carry values.  A context is a tree with exactly one leaf labelled
-with the hole marker ``^`` (rendered that way in canonical text); substituting
-a tree for the hole turns it back into a tree.  A hedge is a finite sequence
-of trees (possibly empty).
+leaves may carry values; it is its root `Node`, and a tree value
+(`values.TreeVal`) holds that node.  A context is a tree with exactly one
+leaf labelled with the hole marker ``^`` (rendered that way in canonical
+text), that is a root whose `holes` count is 1; substituting a tree for the
+hole turns it back into a tree.  A hedge is a finite sequence of trees
+(possibly empty).
 
 The operations at the end of this module are the background tree algebra a
 rule reaches through `evaluator.BACKGROUND_OPS`: the selectors `subtree` (as
 `subtree_at`) and `context_at`, the substitutions `subst_cc` and `subst_ct`,
 and the hedge operations `label_hedge` and `concat_hedges`.  `subst_tt` is
-the one rewrite behind the tree collapse operators of `updates`.
+the one rewrite behind the tree collapse operators of `updates`.  They take
+and return root nodes; which arguments must be trees and which contexts is
+checked where a value is decoded into a node, by its `holes`.
 
 A node is named by its path: the tuple of child indexes leading to it from
 the root, which is ``()``.  Paths are the only node address; there are no
@@ -20,22 +24,21 @@ lookups and edits walk down the path and rebuild the spine above it in
 loops, without recursion.
 
 Every immutable form is hash-consed through the one weak table `_INTERNED`
-(Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006): nodes and
-trees here, the composite values of `values`, the terms and rules of
-`terms`.  A constructor returns the one live form of its class with equal
-fields, each keyed with its class too (leaves holding `1` and `True` stay
-apart), so `==` is `is`, the hash is the identity hash, and neither walks
-a form.  A node is checked and counts the hole leaves below it when first
-built; its slots `raised` (what `encoding` raises it to) and `tree_key`
-(on the root of a keyed tree value, its `values.value_key`) are filled
-later.  Leaf values are opaque here; the runtime stores `values.Value`s.
+(Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006): nodes here,
+the composite values of `values`, the terms and rules of `terms`.  A
+constructor returns the one live form of its class with equal fields, each
+keyed with its class too (leaves holding `1` and `True` stay apart), so
+`==` is `is`, the hash is the identity hash, and neither walks a form.  A
+node is checked and counts the hole leaves below it when first built; its
+slot `raised`, what `encoding` raises it to, is filled later.  Leaf values
+are opaque here; the runtime stores `values.Value`s.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import MISSING, dataclass
-from typing import Iterator, Sequence
+from dataclasses import MISSING
+from typing import Sequence
 
 from .errors import TreeAlgebraError
 
@@ -58,6 +61,7 @@ def _forget(entry: _Entry) -> None:
 
 
 _INTERNED: dict[tuple, _Entry] = {}
+_setattr = object.__setattr__  # how `_build` fills the slots of a frozen form
 
 
 class Interned:
@@ -66,7 +70,8 @@ class Interned:
     for its fields (a loop over them costs more than the lookup), which
     returns the live form with equal fields, each keyed with its class, or
     builds and enters one; it is the constructor unless the class has its
-    own, which checks or sorts the fields first."""
+    own, which checks or sorts the fields first.  A field outside the
+    constructor, a cache such as a value's `key`, starts at its default."""
 
     __slots__ = ("__weakref__",)
 
@@ -75,7 +80,9 @@ class Interned:
         if fields is None:
             return
         args, scope = ", ".join(fields), {}
-        sets = "".join(f"\n    object.__setattr__(x, {f!r}, {f})" for f in fields)
+        sets = "".join(f"\n    _setattr(x, {f!r}, {f})" for f in fields)
+        sets += "".join(f"\n    _setattr(x, {f!r}, {d.default!r})"
+                        for f, d in cls.__dataclass_fields__.items() if f not in fields)
         exec(f"""def _build(cls, {args}):
     key = (cls, {args}, {', '.join(f + '.__class__' for f in fields)})
     entry = _INTERNED.get(key)
@@ -96,10 +103,10 @@ class Node:
     """One tree node: a label, an ordered child tuple, an optional leaf value
     (internal nodes never carry one).  A node is shared by every tree that
     holds an equal one, so nothing assigns to its first four fields after
-    this constructor; `raised` and `tree_key` are caches their owners fill.
+    this constructor; `raised` is a cache that `encoding` fills.
     """
 
-    __slots__ = ("label", "children", "value", "holes", "raised", "tree_key", "__weakref__")
+    __slots__ = ("label", "children", "value", "holes", "raised", "__weakref__")
 
     def __new__(cls, label: str, children: Sequence["Node"] = (), value: object = None) -> "Node":
         if type(children) is not tuple:
@@ -113,7 +120,7 @@ class Node:
         if children and value is not None:
             raise TreeAlgebraError("value-on-internal-node", f"node {label!r} has children and a value")
         n = object.__new__(cls)
-        n.label, n.children, n.value, n.raised, n.tree_key = label, children, value, None, None
+        n.label, n.children, n.value, n.raised = label, children, value, None
         n.holes = (label == XI) + sum([c.holes for c in children])
         entry = _INTERNED[key] = _Entry(n, _forget)
         entry.key = key
@@ -121,10 +128,6 @@ class Node:
 
     def __repr__(self) -> str:
         return f"Node(label={self.label!r}, children={self.children!r}, value={self.value!r})"
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 def node(label: str, *children: Node) -> Node:
@@ -146,66 +149,6 @@ def _spine(root: Node, path: Path) -> list[Node]:
     return spine
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class _TreeBase(Interned):
-    """Shared accessors over a root Node; a node is named by its path."""
-
-    _root: Node
-
-    @property
-    def root_node(self) -> Node:
-        return self._root
-
-    def at(self, path: Path) -> Node:
-        """The node at `path`, found by one walk down from the root."""
-        return _spine(self._root, path)[-1]
-
-    def iter_nodes(self) -> Iterator[tuple[Path, Node]]:
-        """(path, node) for every node, in preorder."""
-        todo: list[tuple[Path, Node]] = [((), self._root)]
-        while todo:
-            path, n = todo.pop()
-            yield path, n
-            todo.extend((path + (i,), n.children[i]) for i in reversed(range(len(n.children))))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._root!r})"
-
-
-class Tree(_TreeBase):
-    """A hole-free tree."""
-
-    __slots__ = ()
-
-    def __new__(cls, root: Node) -> "Tree":
-        if root.holes != 0:
-            raise TreeAlgebraError("unexpected-hole", "a Tree must contain no hole leaf")
-        return cls._build(cls, root)
-
-
-class Context(_TreeBase):
-    """A tree with exactly one hole leaf (label ``^``, no value)."""
-
-    __slots__ = ()
-
-    def __new__(cls, root: Node) -> "Context":
-        if root.holes != 1:
-            raise TreeAlgebraError("not-a-context", f"a Context needs exactly one hole, found {root.holes}")
-        return cls._build(cls, root)
-
-    @property
-    def hole(self) -> Path:
-        """Path of the hole leaf, following the one child that holds it."""
-        path, n = [], self._root
-        while n.label != XI:
-            i = next(i for i, c in enumerate(n.children) if c.holes)
-            path.append(i)
-            n = n.children[i]
-        if not n.is_leaf or n.value is not None:
-            raise TreeAlgebraError("not-a-context", "hole must be a bare leaf")
-        return tuple(path)
-
-
 def _splice(root: Node, path: Path, new: Node) -> Node:
     """`root` with the node at `path` replaced by `new`.
 
@@ -219,53 +162,63 @@ def _splice(root: Node, path: Path, new: Node) -> Node:
     return new
 
 
+def _hole(c: Node) -> Path:
+    """Path of the hole leaf of the context `c`, following the one child
+    that holds it."""
+    if c.holes != 1:
+        raise TreeAlgebraError("not-a-context", f"a context needs exactly one hole, found {c.holes}")
+    path, n = [], c
+    while n.label != XI:
+        i = next(i for i, kid in enumerate(n.children) if kid.holes)
+        path.append(i)
+        n = n.children[i]
+    if n.children or n.value is not None:
+        raise TreeAlgebraError("not-a-context", "hole must be a bare leaf")
+    return tuple(path)
+
+
 # ---------------------------------------------------------------- selectors
 
-def subtree(t: _TreeBase, path: Path) -> Tree | Context:
-    """Largest subtree rooted at the node at `path`."""
-    n = t.at(path)
-    if n.holes == 0:
-        return Tree(n)
-    if n.holes == 1:
-        return Context(n)
-    raise TreeAlgebraError("not-a-context", "subtree contains several holes")  # only via malformed input
+def subtree(t: Node, path: Path) -> Node:
+    """Largest subtree rooted at the node at `path`: that node, found by one
+    walk down from the root."""
+    return _spine(t, path)[-1]
 
 
-def context_at(t: _TreeBase, p1: Path, p2: Path) -> Context:
+def context_at(t: Node, p1: Path, p2: Path) -> Node:
     """The subtree at `p1` with the subtree at `p2` punched out as the hole.
 
     `p2` must lie strictly below `p1`, that is `p1` is a proper prefix of it.
     """
     if len(p2) <= len(p1) or p2[: len(p1)] != p1:
         raise TreeAlgebraError("not-an-ancestor", f"node {p1} is not a strict ancestor of {p2}")
-    return Context(_splice(t.at(p1), p2[len(p1):], Node(XI)))
+    return _splice(subtree(t, p1), p2[len(p1):], Node(XI))
 
 
 # ------------------------------------------------------------ substitutions
 
-def subst_tt(t1: Tree, path: Path, t2: Tree) -> Tree:
+def subst_tt(t1: Node, path: Path, t2: Node) -> Node:
     """t1 with the largest subtree at `path` replaced by t2."""
-    return Tree(_splice(t1.root_node, path, t2.root_node))
+    return _splice(t1, path, t2)
 
 
-def subst_cc(c1: Context, c2: Context) -> Context:
-    """c1 with its hole replaced by c2 (context composition)."""
-    return Context(_splice(c1.root_node, c1.hole, c2.root_node))
+def subst_cc(c: Node, x: Node) -> Node:
+    """`c` with its hole replaced by `x`: the composition of two contexts,
+    or, as `subst_ct`, the tree a context and a tree make."""
+    return _splice(c, _hole(c), x)
 
 
-def subst_ct(c: Context, t: Tree) -> Tree:
-    """c with its hole replaced by t; no hole remains."""
-    return Tree(_splice(c.root_node, c.hole, t.root_node))
+subst_ct = subst_cc
 
 
 # ------------------------------------------------------------------ hedges
 
-def label_hedge(a: str, h: Sequence[Tree]) -> Tree:
+def label_hedge(a: str, h: Sequence[Node]) -> Node:
     """A new root labelled `a` over the hedge's trees (empty hedge: a leaf)."""
     if a == XI:
         raise TreeAlgebraError("xi-label-forbidden", "the hole label cannot label a new root")
-    return Tree(Node(a, tuple(t.root_node for t in h)))
+    return Node(a, tuple(h))
 
 
-def concat_hedges(h1: Sequence[Tree], h2: Sequence[Tree]) -> tuple[Tree, ...]:
+def concat_hedges(h1: Sequence[Node], h2: Sequence[Node]) -> tuple[Node, ...]:
     return tuple(h1) + tuple(h2)

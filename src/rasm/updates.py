@@ -23,7 +23,8 @@ root for `right_extend` and `subst_tt`, the path given as first argument (a
 tuple of naturals) for `extend_at` and `subst_at`; for independence an
 undecodable path counts as the root.  A shared update always names a whole
 location; an edit inside a tree value names its node only by that path
-argument.
+argument.  A group folds on the tree's root node, one `trees.subst_tt` per
+edit, and the tree it ends with is wrapped in one tree value.
 
 Entries are named tuples: an `Update` is the pair ``(location, value)``
 and a `SharedUpdate` the triple ``(location, op, args)``.  They hash,
@@ -48,7 +49,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import EvalError, RasmError
 from .state import Location, State
-from .trees import Context, Node, Tree, TreeAlgebraError, subst_tt
+from .trees import Node, TreeAlgebraError, subst_tt, subtree
 from .values import UNDEF, Multiset, Natural, TreeVal, TupleVal, Value, value_key
 
 
@@ -118,7 +119,7 @@ class UpdateSet:
 
 # ------------------------------------------------------- operator registry
 
-def _fold_munion(current: Value, *args: Value) -> Value:
+def _fold_munion(current: Value | Node, *args: Value) -> Value:
     acc = current
     for a in args:
         if not (isinstance(acc, Multiset) and isinstance(a, Multiset)):
@@ -138,14 +139,15 @@ def _as_path(v: Value) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _tree_arg(v: Value, kind: type = Tree) -> Tree | Context | None:
-    # `kind=Context` decodes a context instead of a tree.
-    if isinstance(v, TreeVal) and isinstance(v.tree, kind):
-        return v.tree
-    return None
+def _tree_arg(v: Value | Node, holes: int = 0) -> Node | None:
+    """The root node of a tree value, or of a context with `holes=1`.  A
+    root node stands for its tree value: a fold carries the running tree
+    as its root and wraps it once, at the end (`_fold`)."""
+    n = v.root_node if type(v) is TreeVal else v
+    return n if type(n) is Node and n.holes == holes else None
 
 
-def _rewrite_at(current: Value, path: tuple[int, ...] | None, edit: Callable[[Node], Tree]) -> Value:
+def _rewrite_at(current: Value | Node, path: tuple[int, ...] | None, edit: Callable[[Node], Node]) -> Value | Node:
     """The tree in `current` with the node at `path` replaced by `edit(node)`.
 
     Undef when `current` is not a tree, `path` is missing or leaves the tree,
@@ -155,36 +157,35 @@ def _rewrite_at(current: Value, path: tuple[int, ...] | None, edit: Callable[[No
     if t is None or path is None:
         return UNDEF
     try:
-        return TreeVal(subst_tt(t, path, edit(t.at(path))))
+        return subst_tt(t, path, edit(subtree(t, path)))
     except TreeAlgebraError:
         return UNDEF
 
 
-def _extend_at(current: Value, path: tuple[int, ...] | None, items: tuple[Value, ...]) -> Value:
-    trees = [_tree_arg(v) for v in items]
-    if any(x is None for x in trees):
+def _extend_at(current: Value | Node, path: tuple[int, ...] | None, items: tuple[Value, ...]) -> Value | Node:
+    added = tuple(_tree_arg(v) for v in items)
+    if None in added:
         return UNDEF
     # Appending to a value-carrying leaf is rejected by Node validation.
-    added = tuple(x.root_node for x in trees)
-    return _rewrite_at(current, path, lambda n: Tree(Node(n.label, n.children + added, n.value)))
+    return _rewrite_at(current, path, lambda n: Node(n.label, n.children + added, n.value))
 
 
-def _fold_right_extend(current: Value, *args: Value) -> Value:
+def _fold_right_extend(current: Value | Node, *args: Value) -> Value | Node:
     return _extend_at(current, (), args)
 
 
-def _fold_extend_at(current: Value, *args: Value) -> Value:
+def _fold_extend_at(current: Value | Node, *args: Value) -> Value | Node:
     return _extend_at(current, _as_path(args[0]) if args else None, args[1:])
 
 
-def _fold_subst_at(current: Value, *args: Value) -> Value:
+def _fold_subst_at(current: Value | Node, *args: Value) -> Value | Node:
     new = _tree_arg(args[1]) if len(args) == 2 else None
     if new is None:
         return UNDEF
     return _rewrite_at(current, _as_path(args[0]), lambda _n: new)
 
 
-def _fold_subst_tt(current: Value, *args: Value) -> Value:
+def _fold_subst_tt(current: Value | Node, *args: Value) -> Value:
     # Whole-value replacement.
     return args[0] if len(args) == 1 else UNDEF
 
@@ -219,11 +220,17 @@ COLLAPSE_OPS: dict[str, CollapseOp] = {
 }
 
 
-def _apply_shared(current: Value, u: SharedUpdate) -> Value:
-    op = COLLAPSE_OPS.get(u.op)
-    if op is None:
-        raise EvalError("unknown-operator", f"no collapse operator {u.op!r}")
-    return op.fold(current, *u.args)
+def _fold(current: Value, steps: Iterable[tuple[str, tuple[Value, ...]]]) -> Value:
+    """`current` with each (operator, arguments) step folded in, in order.
+    A tree is folded as its root node, and the tree the last edit leaves is
+    wrapped in one tree value, however many edits made it."""
+    acc = current.root_node if type(current) is TreeVal else current
+    for name, args in steps:
+        op = COLLAPSE_OPS.get(name)
+        if op is None:
+            raise EvalError("unknown-operator", f"no collapse operator {name!r}")
+        acc = op.fold(acc, *args)
+    return TreeVal(acc) if type(acc) is Node else acc
 
 
 # ---------------------------------------------------------------- collapse
@@ -251,7 +258,7 @@ def collapse(s: State, um: UpdateMultiset) -> UpdateSet:
         if type(g) is Update:
             updates.append(g)
         elif type(g) is SharedUpdate:
-            updates.append(Update(loc, _apply_shared(s.value_of(loc), g)))
+            updates.append(Update(loc, _fold(s.value_of(loc), ((g.op, g.args),))))
         elif all(type(e) is SharedUpdate for e in g):
             folded, ok = _collapse_shared(s.value_of(loc), sorted(g, key=SharedUpdate.key))
             updates.append(Update(loc, folded))
@@ -265,11 +272,9 @@ def collapse(s: State, um: UpdateMultiset) -> UpdateSet:
 
 
 def _collapse_shared(current: Value, shared: list[SharedUpdate]) -> tuple[Value, bool]:
-    result = current
-    for u in shared:
-        result = _apply_shared(result, u)
     edits = {COLLAPSE_OPS[u.op].edit(u.args) for u in shared}  # equal edits are independent
-    return result, all(_independent(current, a, b) for a, b in itertools.combinations(edits, 2))
+    ok = all(_independent(current, a, b) for a, b in itertools.combinations(edits, 2))
+    return _fold(current, [(u.op, u.args) for u in shared]), ok
 
 
 def _independent(current: Value, a: Edit, b: Edit) -> bool:
@@ -287,7 +292,7 @@ def _independent(current: Value, a: Edit, b: Edit) -> bool:
         return False
     t = _tree_arg(current)
     try:
-        return t is not None and pb[len(pa)] < len(t.at(pa).children)
+        return t is not None and pb[len(pa)] < len(subtree(t, pa).children)
     except TreeAlgebraError:
         return False
 

@@ -12,14 +12,17 @@ is identity.  Truth values and naturals stay distinct variants:
 ``Boolean(True) != Natural(1)`` even though Python's own ``True == 1``.
 The composite variants are interned (`trees.Interned`): equal ones are one
 object, compared with `is` and hashed by identity, however deep they nest.
+A tree value holds its root node (`trees.Node`) and nothing else.
 Multisets ignore insertion order but respect multiplicity; they keep their
 items sorted by the canonical total order `value_key`, which also orders
 the active domain and every printed update set.  A natural or an atom is
 keyed as the `int` or `str` it is, every other variant by one flat token
-sequence, so that no key comparison recurses.  The ranks run undef, truth
-values, naturals, atoms, tuples, multisets, trees, dropped terms; dropped
-terms are ordered by structure, the form's class name first, then its
-fields in order, with a tuple field's length before its items.
+sequence, so that no key comparison recurses; a composite keeps that
+sequence in its one `key` slot, so it is built once per value.  The ranks
+run undef, truth values, naturals, atoms, tuples, multisets, trees,
+dropped terms; dropped terms are ordered by structure, the form's class
+name first, then its fields in order, with a tuple field's length before
+its items.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .trees import Interned, Node, _TreeBase
+from .trees import Interned, Node, _setattr
 
 
 class Value:
@@ -95,9 +98,13 @@ class Undef(Value):
         return "Undef()"
 
 
+# Each composite variant below keeps its `value_key` in its one `key` slot
+# from the first time it is keyed.
+
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class TupleVal(Interned, Value):
     items: tuple[Value, ...]
+    key: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -109,6 +116,7 @@ class Multiset(Interned, Value):
     order is forgotten and multiplicity kept."""
 
     items: tuple[Value, ...]
+    key: tuple | None = field(default=None, init=False, repr=False)
 
     def __new__(cls, items: Iterable[Value] = ()) -> "Multiset":
         return cls._build(cls, tuple(sorted(items, key=value_key)))
@@ -128,9 +136,11 @@ class Multiset(Interned, Value):
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class TreeVal(Interned, Value):
-    """A tree (or context) as a first-class value."""
+    """A tree as a first-class value: its root node.  A root with one hole
+    leaf (`root_node.holes == 1`) makes it a context."""
 
-    tree: _TreeBase
+    root_node: Node
+    key: tuple | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -138,7 +148,7 @@ class DroppedTerm(Interned, Value):
     """A term quoted into the value world (syntax as data)."""
 
     term: object  # terms.Term; untyped here to keep the layering acyclic
-    term_key: tuple = field(init=False, repr=False)  # its `value_key`, once keyed
+    key: tuple | None = field(default=None, init=False, repr=False)
 
 
 UNDEF = object.__new__(Undef)
@@ -151,11 +161,12 @@ FALSE = object.__new__(Boolean)
 _CLOSE, _OPEN = -2, -1
 
 _SCALAR_RANK = {Natural: 2, Atom: 3}
+_RANK = {**_SCALAR_RANK, TupleVal: 4, Multiset: 5, TreeVal: 6, DroppedTerm: 7}
 _SINGLETON_KEY = {id(UNDEF): (0,), id(FALSE): (1, 0), id(TRUE): (1, 1)}
 
 
 def _flat_key(v: Value) -> tuple:
-    """The preorder token sequence of a composite value.
+    """The preorder token sequence of a composite value, kept in its `key`.
 
     A scalar is its rank and payload, a tuple or multiset its rank, its
     items' tokens and a close marker, and a tree value rank 6, then per
@@ -165,24 +176,33 @@ def _flat_key(v: Value) -> tuple:
     length and items, a value by its tokens.  Tokens meet only tokens of
     their kind, and a shorter sequence meets a close marker or a smaller
     length where the longer goes on, so the tuples compare as the nested
-    `(rank, payload)` keys would, without recursion.  A tree value's tokens
-    are cached on its root node, a dropped term's in its `term_key`.
+    `(rank, payload)` keys would, without recursion.  Every composite the
+    walk enters keeps its tokens in its `key`, and a composite already keyed
+    is spliced in from there, so no value is walked twice.
     """
     out: list = []
     todo: list = [v]
-    pop, rank_of = todo.pop, _SCALAR_RANK.get
+    pop, rank_of = todo.pop, _RANK.get
     while todo:
         x = pop()
         t = type(x)
         rank = rank_of(t)
         if rank is not None:
-            out += (rank, x)
+            if rank < 4:
+                out += (rank, x)
+            elif x.key is not None:
+                out += x.key
+            else:
+                if x is not v:  # v's own tokens are all of them
+                    todo.append((x, len(out)))  # where x's tokens start
+                out.append(rank)
+                if rank < 6:
+                    todo.append(_CLOSE)
+                    todo += x.items[::-1]
+                else:
+                    todo.append(x.root_node if rank == 6 else x.term)
         elif t is int or t is str:  # a marker or a length, or a name in a term
             out.append(x)
-        elif t is TupleVal or t is Multiset:
-            out.append(4 if t is TupleVal else 5)
-            todo.append(_CLOSE)
-            todo += x.items[::-1]
         elif t is Node:
             out += (_OPEN, x.label)
             todo.append(_CLOSE)
@@ -190,18 +210,8 @@ def _flat_key(v: Value) -> tuple:
                 todo.append(x.value)
             else:
                 todo += x.children[::-1]
-        elif t is TreeVal or t is DroppedTerm:
-            cached = x.tree.root_node.tree_key if t is TreeVal else getattr(x, "term_key", None)
-            if cached is not None:
-                out += cached
-            else:
-                todo += ((x, len(out)), x.tree.root_node if t is TreeVal else x.term)
-                out.append(6 if t is TreeVal else 7)
-        elif t is tuple:  # the tokens of the value x[0] start at x[1]
-            if type(x[0]) is TreeVal:
-                x[0].tree.root_node.tree_key = tuple(out[x[1]:])
-            else:
-                object.__setattr__(x[0], "term_key", tuple(out[x[1]:]))
+        elif t is tuple:  # the composite x[0] is walked: its tokens start at x[1]
+            _setattr(x[0], "key", tuple(out[x[1]:]))
         elif id(x) in _SINGLETON_KEY:
             out += _SINGLETON_KEY[id(x)]
         else:  # a term node
@@ -212,7 +222,9 @@ def _flat_key(v: Value) -> tuple:
                     todo.append(len(f))
                 else:
                     todo.append(f)
-    return tuple(out)
+    key = tuple(out)
+    _setattr(v, "key", key)
+    return key
 
 
 def value_key(v: Value) -> tuple:
@@ -222,7 +234,7 @@ def value_key(v: Value) -> tuple:
     or `str` it is, in C; truth values and undef have constant keys.
     Tuples, multisets, tree values and dropped terms have a flat key
     (`_flat_key`), which compares without recursion however deep the value
-    nests; a tree value's and a dropped term's is kept once computed.
+    nests, and which each keeps once computed.
     """
     rank = _SCALAR_RANK.get(type(v))
     if rank is not None:
@@ -230,10 +242,6 @@ def value_key(v: Value) -> tuple:
     key = _SINGLETON_KEY.get(id(v))
     if key is not None:
         return key
-    if isinstance(v, TreeVal):
-        return v.tree.root_node.tree_key or _flat_key(v)
-    if isinstance(v, DroppedTerm):
-        return getattr(v, "term_key", None) or _flat_key(v)
-    if isinstance(v, (TupleVal, Multiset)):
-        return _flat_key(v)
+    if type(v) in _RANK:  # a composite
+        return v.key or _flat_key(v)
     raise TypeError(f"not a value: {v!r}")

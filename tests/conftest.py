@@ -29,7 +29,7 @@ from rasm.terms import (
     Rule,
     Var,
 )
-from rasm.trees import Context, Node, Tree, XI
+from rasm.trees import Node, Path, XI
 from rasm.values import FALSE, TRUE, UNDEF, Atom, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, value_key
 
 LABELS = ("a", "b", "c", "d", "e")
@@ -47,8 +47,19 @@ def random_node(rng: random.Random, depth: int, branch: int = 4) -> Node:
     return Node(label, kids) if kids else Node(label)
 
 
-def random_tree(rng: random.Random, depth: int = 6, branch: int = 4) -> Tree:
-    return Tree(random_node(rng, depth, branch))
+def random_tree(rng: random.Random, depth: int = 6, branch: int = 4) -> Node:
+    """A random hole-free tree, as its root node."""
+    return random_node(rng, depth, branch)
+
+
+def iter_nodes(root: Node):
+    """(path, node) for every node of the tree at `root`, in preorder, on an
+    explicit stack."""
+    todo: list[tuple[Path, Node]] = [((), root)]
+    while todo:
+        path, n = todo.pop()
+        yield path, n
+        todo.extend((path + (i,), n.children[i]) for i in reversed(range(len(n.children))))
 
 
 def _leaf_paths(n: Node, path=()) -> list:
@@ -68,14 +79,14 @@ def _replace_at(n: Node, path, new: Node) -> Node:
     return Node(n.label, tuple(kids), n.value)
 
 
-def random_context(rng: random.Random, depth: int = 6, branch: int = 4) -> Context:
+def random_context(rng: random.Random, depth: int = 6, branch: int = 4) -> Node:
     """A random tree with one leaf swapped for the hole.
 
     Built by direct node surgery, independent of the algebra under test.
     """
     n = random_node(rng, depth, branch)
     path = rng.choice(_leaf_paths(n))
-    return Context(_replace_at(n, path, Node(XI)))
+    return _replace_at(n, path, Node(XI))
 
 
 # ------------------------------------------------------------------ values
@@ -234,7 +245,7 @@ def random_machine(rng: random.Random) -> tuple[State, Rule]:
     included, and that rule."""
     base = random_state(rng, with_pgm=True)
     rule = random_rule(rng, allow_partial=True)
-    interp = {**base.interp, Location("pgm"): TreeVal(drop_program(base.signature, rule))}
+    interp = {**base.interp, Location("pgm"): drop_program(base.signature, rule)}
     return State(base.signature, interp, base.universe), rule
 
 
@@ -256,10 +267,10 @@ def fresh_nodes(monkeypatch):
     monkeypatch.setattr(trees, "_INTERNED", {})
 
 
-def forget_raises(t) -> None:
-    """Clear the raise memo of every node of `t`: the next raise decodes the
-    whole tree into new Rule objects, which compile anew."""
-    for _path, n in t.iter_nodes():
+def forget_raises(t: TreeVal) -> None:
+    """Clear the raise memo of every node of the tree value `t`: the next
+    raise decodes the whole tree into new Rule objects, which compile anew."""
+    for _path, n in iter_nodes(t.root_node):
         n.raised = None
 
 

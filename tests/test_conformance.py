@@ -106,7 +106,7 @@ def test_isomorphism_closure_notes_when_nothing_moves():
 
 def test_identity_trials_raise_the_program_once(monkeypatch):
     s = parse_state(COUNTER)
-    forget_raises(s.value_of(PGM_LOCATION).tree)
+    forget_raises(s.value_of(PGM_LOCATION))
     decoded = count_form_decodes(monkeypatch)
     rep = check_isomorphism_closure(s, 4)
     assert decoded == ["update"]  # each identity trial steps the state itself

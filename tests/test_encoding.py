@@ -26,7 +26,7 @@ from rasm.parser import parse_rule
 from rasm.printer import print_rule
 from rasm.state import FunctionSymbol, Signature
 from rasm.terms import Comprehension, free_vars
-from rasm.trees import Tree, leaf, node, subst_tt, subtree
+from rasm.trees import leaf, node, subst_tt, subtree
 from rasm.updates import COLLAPSE_OPS
 from rasm.values import TRUE, Atom, DroppedTerm, Natural, TreeVal, TupleVal, value_key
 from conftest import count_form_decodes, forget_raises, nested_if_else, random_rule
@@ -77,8 +77,7 @@ def test_roundtrip_5000_deep_rule():
 
 
 def test_drop_assign_shape():
-    t = drop_rule(parse_rule("g(1) := 2"))
-    root = t.root_node
+    root = drop_rule(parse_rule("g(1) := 2"))
     assert root.label == "update"
     assert [c.label for c in root.children] == ["func", "term", "term"]
     assert root.children[0].value == Atom("g")
@@ -109,27 +108,27 @@ def test_program_subtree_paths():
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
     t = drop_program(sig, parse_rule("f := 1"))
     # fixed layout: signature at child 0, rule wrapper at child 1
-    assert subtree(t, (0,)).root_node.label == "signature"
-    rw = subtree(t, (1,))
-    assert rw.root_node.label == "rule"
+    assert subtree(t.root_node, (0,)).label == "signature"
+    rw = subtree(t.root_node, (1,))
+    assert rw.label == "rule"
     assert raise_rule(subtree(rw, (0,))) == parse_rule("f := 1") == as_program(t).rule
 
 
 def bad_cases():
-    yield Tree(leaf("update", Natural(1))), "update"
-    yield Tree(node("update", leaf("func", Atom("f")), leaf("term", TupleVal(())))), "children"
-    yield Tree(node("mystery", leaf("func", Atom("f")))), "rule form"
-    yield Tree(node("if",
+    yield leaf("update", Natural(1)), "update"
+    yield node("update", leaf("func", Atom("f")), leaf("term", TupleVal(()))), "children"
+    yield node("mystery", leaf("func", Atom("f"))), "rule form"
+    yield node("if",
                     leaf("bool", DroppedTerm(T.Literal(TRUE))),
                     node("rule", leaf("update", Natural(0))),
-                    node("rule", node("par")))), "nested"
-    yield Tree(node("import",
+                    node("rule", node("par"))), "nested"
+    yield node("import",
                     leaf("term", DroppedTerm(T.Literal(Natural(1)))),
-                    node("rule", node("par")))), "binder"
-    yield Tree(node("update",
+                    node("rule", node("par"))), "binder"
+    yield node("update",
                     leaf("func", Natural(7)),
                     leaf("term", TupleVal(())),
-                    leaf("term", DroppedTerm(T.Literal(TRUE))))), "func leaf"
+                    leaf("term", DroppedTerm(T.Literal(TRUE)))), "func leaf"
 
 
 @pytest.mark.parametrize("t,tag", list(bad_cases()), ids=lambda x: x if isinstance(x, str) else "")
@@ -140,27 +139,27 @@ def test_raise_rejects_malformed_trees(t, tag):
 
 
 def test_malformed_encoding_reports_a_path():
-    t = Tree(node("par",
+    t = node("par",
                   node("rule", node("update",
                                     leaf("func", Atom("f")),
                                     leaf("term", TupleVal(())),
-                                    leaf("term", Natural(3))))))
+                                    leaf("term", Natural(3)))))
     with pytest.raises(EncodingError) as exc:
         raise_rule(t)
     assert exc.value.path == (0, 0, 2)
 
 
 def prog_tree(sig_node, rule_node_):
-    return Tree(node("pgm", sig_node, rule_node_))
+    return TreeVal(node("pgm", sig_node, rule_node_))
 
 
 def test_as_program_malformed_cases():
-    good_sig = drop_signature(Signature((FunctionSymbol("pgm", 0),))).root_node
+    good_sig = drop_signature(Signature((FunctionSymbol("pgm", 0),)))
     good_rule = node("rule", node("par"))
     for t in (
-        Tree(node("prog", good_sig, good_rule)),  # wrong root label
-        Tree(node("pgm", good_sig)),  # missing rule child
-        Tree(node("pgm", good_sig, good_rule, good_rule)),  # two rule children
+        TreeVal(node("prog", good_sig, good_rule)),  # wrong root label
+        TreeVal(node("pgm", good_sig)),  # missing rule child
+        TreeVal(node("pgm", good_sig, good_rule, good_rule)),  # two rule children
         prog_tree(node("signature"), good_rule),  # pgm not declared
         prog_tree(good_sig, node("rule", node("par"), node("par"))),  # fat wrapper
     ):
@@ -170,7 +169,7 @@ def test_as_program_malformed_cases():
 
 
 def test_as_program_propagates_encoding_errors():
-    sig = drop_signature(Signature((FunctionSymbol("pgm", 0),))).root_node
+    sig = drop_signature(Signature((FunctionSymbol("pgm", 0),)))
     t = prog_tree(sig, node("rule", leaf("update", Natural(1))))
     with pytest.raises(EncodingError, match="malformed-encoding"):
         as_program(t)
@@ -311,16 +310,15 @@ def test_subst_at_raises_again_only_the_rebuilt_spine(monkeypatch):
     assert sorted(decoded) == ["par"] + ["update"] * 6
     for i in range(6):
         decoded.clear()
-        new = drop_rule(T.Assign("f", (), T.Literal(Natural(100 + i)))).root_node
-        edited = subst_at(TreeVal(t), TupleVal((Natural(1), Natural(0), Natural(i))),
-                          TreeVal(Tree(node("rule", new)))).tree
+        new = drop_rule(T.Assign("f", (), T.Literal(Natural(100 + i))))
+        edited = TreeVal(subst_at(t, TupleVal((Natural(1), Natural(0), Natural(i))), TreeVal(node("rule", new))))
         got = as_program(edited)
         assert sorted(decoded) == ["par", "update"]  # (1, 0) and the new form at (1, 0, i, 0)
         assert got.rule.rules[i] == T.Assign("f", (), T.Literal(Natural(100 + i)))
         assert [got.rule.rules[k] is prog.rule.rules[k] for k in range(6)] == [k != i for k in range(6)]
         decoded.clear()
-        swapped = subst_at(TreeVal(t), TupleVal((Natural(1), Natural(0), Natural(i))),
-                           TreeVal(subtree(t, (1, 0, 5 - i)))).tree
+        swapped = TreeVal(subst_at(t, TupleVal((Natural(1), Natural(0), Natural(i))),
+                                   TreeVal(subtree(t.root_node, (1, 0, 5 - i)))))
         as_program(swapped)
         assert decoded == ["par"]  # a memoised subtree moved: only the par decodes
     forget_raises(edited)
@@ -340,17 +338,17 @@ def test_memoised_subtrees_keep_the_error_path(where):
     as_program(t)  # every node of t now holds its raise
     bad = node("update", leaf("func", Atom("f")), leaf("term", TupleVal(())), leaf("term", Natural(3)))
     if where == "below":  # a malformed form among memoised siblings
-        edited = subst_tt(t, (1, 0, 2, 0), Tree(bad))
+        edited = TreeVal(subst_tt(t.root_node, (1, 0, 2, 0), bad))
         want = ("malformed-encoding",
                 "term leaf must hold a dropped term, found Natural(n=3) (at node path 2.0.2)", (2, 0, 2))
     else:  # memoised rules under a parent that is no rule form
-        kids = t.at((1, 0)).children
-        edited = subst_tt(t, (1, 0), Tree(node("sequence", *kids)))
+        kids = subtree(t.root_node, (1, 0)).children
+        edited = TreeVal(subst_tt(t.root_node, (1, 0), node("sequence", *kids)))
         want = ("malformed-encoding", "'sequence' is not a rule form (at node path root)", ())
     assert _error(edited) == want
     forget_raises(edited)
     assert _error(edited) == want
-    wrapped = subst_tt(t, (1, 0, 1), Tree(node("rules", t.at((1, 0, 1, 0)))))
+    wrapped = TreeVal(subst_tt(t.root_node, (1, 0, 1), node("rules", subtree(t.root_node, (1, 0, 1, 0)))))
     assert _error(wrapped) == (
         "malformed-encoding", "expected a rule⟨...⟩ wrapper, found 'rules' (at node path 1)", (1,))
 
@@ -363,15 +361,15 @@ def test_5000_deep_tree_hashes_compares_keys_and_raises_without_recursion():
                  leaf("term", DroppedTerm(T.Literal(Natural(bottom)))))
         for _ in range(5000):
             n = node("if", cond, node("rule", n), skip)
-        sig = drop_signature(Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))).root_node
-        return Tree(node("pgm", sig, node("rule", n)))
+        sig = drop_signature(Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0))))
+        return TreeVal(node("pgm", sig, node("rule", n)))
 
     a, b, c = build(1), build(1), build(2)
     assert a.root_node is b.root_node and a == b and hash(a) == hash(b) and a != c
     assert {a: "a"}[b] == "a"
-    assert value_key(TreeVal(a)) == value_key(TreeVal(b))
-    assert value_key(TreeVal(c))[2] == "pgm"  # rank, open marker, root label
-    assert value_key(TreeVal(a)) < value_key(TreeVal(c))  # the keys differ only at the leaf
+    assert value_key(a) == value_key(b)
+    assert value_key(c)[2] == "pgm"  # rank, open marker, root label
+    assert value_key(a) < value_key(c)  # the keys differ only at the leaf
     r = as_program(a).rule
     for _ in range(5000):
         assert type(r) is T.If

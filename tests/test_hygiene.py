@@ -48,7 +48,7 @@ from rasm.terms import (
     Term,
     Var,
 )
-from rasm.trees import XI, Context, Node, Tree
+from rasm.trees import XI, Node
 from rasm.updates import SharedUpdate, Update, UpdateMultiset, apply_update_set, collapse
 from rasm.values import TRUE, Atom, Boolean, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, Undef, Value
 
@@ -297,11 +297,10 @@ def _interned_forms():
     x, one = Apply("x"), Natural(1)
     return [
         lambda: Node("n", (Node("m", (), one),)),
-        lambda: Tree(Node("n", (Node("m"),))),
-        lambda: Context(Node("n", (Node(XI),))),
         lambda: TupleVal((one, TupleVal((Atom("a"),)))),
         lambda: Multiset((TupleVal(()), one, one)),
-        lambda: TreeVal(Tree(Node("n"))),
+        lambda: TreeVal(Node("n")),
+        lambda: TreeVal(Node("n", (Node(XI),))),
         lambda: DroppedTerm(BackgroundOp("add", (x, Literal(one)))),
         lambda: Var("v"),
         lambda: Apply("f", (x,)),
@@ -319,15 +318,16 @@ def _interned_forms():
 
 
 def test_every_immutable_form_is_interned():
-    """Nodes, trees, composite values, terms and rules go through the one
-    intern table: two constructions of an equal form give one object, and
-    `==` and `hash` are `object`'s, so neither walks a form, however deep."""
+    """Nodes, composite values (tree values among them), terms and rules go
+    through the one intern table: two constructions of an equal form give
+    one object, and `==` and `hash` are `object`'s, so neither walks a
+    form, however deep."""
     forms = [(build(), build()) for build in _interned_forms()]
     for a, b in forms:
         assert a is b, a
         assert type(a).__eq__ is object.__eq__ and type(a).__hash__ is object.__hash__, type(a)
     classes = {type(a) for a, _b in forms}
-    assert classes == {Node, Tree, Context, TupleVal, Multiset, TreeVal, DroppedTerm} | set(CHILDREN) | {
+    assert classes == {Node, TupleVal, Multiset, TreeVal, DroppedTerm} | set(CHILDREN) | {
         c for c in vars(terms).values() if isinstance(c, type) and issubclass(c, Rule) and c is not Rule}
     # A scalar field is keyed with its class: `1 == True` in Python does not merge them.
     assert Literal(1) is not Literal(True) and Var("v") is not Var(Atom("v"))

@@ -15,10 +15,10 @@ from rasm.machine import DEFAULT_MAX_STEPS, StepReport, run, step, validate_init
 from rasm.parser import parse_rule, parse_state
 from rasm.state import FunctionSymbol, Location, PGM_LOCATION, Signature, State, _occurring, _values_in
 from rasm.terms import Assign, Literal, Par
-from rasm.trees import XI, Context, Node, context_at, leaf, node, subst_tt
+from rasm.trees import XI, Node, context_at, leaf, node, subst_tt
 from rasm.updates import collapse
 from rasm.values import UNDEF, Natural, TreeVal, TupleVal, value_key
-from conftest import forget_raises, random_machine, random_rule, random_state
+from conftest import forget_raises, iter_nodes, random_machine, random_rule, random_state
 
 
 def make_state(rule_text, sig_pairs=(("f", 0),), inits=()):
@@ -26,7 +26,7 @@ def make_state(rule_text, sig_pairs=(("f", 0),), inits=()):
         (FunctionSymbol("pgm", 0),) + tuple(FunctionSymbol(n, a) for n, a in sig_pairs)
     )
     tree = drop_program(sig, parse_rule(rule_text))
-    interp = {PGM_LOCATION: TreeVal(tree)}
+    interp = {PGM_LOCATION: tree}
     for name, args, val in inits:
         interp[Location(name, args)] = val
     return State(sig, interp)
@@ -78,9 +78,9 @@ def test_missing_pgm_is_an_encoding_error():
 
 def test_context_valued_pgm_is_a_malformed_program_tree():
     s = make_state("f := 1")
-    t = s.value_of(PGM_LOCATION).tree
-    for p, _n in t.iter_nodes():  # a hole anywhere, the signature and rule included
-        c = context_at(t, (), p) if p else Context(Node(XI))  # at the root, the bare hole
+    t = s.value_of(PGM_LOCATION).root_node
+    for p, _n in iter_nodes(t):  # a hole anywhere, the signature and rule included
+        c = context_at(t, (), p) if p else Node(XI)  # at the root, the bare hole
         punched = State(s.signature, {**s.interp, PGM_LOCATION: TreeVal(c)})
         with pytest.raises(EncodingError, match="malformed-program-tree"):
             step(punched)
@@ -93,7 +93,7 @@ def test_self_rewrite_changes_next_step():
     rep1 = step(s)
     assert rep1.update_set.consistent
     assert rep1.next.value_of(Location("f")) == Natural(1)
-    assert as_program(rep1.next.value_of(PGM_LOCATION).tree).rule == parse_rule("f := 2")
+    assert as_program(rep1.next.value_of(PGM_LOCATION)).rule == parse_rule("f := 2")
     rep2 = step(rep1.next)
     assert rep2.next.value_of(Location("f")) == Natural(2)
 
@@ -122,7 +122,7 @@ def test_signature_never_shrinks():
         s.signature,
         parse_rule("pgm <<= subst_tt(#" + _tree_literal(replacement) + ")"),
     )
-    s2 = State(s.signature, {PGM_LOCATION: TreeVal(tree)})
+    s2 = State(s.signature, {PGM_LOCATION: tree})
     with pytest.raises(MachineError, match="signature-shrunk"):
         step(s2)
 
@@ -130,7 +130,7 @@ def test_signature_never_shrinks():
 def _tree_literal(t):
     from rasm.printer import print_tree
 
-    return print_tree(t)
+    return print_tree(t.root_node)
 
 
 def test_declared_signature_beyond_encoded_is_rejected():
@@ -185,7 +185,7 @@ def test_static_program_runs_agree_with_plain_evaluation(monkeypatch):
         base = random_state(rng, with_pgm=True)
         sig = base.signature
         tree = drop_program(sig, r)
-        s = State(base.signature, {**base.interp, PGM_LOCATION: TreeVal(tree)}, base.universe)
+        s = State(base.signature, {**base.interp, PGM_LOCATION: tree}, base.universe)
         try:
             um_direct = eval_rule(s, {}, r)
         except Exception:
@@ -209,7 +209,7 @@ def _outcome(fn):
 def _fresh_pgm(s):
     """The same state, its pgm nodes' raise memos cleared: the next step
     raises the whole tree and compiles every rule anew."""
-    forget_raises(s.value_of(PGM_LOCATION).tree)
+    forget_raises(s.value_of(PGM_LOCATION))
     return s
 
 
@@ -225,9 +225,9 @@ def test_raise_memo_agrees_with_a_fresh_raise_every_step():
         if rng.random() < 0.5:
             # rewrite pgm to another program over the same signature
             other = drop_program(base.signature, random_rule(rng, depth=2))
-            rule = Par((rule, Assign("pgm", (), Literal(TreeVal(other)))))
+            rule = Par((rule, Assign("pgm", (), Literal(other))))
         tree = drop_program(base.signature, rule)
-        s = State(base.signature, {**base.interp, PGM_LOCATION: TreeVal(tree)}, base.universe)
+        s = State(base.signature, {**base.interp, PGM_LOCATION: tree}, base.universe)
         k = rng.randrange(1, 5)
         memo = _outcome(lambda: run(s, steps=k))
 

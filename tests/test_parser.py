@@ -20,7 +20,7 @@ from rasm.errors import EncodingError, ParseError
 from rasm.parser import parse_rule, parse_state, parse_term, parse_tree, parse_value, tokenize
 from rasm.printer import print_rule, print_term, print_tree, print_value
 from rasm.state import Location, PGM
-from rasm.trees import Context, Tree, leaf, node
+from rasm.trees import XI, Node, leaf, node
 from rasm.values import (
     FALSE,
     TRUE,
@@ -59,11 +59,11 @@ def test_parse_values():
 
 def test_parse_trees():
     t = parse_tree("a⟨b c=⟨7⟩⟩")
-    assert isinstance(t, Tree)
-    assert t == Tree(node("a", leaf("b"), leaf("c", Natural(7))))
+    assert t.holes == 0
+    assert t == node("a", leaf("b"), leaf("c", Natural(7)))
     c = parse_tree("a⟨^ b⟩")
-    assert isinstance(c, Context)
-    assert parse_value("#a⟨b⟩") == TreeVal(Tree(node("a", leaf("b"))))
+    assert c.holes == 1 and c == node("a", Node(XI), leaf("b"))
+    assert parse_value("#a⟨b⟩") == TreeVal(node("a", leaf("b")))
 
 
 def test_tree_literal_hole_limits():
@@ -279,7 +279,7 @@ def test_parse_state_seed_threads_through():
 
 def test_parse_state_with_explicit_pgm_init():
     doc = GOOD_DOC.replace("program\nf := f + 1\n", "")
-    tree_text = print_tree(parse_state(GOOD_DOC).value_of(Location(PGM)).tree)
+    tree_text = print_tree(parse_state(GOOD_DOC).value_of(Location(PGM)).root_node)
     doc = doc + "function pgm/0\ninit pgm = #" + tree_text + "\n"
     s = parse_state(doc)
     assert s == parse_state(GOOD_DOC)

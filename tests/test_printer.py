@@ -13,7 +13,6 @@ from rasm.machine import run, step
 from rasm.parser import parse_rule, parse_state, parse_term, parse_value
 from rasm.printer import (
     format_trace,
-    print_location,
     print_rule,
     print_state,
     print_term,
@@ -21,9 +20,9 @@ from rasm.printer import (
     print_value,
     rule_hash,
 )
-from rasm.state import Location, State
+from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm.terms import Apply, Assign, BackgroundOp, Literal, Par
-from rasm.trees import XI, Context, Node, Tree, leaf, node
+from rasm.trees import XI, Node, leaf, node
 from rasm.values import UNDEF, Atom, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, value_key
 
 
@@ -45,10 +44,10 @@ def test_multiset_prints_canonically_sorted():
 
 
 def test_tree_forms():
-    assert print_tree(Tree(leaf("a"))) == "a"
-    assert print_tree(Tree(node("a", leaf("b"), leaf("c", Natural(1))))) == "a⟨b c=⟨1⟩⟩"
-    assert print_tree(Context(Node(XI))) == "^"
-    assert print_tree(Context(node("a", Node(XI)))) == "a⟨^⟩"
+    assert print_tree(leaf("a")) == "a"
+    assert print_tree(node("a", leaf("b"), leaf("c", Natural(1)))) == "a⟨b c=⟨1⟩⟩"
+    assert print_tree(Node(XI)) == "^"
+    assert print_tree(node("a", Node(XI))) == "a⟨^⟩"
 
 
 def test_term_precedence_minimal_parens():
@@ -94,8 +93,9 @@ def test_else_skip_is_elided():
 
 
 def test_location_forms():
-    assert print_location(Location("f")) == "f"
-    assert print_location(Location("g", (Natural(1), Atom("red")))) == "g(1, red)"
+    sig = Signature((FunctionSymbol("f", 0), FunctionSymbol("g", 2)))
+    s = State(sig, {Location("f"): Natural(0), Location("g", (Natural(1), Atom("red"))): Natural(2)})
+    assert print_state(s).splitlines()[-2:] == ["init f = 0", "init g(1, red) = 2"]
 
 
 def test_state_document_roundtrip():
@@ -227,7 +227,7 @@ def _trace_machine(rng: random.Random) -> State:
         args = tuple(Literal(rng.choice(pool)) for _ in range(1 if sym == "g" else 2))
         extras.append(Assign(sym, args, Literal(random_value(rng, 2))))
     interp = {**s.interp, Location("h", (Atom("t"), Atom("t"))): Natural(0),
-              Location("pgm"): TreeVal(drop_program(s.signature, Par((rule, *extras))))}
+              Location("pgm"): drop_program(s.signature, Par((rule, *extras)))}
     return State(s.signature, interp, s.universe)
 
 

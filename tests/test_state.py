@@ -16,7 +16,7 @@ from rasm.state import (
     atoms_of_value,
     rename_state,
 )
-from rasm.trees import Tree, leaf, node
+from rasm.trees import leaf, node, subtree
 from rasm.values import UNDEF, Atom, Multiset, Natural, TreeVal, TupleVal, value_key
 from conftest import random_state, random_value
 
@@ -64,7 +64,7 @@ def test_interp_drops_undef():
 
 
 def test_value_of_reads_into_trees():
-    t = Tree(node("r", leaf("a"), node("x", leaf("b"))))
+    t = node("r", leaf("a"), node("x", leaf("b")))
     s = State(sig(("f", 0)), {Location("f"): TreeVal(t)})
 
     def at(*path):
@@ -72,7 +72,7 @@ def test_value_of_reads_into_trees():
 
     assert s.value_of(Location("f")) == TreeVal(t)
     assert eval_term(s, {}, at()) == TreeVal(t)
-    assert eval_term(s, {}, at(1, 0)) == TreeVal(Tree(leaf("b")))
+    assert eval_term(s, {}, at(1, 0)) == TreeVal(leaf("b"))
     assert eval_term(s, {}, at(9)) == UNDEF
     assert s.value_of(Location("g")) == UNDEF
 
@@ -159,11 +159,11 @@ def test_rename_rejects_partial_and_merging_maps():
 
 
 def test_rename_reaches_quoted_trees():
-    t = Tree(node("r", leaf("lit", Atom("red"))))
+    t = node("r", leaf("lit", Atom("red")))
     s = State(sig(("f", 0)), {Location("f"): TreeVal(t)})
     s2 = rename_state(s, {"red": "rose"})
     got = s2.value_of(Location("f"))
-    assert got.tree.at((0,)).value == Atom("rose")
+    assert subtree(got.root_node, (0,)).value == Atom("rose")
 
 
 def test_atoms_of_state_is_the_union_over_its_values():

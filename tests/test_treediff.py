@@ -45,10 +45,10 @@ def test_rule_evaluates_to_target_on_random_pairs():
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0), FunctionSymbol("g", 1)))
     for _ in range(100):
         t1, t2 = random_program_pair(rng)
-        s = State(sig, {Location(PGM): TreeVal(t1)})
+        s = State(sig, {Location(PGM): t1})
         us = collapse(s, eval_rule(s, {}, tree_diff_rule(t1, t2)))
         assert us.consistent
-        assert apply_update_set(s, us)[Location(PGM)] == TreeVal(t2)
+        assert apply_update_set(s, us)[Location(PGM)] == t2
 
 
 def test_signature_growth_is_one_right_extension():
@@ -71,10 +71,10 @@ def test_diff_rejects_signature_shrink():
 
 def test_diff_requires_program_trees():
     from rasm.errors import EncodingError
-    from rasm.trees import Tree, leaf
+    from rasm.trees import leaf
 
     with pytest.raises(EncodingError):
-        tree_diff_rule(Tree(leaf("x")), Tree(leaf("x")))
+        tree_diff_rule(TreeVal(leaf("x")), TreeVal(leaf("x")))
 
 
 def test_updates_collapse_to_single_root_update():
@@ -87,10 +87,10 @@ def test_updates_collapse_to_single_root_update():
         assert e.op in ("subst_at", "extend_at")
 
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
-    s = State(sig, {Location(PGM): TreeVal(t1)})
+    s = State(sig, {Location(PGM): t1})
     us = collapse(s, um)
     assert us.consistent
-    assert us.updates == (Update(Location(PGM), TreeVal(t2)),)
+    assert us.updates == (Update(Location(PGM), t2),)
 
 
 @pytest.mark.parametrize("k", [7, 12])
@@ -102,9 +102,9 @@ def test_many_disjoint_edits_collapse_to_the_new_tree(k):
     paths = [u.args[0].items for u in um]
     assert paths == sorted(paths)  # preorder, as the rule prints them
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
-    us = collapse(State(sig, {Location(PGM): TreeVal(t1)}), um)
+    us = collapse(State(sig, {Location(PGM): t1}), um)
     assert us.consistent
-    assert us.updates == (Update(Location(PGM), TreeVal(t2)),)
+    assert us.updates == (Update(Location(PGM), t2),)
 
 
 def test_updates_are_minimal_for_local_edit():
@@ -126,10 +126,10 @@ def test_signature_growth_update_uses_right_extend():
     assert "extend_at" in ops
     assert all(e.location == Location(PGM) for e in um)
     sig = Signature((FunctionSymbol("pgm", 0), FunctionSymbol("f", 0)))
-    s = State(sig, {Location(PGM): TreeVal(t1)})
+    s = State(sig, {Location(PGM): t1})
     us = collapse(s, um)
     assert us.consistent
-    assert us.updates == (Update(Location(PGM), TreeVal(t2)),)
+    assert us.updates == (Update(Location(PGM), t2),)
 
 
 def test_updates_reach_target_on_random_pairs():
@@ -138,10 +138,10 @@ def test_updates_reach_target_on_random_pairs():
     for _ in range(100):
         t1, t2 = random_program_pair(rng)
         um = tree_diff_updates(t1, t2)
-        s = State(sig, {Location(PGM): TreeVal(t1)})
+        s = State(sig, {Location(PGM): t1})
         us = collapse(s, um)
         assert us.consistent
-        assert us.updates == (Update(Location(PGM), TreeVal(t2)),)
+        assert us.updates == (Update(Location(PGM), t2),)
 
 
 def test_differ_updates_are_rule_updates():
@@ -152,7 +152,7 @@ def test_differ_updates_are_rule_updates():
     for _ in range(100):
         t1, t2 = random_program_pair(rng)
         um = tree_diff_updates(t1, t2)
-        s = State(sig, {Location(PGM): TreeVal(t1)})
+        s = State(sig, {Location(PGM): t1})
         rule = Par(tuple(PartialAssign(PGM, (), u.op, tuple(map(Literal, u.args))) for u in um))
         assert tree_diff_rule(t1, t2) == rule
         assert eval_rule(s, {}, rule) == um

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rasm.errors import RasmError
 from rasm.state import FunctionSymbol, Location, Signature, State
-from rasm.trees import Tree, leaf, node
+from rasm.trees import leaf, node
 from rasm.updates import (
     COLLAPSE_OPS,
     SharedUpdate,
@@ -96,46 +96,46 @@ def test_mixed_ordinary_and_shared_clash():
 
 
 def two_leaf_tree():
-    return Tree(node("r", leaf("a"), leaf("b")))
+    return node("r", leaf("a"), leaf("b"))
 
 
 def test_right_extend_appends_operand_roots():
     s = base_state(f=TreeVal(two_leaf_tree()))
-    um = UpdateMultiset((SharedUpdate(F, "right_extend", (TreeVal(Tree(leaf("c"))),)),))
+    um = UpdateMultiset((SharedUpdate(F, "right_extend", (TreeVal(leaf("c")),)),))
     us = collapse(s, um)
     assert us.consistent
     (u,) = us.updates
-    assert u.value.tree == Tree(node("r", leaf("a"), leaf("b"), leaf("c")))
+    assert u.value == TreeVal(node("r", leaf("a"), leaf("b"), leaf("c")))
 
 
 def test_right_extend_pair_is_order_dependent():
     s = base_state(f=TreeVal(two_leaf_tree()))
     um = UpdateMultiset((
-        SharedUpdate(F, "right_extend", (TreeVal(Tree(leaf("c"))),)),
-        SharedUpdate(F, "right_extend", (TreeVal(Tree(leaf("d"))),)),
+        SharedUpdate(F, "right_extend", (TreeVal(leaf("c")),)),
+        SharedUpdate(F, "right_extend", (TreeVal(leaf("d")),)),
     ))
     us = collapse(s, um)
     assert not us.consistent  # c-then-d and d-then-c disagree on child order
 
 
 def test_extend_at_disjoint_paths_commute():
-    s = base_state(f=TreeVal(Tree(node("r", node("x", leaf("a")), node("y", leaf("b"))))))
+    s = base_state(f=TreeVal(node("r", node("x", leaf("a")), node("y", leaf("b")))))
     um = UpdateMultiset((
-        SharedUpdate(F, "extend_at", (path_val(0), TreeVal(Tree(leaf("p"))))),
-        SharedUpdate(F, "extend_at", (path_val(1), TreeVal(Tree(leaf("q"))))),
+        SharedUpdate(F, "extend_at", (path_val(0), TreeVal(leaf("p")))),
+        SharedUpdate(F, "extend_at", (path_val(1), TreeVal(leaf("q")))),
     ))
     us = collapse(s, um)
     assert us.consistent
     (u,) = us.updates
-    want = Tree(node("r", node("x", leaf("a"), leaf("p")), node("y", leaf("b"), leaf("q"))))
-    assert u.value.tree == want
+    want = node("r", node("x", leaf("a"), leaf("p")), node("y", leaf("b"), leaf("q")))
+    assert u.value == TreeVal(want)
 
 
 def test_subst_at_same_path_twice_is_order_dependent():
     s = base_state(f=TreeVal(two_leaf_tree()))
     um = UpdateMultiset((
-        SharedUpdate(F, "subst_at", (path_val(0), TreeVal(Tree(leaf("p"))))),
-        SharedUpdate(F, "subst_at", (path_val(0), TreeVal(Tree(leaf("q"))))),
+        SharedUpdate(F, "subst_at", (path_val(0), TreeVal(leaf("p")))),
+        SharedUpdate(F, "subst_at", (path_val(0), TreeVal(leaf("q")))),
     ))
     us = collapse(s, um)
     assert not us.consistent
@@ -143,17 +143,17 @@ def test_subst_at_same_path_twice_is_order_dependent():
 
 def test_subst_at_identical_updates_commute():
     s = base_state(f=TreeVal(two_leaf_tree()))
-    u = SharedUpdate(F, "subst_at", (path_val(0), TreeVal(Tree(leaf("p")))))
+    u = SharedUpdate(F, "subst_at", (path_val(0), TreeVal(leaf("p"))))
     us = collapse(s, UpdateMultiset((u, u)))
     assert us.consistent
     (got,) = us.updates
-    assert got.value.tree == Tree(node("r", leaf("p"), leaf("b")))
+    assert got.value == TreeVal(node("r", leaf("p"), leaf("b")))
 
 
 def test_identical_updates_are_consistent_at_any_size():
     s = base_state(f=TreeVal(two_leaf_tree()))
-    u = SharedUpdate(F, "subst_at", (path_val(0), TreeVal(Tree(leaf("p")))))
-    want = (Update(F, TreeVal(Tree(node("r", leaf("p"), leaf("b"))))),)
+    u = SharedUpdate(F, "subst_at", (path_val(0), TreeVal(leaf("p"))))
+    want = (Update(F, TreeVal(node("r", leaf("p"), leaf("b")))),)
     for k in range(1, 13):
         us = collapse(s, UpdateMultiset((u,) * k))
         assert us.consistent, k  # no size cap: 7 copies used to be inconsistent
@@ -168,59 +168,88 @@ def test_commutative_class_exempt_from_cap():
     assert us.updates == (Update(F, mset(*range(9))),)
 
 
-def test_commutative_group_skips_the_permutations(monkeypatch):
-    from rasm import updates
+def _count_folds(monkeypatch, name: str) -> list:
+    """The arguments of every fold of the collapse operator `name` from now on."""
+    import dataclasses
 
     calls = []
-    real = updates._apply_shared
+    op = COLLAPSE_OPS[name]
+    counting = dataclasses.replace(op, fold=lambda current, *args: calls.append(args) or op.fold(current, *args))
+    monkeypatch.setitem(COLLAPSE_OPS, name, counting)
+    return calls
 
-    def counting(current, u):
-        calls.append(u)
-        return real(current, u)
 
-    monkeypatch.setattr(updates, "_apply_shared", counting)
+def test_commutative_group_skips_the_permutations(monkeypatch):
+    calls = _count_folds(monkeypatch, "munion")
     entries = tuple(SharedUpdate(F, "munion", (mset(i),)) for i in range(6))
     us = collapse(base_state(f=mset()), UpdateMultiset(entries))
     assert us.consistent
     assert us.updates == (Update(F, mset(*range(6))),)
     assert len(calls) == 6  # one canonical fold, no orders tried
 
-    calls.clear()
-    t = Tree(node("r", leaf("a"), leaf("b"), leaf("c"), leaf("d")))
-    entries = tuple(SharedUpdate(F, "subst_at", (path_val(i), TreeVal(Tree(leaf("z"))))) for i in range(4))
+    calls = _count_folds(monkeypatch, "subst_at")
+    t = node("r", leaf("a"), leaf("b"), leaf("c"), leaf("d"))
+    entries = tuple(SharedUpdate(F, "subst_at", (path_val(i), TreeVal(leaf("z")))) for i in range(4))
     us = collapse(base_state(f=TreeVal(t)), UpdateMultiset(entries))
     assert us.consistent
-    assert us.updates == (Update(F, TreeVal(Tree(node("r", *(leaf("z") for _ in range(4)))))),)
+    assert us.updates == (Update(F, TreeVal(node("r", *(leaf("z") for _ in range(4))))),)
     assert len(calls) == 4  # disjoint paths decide the group pair by pair
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_a_shared_tree_group_builds_one_tree_value(k):
+    """k disjoint `subst_at` edits on one location fold on root nodes: one
+    `subst_tt` per edit, and one tree value for the whole group."""
+    import sys
+
+    from rasm import updates
+
+    t = node("r", *(leaf("a", Natural(i)) for i in range(k)))
+    s = base_state(f=TreeVal(t))
+    entries = tuple(SharedUpdate(F, "subst_at", (path_val(i), TreeVal(leaf("z", Natural(i))))) for i in range(k))
+    build, edit, calls = TreeVal._build.__code__, updates.subst_tt.__code__, []
+
+    def hook(frame, event, _arg):
+        if event == "call" and frame.f_code in (build, edit):
+            calls.append(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        us = collapse(s, UpdateMultiset(entries))
+    finally:
+        sys.setprofile(None)
+    assert us.consistent
+    assert us.updates == (Update(F, TreeVal(node("r", *(leaf("z", Natural(i)) for i in range(k))))),)
+    assert (calls.count(build), calls.count(edit)) == (1, k)
 
 
 def test_subst_at_path_rewrites_node():
     s = base_state(f=TreeVal(two_leaf_tree()))
     um = UpdateMultiset((
-        SharedUpdate(F, "subst_at", (path_val(1), TreeVal(Tree(leaf("z"))))),
+        SharedUpdate(F, "subst_at", (path_val(1), TreeVal(leaf("z")))),
     ))
     us = collapse(s, um)
     assert us.consistent
     (u,) = us.updates
     assert u.location == F
-    assert u.value.tree == Tree(node("r", leaf("a"), leaf("z")))
+    assert u.value == TreeVal(node("r", leaf("a"), leaf("z")))
 
 
 def test_extend_at_path_appends_below():
-    s = base_state(f=TreeVal(Tree(node("r", node("x", leaf("a"))))))
+    s = base_state(f=TreeVal(node("r", node("x", leaf("a")))))
     um = UpdateMultiset((
-        SharedUpdate(F, "extend_at", (path_val(0), TreeVal(Tree(leaf("b"))))),
+        SharedUpdate(F, "extend_at", (path_val(0), TreeVal(leaf("b")))),
     ))
     us = collapse(s, um)
     assert us.consistent
     (u,) = us.updates
-    assert u.value.tree == Tree(node("r", node("x", leaf("a"), leaf("b"))))
+    assert u.value == TreeVal(node("r", node("x", leaf("a"), leaf("b"))))
 
 
 def test_path_edit_on_non_tree_degrades_to_undef():
     s = base_state(f=Natural(3))
     um = UpdateMultiset((
-        SharedUpdate(F, "subst_at", (path_val(0), TreeVal(Tree(leaf("z"))))),
+        SharedUpdate(F, "subst_at", (path_val(0), TreeVal(leaf("z")))),
     ))
     us = collapse(s, um)
     assert us.consistent
@@ -317,16 +346,16 @@ def test_collapse_verdict_matches_exhaustive_permutation(data):
     undef is consistent."""
     import random as _random
 
-    from conftest import random_tree
+    from conftest import iter_nodes, random_tree
 
     rng = _random.Random(data.draw(st.integers(0, 10**6)))
     t = random_tree(rng, depth=3, branch=3)
-    paths = [p for p, _n in t.iter_nodes()]
+    paths = [p for p, _n in iter_nodes(t)]
     ops = []
     for _ in range(rng.randrange(1, 5)):
         kind = rng.choice(("subst_at", "right_extend", "extend_at"))
         p = rng.choice(paths)
-        arg_tree = TreeVal(Tree(leaf(rng.choice("pqrs"))))
+        arg_tree = TreeVal(leaf(rng.choice("pqrs")))
         if kind == "subst_at":
             ops.append(SharedUpdate(F, "subst_at", (path_val(*p), arg_tree)))
         elif kind == "extend_at":
@@ -343,23 +372,23 @@ def test_collapse_verdict_matches_exhaustive_permutation(data):
 
 def _outcomes(current, ops):
     """Every value the group folds to over all application orders."""
-    from rasm.updates import _apply_shared
+    from rasm.updates import _fold
 
     results = set()
     for perm in set(itertools.permutations(ops)):
         acc = current
         for u in perm:
-            acc = _apply_shared(acc, u)
+            acc = _fold(acc, [(u.op, u.args)])
         results.add(acc)
     return results
 
 
-@pytest.mark.parametrize("current", [TreeVal(Tree(node("r", leaf("a")))), UNDEF, Natural(4)], ids=["tree", "undef", "natural"])
+@pytest.mark.parametrize("current", [TreeVal(node("r", leaf("a"))), UNDEF, Natural(4)], ids=["tree", "undef", "natural"])
 @pytest.mark.parametrize("path,consistent", [(path_val(), True), (Natural(0), False)], ids=["root", "undecodable"])
 def test_subst_tt_beside_subst_at_at_the_root(current, path, consistent):
     """`subst_tt(t)` is the edit `subst_at((), t)`: every order folds the
     pair to `t`.  An undecodable path folds to undef in one order."""
-    t = TreeVal(Tree(node("s", leaf("b"))))
+    t = TreeVal(node("s", leaf("b")))
     ops = [SharedUpdate(F, "subst_tt", (t,)), SharedUpdate(F, "subst_at", (path, t))]
     us = collapse(base_state(f=current), UpdateMultiset(ops))
     assert us.consistent == consistent
@@ -373,7 +402,7 @@ def _mixed_group(rng, paths):
     undecodable paths and non-tree payloads, and at times a duplicate."""
 
     def payload():
-        return rng.choice((TreeVal(Tree(leaf("p"))), TreeVal(Tree(leaf("q"))), Natural(1), mset(2)))
+        return rng.choice((TreeVal(leaf("p")), TreeVal(leaf("q")), Natural(1), mset(2)))
 
     def path():
         if rng.random() < 0.1:
@@ -401,11 +430,11 @@ def test_collapse_verdict_is_sound_on_mixed_groups():
     that is the conservative direction."""
     import random as _random
 
-    from conftest import random_tree
+    from conftest import iter_nodes, random_tree
 
     rng = _random.Random(88)
     t = random_tree(rng, depth=3, branch=3)
-    paths = [p for p, _n in t.iter_nodes()] + [(0, 9), (7,)]  # two that leave the tree
+    paths = [p for p, _n in iter_nodes(t)] + [(0, 9), (7,)]  # two that leave the tree
     for i in range(300):
         current = rng.choice((TreeVal(t), TreeVal(t), TreeVal(t), UNDEF, mset(1), Natural(4)))
         ops = _mixed_group(rng, paths)
@@ -447,11 +476,11 @@ def test_collapse_agrees_with_dict_grouping(data):
     distinct."""
     import random as _random
 
-    from conftest import random_tree
+    from conftest import iter_nodes, random_tree
 
     rng = _random.Random(data.draw(st.integers(0, 10**6)))
     t = random_tree(rng, depth=3, branch=3)
-    paths = [p for p, _n in t.iter_nodes()]
+    paths = [p for p, _n in iter_nodes(t)]
     locs = [F, G1, Location("g", (Natural(0),)), Location("g", (Atom("red"),))]
     s = base_state(f=TreeVal(t))
     s = State(s.signature, {**s.interp, G1: mset(0)}, s.universe)
@@ -460,7 +489,7 @@ def test_collapse_agrees_with_dict_grouping(data):
         return Update(loc, rng.choice((Natural(0), Natural(1), mset(2), UNDEF, TreeVal(t))))
 
     def shared(loc):
-        arg = TreeVal(Tree(leaf(rng.choice("pq"))))
+        arg = TreeVal(leaf(rng.choice("pq")))
         kind = rng.choice(("munion", "munion", "subst_at", "extend_at", "right_extend", "subst_tt"))
         if kind == "munion":
             return SharedUpdate(loc, kind, (mset(rng.randrange(3)),))
@@ -537,14 +566,14 @@ def test_collapse_and_trace_do_not_depend_on_the_order_of_entries(data):
     neither the update set, nor the verdict, nor the trace text."""
     import random as _random
 
-    from conftest import random_tree
+    from conftest import iter_nodes, random_tree
     from rasm.machine import StepReport
     from rasm.printer import format_trace
     from rasm.terms import Par
 
     rng = _random.Random(data.draw(st.integers(0, 10**6)))
     t = random_tree(rng, depth=3, branch=3)
-    paths = [p for p, _n in t.iter_nodes()]
+    paths = [p for p, _n in iter_nodes(t)]
     pairs = [Location("g", (TupleVal((Natural(1), Atom("red"))),)), Location("g", (TupleVal((Natural(1),)),))]
     locs = [F, G1, Location("g", (Natural(0),)), Location("g", (Atom("red"),)), *pairs]
     s = base_state(f=TreeVal(t))
@@ -554,7 +583,7 @@ def test_collapse_and_trace_do_not_depend_on_the_order_of_entries(data):
     def shared(loc):
         if loc != F or rng.random() < 0.3:
             return SharedUpdate(loc, "munion", (mset(rng.randrange(3)),))
-        arg = TreeVal(Tree(leaf(rng.choice("pq"))))
+        arg = TreeVal(leaf(rng.choice("pq")))
         kind = rng.choice(("subst_at", "extend_at", "right_extend", "subst_tt"))
         if kind in ("subst_at", "extend_at"):
             return SharedUpdate(loc, kind, (path_val(*rng.choice(paths)), arg))

@@ -16,7 +16,7 @@ from conftest import ATOMS, LABELS, random_term, random_value
 from rasm.evaluator import eval_term
 from rasm.state import FunctionSymbol, Location, Signature, State
 from rasm.terms import Apply, BackgroundOp, Comprehension, Literal, Var
-from rasm.trees import Node, Tree, leaf, node
+from rasm.trees import Node, leaf, node
 from rasm.values import (
     FALSE,
     TRUE,
@@ -79,7 +79,7 @@ def nested_key(v):
     if isinstance(v, Multiset):
         return (5, tuple(nested_key(x) for x in v.items))
     if isinstance(v, TreeVal):
-        return (6, _nested_node_key(v.tree.root_node))
+        return (6, _nested_node_key(v.root_node))
     return (7, _nested_term_key(v.term))
 
 
@@ -105,7 +105,7 @@ def _trees(leaf_values):
                        st.sampled_from(LABELS), st.none() | leaf_values)
     return st.recursive(leaves, lambda kids: st.builds(
         lambda label, children: Node(label, tuple(children)), st.sampled_from(LABELS),
-        st.lists(kids, min_size=1, max_size=3)), max_leaves=6).map(lambda n: TreeVal(Tree(n)))
+        st.lists(kids, min_size=1, max_size=3)), max_leaves=6).map(lambda n: TreeVal(n))
 
 
 VALUES = st.recursive(
@@ -163,27 +163,29 @@ def _chain(depth, bottom):
 
 
 def test_5000_deep_values_sort_without_recursion():
-    a, b = TreeVal(Tree(_chain(5000, 1))), TreeVal(Tree(_chain(5000, 2)))
+    a, b = TreeVal(_chain(5000, 1)), TreeVal(_chain(5000, 2))
     assert sorted([b, a], key=value_key) == [a, b]
-    assert value_key(a) is a.tree.root_node.tree_key  # cached on the root only
-    assert _chain(4999, 1).tree_key is None
+    assert value_key(a) is a.key  # kept on the tree value; nodes keep none
+    assert not hasattr(_chain(4999, 1), "key")
     s, t = TupleVal((Natural(1),)), TupleVal((Natural(2),))
     for _ in range(5000):
         s, t = TupleVal((s,)), TupleVal((t,))
     assert sorted([t, s], key=value_key) == [s, t]
+    # Each level keeps its key, the next one out spliced in around it.
+    assert value_key(s) is s.key and s.key[1:-1] == s.items[0].key
 
 
 def test_value_key_separates_kinds():
     distinct = [UNDEF, TRUE, Natural(0), Atom("a"), TupleVal(()), Multiset(()),
-                TreeVal(Tree(leaf("x"))), DroppedTerm(Literal(Natural(0)))]
+                TreeVal(leaf("x")), DroppedTerm(Literal(Natural(0)))]
     keys = [value_key(v) for v in distinct]
     assert len(set(keys)) == len(keys)
 
 
 def test_tree_values_compare_structurally():
-    t1 = TreeVal(Tree(node("a", leaf("b", Natural(1)))))
-    t2 = TreeVal(Tree(node("a", leaf("b", Natural(1)))))
-    t3 = TreeVal(Tree(node("a", leaf("b", Natural(2)))))
+    t1 = TreeVal(node("a", leaf("b", Natural(1))))
+    t2 = TreeVal(node("a", leaf("b", Natural(1))))
+    t3 = TreeVal(node("a", leaf("b", Natural(2))))
     assert t1 == t2 and value_key(t1) == value_key(t2)
     assert t1 != t3
 
@@ -237,7 +239,7 @@ def test_plain_payloads():
 
 @pytest.mark.parametrize("value, field", [
     (Natural(1), "n"), (Atom("a"), "name"), (TRUE, "flag"), (UNDEF, "flag"),
-    (TupleVal(()), "items"), (Multiset(()), "items"), (TreeVal(Tree(leaf("x"))), "tree"),
+    (TupleVal(()), "items"), (Multiset(()), "items"), (TreeVal(leaf("x")), "root_node"),
     (DroppedTerm(Apply("f")), "term"), (Location("f"), "symbol"), (Location("f"), "args"),
 ], ids=lambda x: x if type(x) is str else type(x).__name__)
 def test_values_and_locations_are_immutable(value, field):

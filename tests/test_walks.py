@@ -54,12 +54,13 @@ from rasm.terms import (
     map_term,
     subterms,
 )
-from rasm.trees import XI, Node, Tree
+from rasm.trees import XI, Node
 from rasm.values import TRUE, UNDEF, Atom, Boolean, DroppedTerm, Multiset, Natural, TreeVal, TupleVal, value_key
 
 from conftest import (
     ATOMS,
     _pool_term,
+    iter_nodes,
     random_context,
     random_machine,
     random_relational_rule,
@@ -103,9 +104,9 @@ def test_deep_add_chain_goes_through_every_term_walk():
     quoted = DroppedTerm(t)
     assert quoted is DroppedTerm(_add_chain(5000)) and hash(quoted) == hash(DroppedTerm(t))
     pgm = encoding.drop_program(Signature((FunctionSymbol("f", 0),)), Assign("f", (), t))
-    assert [n.value for _p, n in pgm.iter_nodes() if n.value is quoted] == [quoted]
+    assert [n.value for _p, n in iter_nodes(pgm.root_node) if n.value is quoted] == [quoted]
     key = value_key(quoted)
-    assert key[:4] == (7, "BackgroundOp", "add", 2) and value_key(quoted) is quoted.term_key == key
+    assert key[:4] == (7, "BackgroundOp", "add", 2) and value_key(quoted) is quoted.key == key
     # At the bottom the longer chain holds an addition where the shorter holds
     # its literal, and "BackgroundOp" < "Literal".
     assert key < value_key(DroppedTerm(_add_chain(4999)))
@@ -156,9 +157,9 @@ def test_deep_forms_print_through_the_one_walk():
     quoted = "q=⟨⟦(('red, {| 2, 'red |}), ?y)⟧⟩"
     text = "".join("a⟨" if i % 2 else "c⟨" for i in reversed(range(depth))) + quoted
     text += "".join(" b=⟨red⟩⟩" if i % 2 else "⟩" for i in range(depth))
-    assert print_tree(Tree(n)) == text
-    assert print_value(TreeVal(Tree(n))) == "#" + text
-    assert print_term(Literal(TreeVal(Tree(n)))) == "#" + text
+    assert print_tree(n) == text
+    assert print_value(TreeVal(n)) == "#" + text
+    assert print_term(Literal(TreeVal(n))) == "#" + text
 
 
 def test_let_over_a_deep_comprehension_chain_reads_without_capture():
@@ -324,7 +325,7 @@ def ref_rename_value(v, pi):
     if isinstance(v, Multiset):
         return Multiset(ref_rename_value(x, pi) for x in v.items)
     if isinstance(v, TreeVal):
-        return TreeVal(type(v.tree)(_ref_rename_node(v.tree.root_node, pi)))
+        return TreeVal(_ref_rename_node(v.root_node, pi))
     if isinstance(v, DroppedTerm):
         return DroppedTerm(ref_rename_term(v.term, pi))
     return v
@@ -353,7 +354,7 @@ def ref_collect_values(v, out):
         for x in v.items:
             ref_collect_values(x, out)
     elif isinstance(v, TreeVal):
-        for _path, n in v.tree.iter_nodes():
+        for _path, n in iter_nodes(v.root_node):
             if n.value is not None:
                 ref_collect_values(n.value, out)
     elif isinstance(v, DroppedTerm):
@@ -404,7 +405,7 @@ def ref_value_text(v, quote):
             return "{||}"
         return "{| " + ", ".join(ref_value_text(x, quote) for x in v) + " |}"
     if isinstance(v, TreeVal):
-        return "#" + ref_node_text(v.tree.root_node)
+        return "#" + ref_node_text(v.root_node)
     if isinstance(v, DroppedTerm):
         return "⟦" + ref_term_text(v.term, frozenset(), P_OR) + "⟧"
     raise TypeError(f"not a value: {v!r}")
@@ -506,7 +507,7 @@ def _nodes(x):
         elif isinstance(x, (TupleVal, Multiset)):
             todo += reversed(x.items)
         elif isinstance(x, TreeVal):
-            todo += reversed([n.value for _p, n in x.tree.iter_nodes() if n.value is not None])
+            todo += reversed([n.value for _p, n in iter_nodes(x.root_node) if n.value is not None])
         elif isinstance(x, DroppedTerm):
             todo.append(x.term)
     return out
@@ -618,7 +619,7 @@ def test_printer_agrees_with_the_recursive_originals(seed):
         v = random_value(rng, rng.randrange(5))
         assert print_value(v) == ref_value_text(v, False)
         tree = rng.choice((random_tree, random_context))(rng, depth=rng.randrange(5))
-        assert print_tree(tree) == ref_node_text(tree.root_node)
+        assert print_tree(tree) == ref_node_text(tree)
         bound = frozenset(rng.sample(BOUND, rng.randrange(7)))
         # any background operation at any arity, none included: `add()`
         # parses as one and must print back with its parentheses
